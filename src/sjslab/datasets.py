@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,57 +73,114 @@ class RowTable:
         return self.feature_codes.shape[0]
 
 
+CHUNK_ROWS = 4096
+MISSING_ID = 0  # spelling id of the empty field; short rows are padded with it
+UNSEEN_CODE = -1
+MISSING_CODE = -2
+
+
+class _SpellingIds(dict):
+    """Spelling -> id map that numbers each new spelling on first sight."""
+
+    def __missing__(self, key):
+        self[key] = n = len(self)
+        return n
+
+
+class CsvTokens(NamedTuple):
+    """A CSV file as integer ids: ``spellings[ids[r, j]]`` is data row r, column j."""
+
+    header: list
+    spellings: tuple
+    ids: np.ndarray
+
+
+def read_csv_tokens(path) -> CsvTokens:
+    """Read a CSV file in one streaming pass into an ``int32`` id matrix.
+
+    Rows are parsed ``CHUNK_ROWS`` at a time, so only one chunk is ever
+    held as Python strings.  Each field maps to the id of its spelling
+    in one table shared by all columns, numbered in order of first
+    appearance; id ``MISSING_ID`` is the empty field.  As with
+    :class:`csv.DictReader`, blank lines are skipped, short rows are
+    padded with empty fields and long rows are cut to the header's
+    width, so row ``r`` of ``ids`` is the r-th non-blank data row.
+    """
+    ids = _SpellingIds({"": MISSING_ID})
+    blocks = []
+    with Path(path).open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        width = len(header)
+        pad = [""] * width
+        while chunk := list(islice(reader, CHUNK_ROWS)):
+            if set(map(len, chunk)) != {width} or not width:  # blank, short or long rows
+                chunk = [r if len(r) == width else (r + pad)[:width] for r in chunk if r]
+            flat = list(map(ids.__getitem__, chain.from_iterable(chunk)))
+            blocks.append(np.array(flat, dtype=np.int32).reshape(len(chunk), width))
+    matrix = np.concatenate(blocks) if blocks else np.zeros((0, width), dtype=np.int32)
+    return CsvTokens(header, tuple(ids), matrix)
+
+
+def column_positions(header) -> dict:
+    """Column name -> index; a repeated name reads its last column, as DictReader does."""
+    return {name: j for j, name in enumerate(header)}
+
+
 def load_dataset(path, schema: DatasetSchema) -> RowTable:
     """Read and validate a CSV file against a schema.
 
     The header must contain every declared column; unseen categorical
     values raise :class:`SchemaViolation` with the offending row and
     column, and missing (empty) values follow the schema's policy.
-    Row order is preserved.
+    Row order is preserved.  The error names the first offending row in
+    file order, and within it a missing value before an unseen one;
+    row numbers count dropped rows.
     """
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in schema.feature_columns:
-            if col not in header:
-                raise SchemaViolation(f"missing feature column {col!r} in header")
-        if schema.label_column is not None and schema.label_column not in header:
-            raise SchemaViolation(f"missing label column {schema.label_column!r} in header")
+    header, spellings, ids = read_csv_tokens(path)
+    for col in schema.feature_columns:
+        if col not in header:
+            raise SchemaViolation(f"missing feature column {col!r} in header")
+    if schema.label_column is not None and schema.label_column not in header:
+        raise SchemaViolation(f"missing label column {schema.label_column!r} in header")
 
-        codes = {col: {v: k for k, v in enumerate(schema.feature_domains[col])}
-                 for col in schema.feature_columns}
-        label_codes = ({v: k for k, v in enumerate(schema.label_domain)}
-                       if schema.label_domain else None)
-        feat_rows: list = []
-        lab_rows: list = []
-        for rownum, row in enumerate(reader):
-            values = [row.get(col, "") for col in schema.feature_columns]
-            label_value = row.get(schema.label_column, "") if schema.label_column else None
-            cells = values + ([label_value] if schema.label_column else [])
-            if any(v is None or v == "" for v in cells):
-                if schema.missing_policy == "drop_row":
-                    continue
-                col = schema.feature_columns[[v in (None, "") for v in values].index(True)] \
-                    if any(v in (None, "") for v in values) else schema.label_column
-                raise SchemaViolation("missing value", row=rownum, column=col)
-            encoded = []
-            for col, v in zip(schema.feature_columns, values):
-                code = codes[col].get(str(v))
-                if code is None:
-                    raise SchemaViolation(f"value {v!r} not in declared domain",
-                                          row=rownum, column=col)
-                encoded.append(code)
-            feat_rows.append(encoded)
-            if schema.label_column:
-                code = label_codes.get(str(label_value))
-                if code is None:
-                    raise SchemaViolation(f"label {label_value!r} not in declared domain",
-                                          row=rownum, column=schema.label_column)
-                lab_rows.append(code)
-    feats = np.asarray(feat_rows, dtype=np.int64).reshape(len(feat_rows),
-                                                          len(schema.feature_columns))
-    labs = np.asarray(lab_rows, dtype=np.int64) if schema.label_column else None
+    columns = list(schema.feature_columns)
+    domains = [schema.feature_domains[c] for c in columns]
+    if schema.label_column:
+        columns.append(schema.label_column)
+        domains.append(schema.label_domain)
+    position = column_positions(header)
+    spelling_id = {s: k for k, s in enumerate(spellings)}
+    codes = np.empty((ids.shape[0], len(columns)), dtype=np.int64)
+    for k, (col, domain) in enumerate(zip(columns, domains)):
+        lookup = np.full(len(spellings), UNSEEN_CODE, dtype=np.int64)
+        for code, value in enumerate(domain):
+            if value in spelling_id:
+                lookup[spelling_id[value]] = code
+        lookup[MISSING_ID] = MISSING_CODE
+        codes[:, k] = lookup[ids[:, position[col]]]
+
+    missing = (codes == MISSING_CODE).any(axis=1)
+    unseen = (codes == UNSEEN_CODE).any(axis=1)
+    if schema.missing_policy == "drop_row":
+        bad = unseen & ~missing
+    else:
+        bad = missing | unseen
+    if bad.any():
+        row = int(np.argmax(bad))
+        if missing[row]:
+            k = int(np.argmax(codes[row] == MISSING_CODE))
+            raise SchemaViolation("missing value", row=row, column=columns[k])
+        k = int(np.argmax(codes[row] == UNSEEN_CODE))
+        value = spellings[ids[row, position[columns[k]]]]
+        kind = "value" if k < len(schema.feature_columns) else "label"
+        raise SchemaViolation(f"{kind} {value!r} not in declared domain",
+                              row=row, column=columns[k])
+    if missing.any():  # rows left with a missing value are dropped (the error policy raised)
+        codes = codes[~missing]
+    nf = len(schema.feature_columns)
+    feats = np.ascontiguousarray(codes[:, :nf])
+    labs = codes[:, nf].copy() if schema.label_column else None
     return RowTable(schema, feats, labs)
 
 
@@ -161,20 +220,27 @@ def write_rows_csv(path, schema: DatasetSchema, feature_codes: np.ndarray,
         if label_codes is not None:
             header.append(schema.label_column or "label")
         writer.writerow(header)
-        domains = [schema.feature_domains[c] for c in schema.feature_columns]
-        for k in range(feature_codes.shape[0]):
-            row = [domains[j][feature_codes[k, j]] for j in range(len(domains))]
-            if label_codes is not None:
-                row.append(schema.label_domain[label_codes[k]]
-                           if schema.label_domain else str(int(label_codes[k])))
-            writer.writerow(row)
+        feature_codes = np.asarray(feature_codes)
+        columns = [np.asarray(schema.feature_domains[c], dtype=object)[feature_codes[:, j]].tolist()
+                   for j, c in enumerate(schema.feature_columns)]
+        if label_codes is not None:
+            label_codes = np.asarray(label_codes)
+            columns.append(np.asarray(schema.label_domain, dtype=object)[label_codes].tolist()
+                           if schema.label_domain
+                           else [str(int(v)) for v in label_codes.tolist()])
+        writer.writerows(zip(*columns))
 
 
 def schema_for_distribution(dist: FiniteJointDistribution,
                             labelled: bool = True) -> DatasetSchema:
-    """Integer-coded schema matching a distribution's space."""
-    domains = {name: [str(v) for v in range(card)]
-               for name, card in zip(dist.space.feature_names, dist.space.cardinalities)}
+    """Schema matching a distribution's space.
+
+    Feature values are spelled as in ``dist.domains`` when the table
+    carries them, and as the integer codes ``0..card-1`` otherwise.
+    """
+    spellings = dist.domains or [[str(v) for v in range(card)]
+                                 for card in dist.space.cardinalities]
+    domains = dict(zip(dist.space.feature_names, spellings))
     if labelled:
         return DatasetSchema(domains, label_column="label",
                              label_domain=[str(v) for v in range(dist.num_labels)])

@@ -38,6 +38,11 @@ class FiniteJointDistribution:
         Number of labels, at least 2.
     mass : ndarray, shape (space.num_cells, num_labels)
         Non-negative entries summing to 1 within ``1e-12``.
+    domains : sequence of sequences of str, optional
+        The value spelling of each code, one sequence per feature, as
+        read from a CSV sample.  Data decoded against this table (a
+        target sample) must use the same spellings.  None means the
+        codes ``0..card-1`` spell themselves.
 
     Notes
     -----
@@ -50,8 +55,10 @@ class FiniteJointDistribution:
     space: FeatureSpace
     num_labels: int
     mass: np.ndarray = field(repr=False)
+    domains: tuple | None = field(repr=False, default=None)
 
-    def __init__(self, space: FeatureSpace, num_labels: int, mass: np.ndarray):
+    def __init__(self, space: FeatureSpace, num_labels: int, mass: np.ndarray,
+                 domains=None):
         num_labels = int(num_labels)
         if num_labels < 2:
             raise InvalidDistribution(f"need at least 2 labels, got {num_labels}")
@@ -65,11 +72,21 @@ class FiniteJointDistribution:
         total = float(mass.sum())
         if abs(total - 1.0) > MASS_TOL:
             raise InvalidDistribution(f"total mass is {total!r}, expected 1 within {MASS_TOL}")
+        if domains is not None:
+            domains = tuple(tuple(str(v) for v in values) for values in domains)
+            if len(domains) != space.num_features:
+                raise InvalidDistribution(
+                    f"need one domain per feature ({space.num_features}), got {len(domains)}")
+            for name, card, values in zip(space.feature_names, space.cardinalities, domains):
+                if len(values) != card or len(set(values)) != card:
+                    raise InvalidDistribution(
+                        f"domain of {name!r} must list {card} distinct values, got {list(values)}")
         mass = mass.copy()
         mass.setflags(write=False)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "num_labels", num_labels)
         object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "domains", domains)
 
     # -- basic marginals --------------------------------------------------
 
@@ -102,12 +119,15 @@ class FiniteJointDistribution:
                 p = float(self.mass[x, i])
                 if p != 0.0:
                     rows.append([int(v) for v in coords[x]] + [i, p])
-        return {
+        out = {
             "features": [{"name": n, "cardinality": c}
                          for n, c in zip(self.space.feature_names, self.space.cardinalities)],
             "num_labels": self.num_labels,
             "mass": rows,
         }
+        if self.domains is not None:
+            out["domains"] = [list(values) for values in self.domains]
+        return out
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n")
@@ -119,15 +139,20 @@ class FiniteJointDistribution:
         Rows are ``[coord_1, ..., coord_d, label, p]`` in any order;
         missing entries are zero and duplicate rows accumulate.  The
         table is renormalised when its total is within ``1e-9`` of 1 and
-        rejected otherwise.
+        rejected otherwise.  An optional ``domains`` key lists each
+        feature's value spellings, in feature order.
         """
         try:
             names = [f["name"] for f in data["features"]]
             cards = [int(f["cardinality"]) for f in data["features"]]
             num_labels = int(data["num_labels"])
             rows = data["mass"]
+            domains = data.get("domains")
         except (KeyError, TypeError) as exc:
             raise InvalidDistribution(f"malformed distribution document: {exc}") from exc
+        if domains is not None and not (isinstance(domains, list)
+                                        and all(isinstance(v, list) for v in domains)):
+            raise InvalidDistribution("domains must be a list of value lists, one per feature")
         space = FeatureSpace(names, cards)
         mass = np.zeros((space.num_cells, num_labels))
         d = space.num_features
@@ -148,7 +173,7 @@ class FiniteJointDistribution:
         if abs(total - 1.0) > LOAD_TOL:
             raise InvalidDistribution(
                 f"mass totals {total!r}; only totals within {LOAD_TOL} of 1 are renormalised")
-        return cls(space, num_labels, mass / total)
+        return cls(space, num_labels, mass / total, domains)
 
     @classmethod
     def load(cls, path) -> "FiniteJointDistribution":

@@ -13,17 +13,24 @@ import csv
 import hashlib
 import json
 import platform
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .datasets import empirical_distribution, load_dataset
-from .datasets import DatasetSchema
+from .datasets import (
+    MISSING_ID,
+    DatasetSchema,
+    column_positions,
+    empirical_distribution,
+    load_dataset,
+    read_csv_tokens,
+    schema_for_distribution,
+)
 from .distribution import FiniteJointDistribution
-from .errors import InvalidDistribution, SchemaViolation
+from .errors import InvalidDistribution, SchemaViolation, SjslabError
 from .estimators import (
     OptimizerOptions,
     sees_c_fit,
@@ -68,6 +75,16 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise SjslabError(f"config {path} must be a JSON object")
+        known = {f.name: f for f in fields(cls)}
+        unknown = sorted(set(data) - set(known))
+        if unknown:
+            raise SjslabError(f"unknown config keys in {path}: {', '.join(unknown)}")
+        missing = [name for name, f in known.items()
+                   if f.default is MISSING and name not in data]
+        if missing:
+            raise SjslabError(f"missing config keys in {path}: {', '.join(missing)}")
         return cls(**data)
 
     def to_json_dict(self) -> dict:
@@ -95,53 +112,55 @@ class ExperimentResult:
 
 
 def infer_schema(path, labelled: bool) -> DatasetSchema:
-    """Schema from a CSV's observed values (sorted for determinism)."""
+    """Schema from a CSV's observed values, ordered shortest first, then lexicographically."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = list(reader.fieldnames or [])
-        if not header:
-            raise SchemaViolation(f"{path} has no header")
-        label_col = "label" if labelled and "label" in header else None
-        if labelled and label_col is None:
-            raise SchemaViolation("labelled CSV must have a 'label' column")
-        feature_cols = [c for c in header if c != label_col]
-        seen: dict = {c: set() for c in header}
-        for row in reader:
-            for c in header:
-                v = row.get(c)
-                if v not in (None, ""):
-                    seen[c].add(str(v))
-    domains = {c: sorted(seen[c], key=lambda s: (len(s), s)) for c in feature_cols}
+    header, spellings, ids = read_csv_tokens(path)
+    if not header:
+        raise SchemaViolation(f"{path} has no header")
+    label_col = "label" if labelled and "label" in header else None
+    if labelled and label_col is None:
+        raise SchemaViolation("labelled CSV must have a 'label' column")
+    position = column_positions(header)
+
+    def observed(col):
+        used = np.unique(ids[:, position[col]])
+        return sorted((spellings[k] for k in used if k != MISSING_ID),
+                      key=lambda s: (len(s), s))
+
+    domains = {c: observed(c) for c in header if c != label_col}
     if label_col:
-        return DatasetSchema(domains, label_column=label_col,
-                             label_domain=sorted(seen[label_col], key=lambda s: (len(s), s)))
+        return DatasetSchema(domains, label_column=label_col, label_domain=observed(label_col))
     return DatasetSchema(domains)
 
 
 def load_source(path, smoothing_alpha: float = 0.0) -> FiniteJointDistribution:
-    """Source joint from exact JSON or a labelled CSV sample."""
+    """Source joint from exact JSON or a labelled CSV sample.
+
+    A table read from CSV keeps the feature values it saw as its
+    ``domains``, so that a target sample is decoded with the same
+    spellings.
+    """
     path = Path(path)
     if path.suffix == ".json":
         return FiniteJointDistribution.load(path)
     schema = infer_schema(path, labelled=True)
-    return empirical_distribution(load_dataset(path, schema), smoothing_alpha)
+    dist = empirical_distribution(load_dataset(path, schema), smoothing_alpha)
+    return FiniteJointDistribution(dist.space, dist.num_labels, dist.mass,
+                                   [schema.feature_domains[c] for c in schema.feature_columns])
 
 
 def load_target_marginal(path, source: FiniteJointDistribution,
                          smoothing_alpha: float = 0.0) -> np.ndarray:
     """Target feature marginal from exact JSON or a feature-only CSV sample.
 
-    CSV columns map onto the source's feature domains; values outside
-    them are schema violations.
+    CSV columns are decoded with the source's value spellings (its
+    ``domains``, or the codes ``0..card-1`` when it has none); values
+    outside them are schema violations.
     """
     path = Path(path)
     if path.suffix == ".json":
         return FiniteJointDistribution.load(path).feature_marginal()
-    domains = {name: [str(v) for v in range(card)]
-               for name, card in zip(source.space.feature_names, source.space.cardinalities)}
-    schema = DatasetSchema(domains)
-    rows = load_dataset(path, schema)
+    rows = load_dataset(path, schema_for_distribution(source, labelled=False))
     return empirical_distribution(rows, smoothing_alpha)
 
 
@@ -155,11 +174,10 @@ def write_posterior_csv(path, source: FiniteJointDistribution, table) -> None:
         writer.writerow(list(source.space.feature_names)
                         + [f"posterior_{i}" for i in range(table.num_labels)]
                         + ["defined"])
-        coords = source.space.all_coords()
-        for x in range(source.space.num_cells):
-            writer.writerow([int(v) for v in coords[x]]
-                            + [repr(float(v)) for v in table.values[x]]
-                            + [int(table.defined[x])])
+        writer.writerows(coords + [repr(v) for v in values] + [int(defined)]
+                         for coords, values, defined in zip(source.space.all_coords().tolist(),
+                                                            table.values.tolist(),
+                                                            table.defined.tolist()))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

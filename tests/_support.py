@@ -83,3 +83,54 @@ def sufficient_source(rng, card_f=3, card_rest=3, num_labels=2) -> tuple:
         mass[x] = px1[x1] * x2_given_x1[x1, x2] * y_given_x1[x1]
     dist = FiniteJointDistribution(space, num_labels, mass / mass.sum())
     return dist, FeaturePartition.from_features(space, ["X1"])
+
+
+def reference_load_dataset(path, schema):
+    """Row-at-a-time ``csv.DictReader`` decoder: the reference for ``load_dataset``.
+
+    Returns ``(feature_codes, label_codes)`` as lists, or raises
+    :class:`SchemaViolation` exactly as ``load_dataset`` must.
+    """
+    import csv
+
+    from sjslab import SchemaViolation
+
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        for col in schema.feature_columns:
+            if col not in header:
+                raise SchemaViolation(f"missing feature column {col!r} in header")
+        if schema.label_column is not None and schema.label_column not in header:
+            raise SchemaViolation(f"missing label column {schema.label_column!r} in header")
+        codes = {col: {v: k for k, v in enumerate(schema.feature_domains[col])}
+                 for col in schema.feature_columns}
+        label_codes = ({v: k for k, v in enumerate(schema.label_domain)}
+                       if schema.label_domain else None)
+        feat_rows, lab_rows = [], []
+        for rownum, row in enumerate(reader):
+            values = [row.get(col, "") for col in schema.feature_columns]
+            label_value = row.get(schema.label_column, "") if schema.label_column else None
+            cells = values + ([label_value] if schema.label_column else [])
+            if any(v is None or v == "" for v in cells):
+                if schema.missing_policy == "drop_row":
+                    continue
+                missing = [v in (None, "") for v in values]
+                col = schema.feature_columns[missing.index(True)] if any(missing) \
+                    else schema.label_column
+                raise SchemaViolation("missing value", row=rownum, column=col)
+            encoded = []
+            for col, v in zip(schema.feature_columns, values):
+                code = codes[col].get(str(v))
+                if code is None:
+                    raise SchemaViolation(f"value {v!r} not in declared domain",
+                                          row=rownum, column=col)
+                encoded.append(code)
+            feat_rows.append(encoded)
+            if schema.label_column:
+                code = label_codes.get(str(label_value))
+                if code is None:
+                    raise SchemaViolation(f"label {label_value!r} not in declared domain",
+                                          row=rownum, column=schema.label_column)
+                lab_rows.append(code)
+    return feat_rows, (lab_rows if schema.label_column else None)

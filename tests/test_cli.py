@@ -184,3 +184,18 @@ class TestReport:
         fit = json.loads((outdir / "fit.json").read_text())
         source = FiniteJointDistribution.load(instance_dir / "source.json")
         assert len(fit["target_priors"]) == source.num_labels
+
+    @pytest.mark.parametrize("change,named", [({"methd": "sees-d"}, "methd"),
+                                              ({"shift_features": None}, "shift_features")])
+    def test_bad_config_keys_exit_1(self, tmp_path, instance_dir, capsys, change, named):
+        config = {
+            "source_path": str(instance_dir / "source.json"),
+            "target_path": str(instance_dir / "target.json"),
+            "shift_features": ["X1"],
+            "output_dir": str(tmp_path / "run"),
+        }
+        config.update(change)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({k: v for k, v in config.items() if v is not None}))
+        assert main(["report", "--config", str(cfg_path)]) == 1
+        assert named in capsys.readouterr().err

@@ -293,3 +293,21 @@ class TestJsonFormat:
         assert parsed["num_labels"] == 2
         again = FiniteJointDistribution.load(path)
         np.testing.assert_allclose(again.mass, source.mass, atol=1e-15)
+
+    def test_domains_round_trip_and_are_written_only_when_set(self, tmp_path, source):
+        assert source.domains is None and "domains" not in source.to_json_dict()
+        spelled = FiniteJointDistribution(source.space, 2, source.mass,
+                                          [["a", "b,c"], ["0", "2"]])
+        spelled.save(tmp_path / "dist.json")
+        assert json.loads((tmp_path / "dist.json").read_text())["domains"] == \
+            [["a", "b,c"], ["0", "2"]]
+        again = FiniteJointDistribution.load(tmp_path / "dist.json")
+        assert again.domains == (("a", "b,c"), ("0", "2"))
+        np.testing.assert_array_equal(again.mass, spelled.mass)
+
+    def test_rejects_domains_that_do_not_fit_the_features(self, source):
+        doc = source.to_json_dict()
+        for bad in ([["a", "b"]], [["a", "b"], ["0"]], [["a", "a"], ["0", "1"]],
+                    [["a", "b"], "01"], "ab"):
+            with pytest.raises(InvalidDistribution):
+                FiniteJointDistribution.from_json_dict({**doc, "domains": bad})
