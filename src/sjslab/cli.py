@@ -9,6 +9,7 @@ converge, 4 fit had underdetermined cells.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -19,10 +20,6 @@ from .distribution import FiniteJointDistribution
 from .errors import SjslabError
 from .estimators import (
     OptimizerOptions,
-    posterior_correct,
-    sees_c_fit,
-    sees_d_fit,
-    sees_d_fit_with_classifier,
     sparsity_search,
     train_argmax_classifier,
 )
@@ -31,6 +28,7 @@ from .experiment import (
     EXIT_OK,
     EXIT_UNDERDETERMINED,
     ExperimentConfig,
+    fit_method,
     load_source,
     load_target_marginal,
     run_experiment,
@@ -163,14 +161,8 @@ def _cmd_estimate(args) -> int:
         _emit(payload, args.out)
         return EXIT_OK
 
-    opts = OptimizerOptions(tol=args.tol, max_iter=args.max_iter)
-    if args.method == "sees-c":
-        fit = sees_c_fit(source, q_marginal, f, opts)
-    elif args.method == "sees-d":
-        fit = sees_d_fit(source, q_marginal, f)
-    else:
-        clf = train_argmax_classifier(source)
-        fit = sees_d_fit_with_classifier(source, q_marginal, f, f, clf)
+    fit = fit_method(args.method, source, q_marginal, f,
+                     OptimizerOptions(tol=args.tol, max_iter=args.max_iter))
     _emit(fit.to_json_dict(), args.out)
     if args.posterior_out:
         write_posterior_csv(args.posterior_out, source, fit.corrected_posterior)
@@ -189,8 +181,7 @@ def _cmd_correct(args) -> int:
     from .estimators import _fit_from_cell_mass
     fit = _fit_from_cell_mass(source, f, u, fit_doc.get("residual", 0.0),
                               fit_doc.get("method", "sees_d"), {})
-    corrected = posterior_correct(source, fit)
-    write_posterior_csv(args.out, source, corrected)
+    write_posterior_csv(args.out, source, fit.corrected_posterior)
     return EXIT_OK
 
 
@@ -276,7 +267,7 @@ def main(argv=None) -> int:
         parser.error(f"--target is required for hypothesis {args.hypothesis!r}")
     try:
         return args.func(args)
-    except (SjslabError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (SjslabError, OSError, ValueError, csv.Error) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

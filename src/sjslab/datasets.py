@@ -204,8 +204,8 @@ def empirical_distribution(rows: RowTable, smoothing_alpha: float = 0.0):
         counts += smoothing_alpha
         return counts / counts.sum()
     ell = rows.schema.num_labels
-    counts = np.zeros((space.num_cells, ell))
-    np.add.at(counts, (cells, rows.label_codes), 1.0)
+    counts = np.bincount(cells * ell + rows.label_codes, minlength=space.num_cells * ell)
+    counts = counts.reshape(space.num_cells, ell).astype(np.float64)
     counts += smoothing_alpha
     return FiniteJointDistribution(space, ell, counts / counts.sum())
 

@@ -221,10 +221,6 @@ class ConditionalTable:
         if sums.size and np.max(np.abs(sums - 1.0)) > tol:
             raise InvalidDistribution("posterior rows must sum to 1 on defined cells")
 
-    def per_feature_cell(self) -> np.ndarray:
-        """Expand to one row per feature cell of the underlying space."""
-        return self.values[self.partition.cell_of]
-
 
 # -- core operations ---------------------------------------------------------
 

@@ -32,9 +32,9 @@ from .errors import (
     InvalidDistribution,
     NotConverged,
 )
-from .space import FeaturePartition, FeatureSpace, aggregate
+from .shifts import numerical_rank
+from .space import FeaturePartition, FeatureSpace, aggregate, group, group_sum
 
-_RANK_RTOL = 1e-10
 _MARGINAL_TOL = 1e-9
 
 
@@ -177,8 +177,7 @@ def _anchored_solution(A: np.ndarray, u_hat: np.ndarray, anchor: np.ndarray) -> 
     b = A @ u_hat
     u0, *_ = np.linalg.lstsq(A, b, rcond=None)
     _, s, vt = np.linalg.svd(A)
-    thresh = (s[0] * max(A.shape) * _RANK_RTOL) if s.size and s[0] > 0 else 0.0
-    rank = int(np.sum(s > thresh))
+    rank = numerical_rank(s, max(A.shape))
     null = vt[rank:].T  # orthonormal basis of null(A)
     if null.shape[1] == 0:
         return np.maximum(u0, 0.0)
@@ -219,22 +218,27 @@ def _fit_from_cell_mass(p, f, u, residual, method, diagnostics) -> SjsFit:
     p_f_label = aggregate(p.mass, f)
     p_priors = p.label_masses()
 
-    f_ratios = np.zeros_like(u)
-    for i in range(p.num_labels):
-        if priors[i] <= 0.0:
-            continue
-        pos = p_f_label[:, i] > 0.0
-        f_ratios[pos, i] = (u[pos, i] / priors[i]) / (p_f_label[pos, i] / p_priors[i])
-
-    q_f = u.sum(axis=1)
-    p_f = p_f_label.sum(axis=1)
-    ratios = np.zeros_like(u)
-    ratio_defined = (q_f > 0.0) & (p_f > 0.0)
-    for i in range(p.num_labels):
-        ok = ratio_defined & (p_f_label[:, i] > 0.0)
-        ratios[ok, i] = (u[ok, i] / q_f[ok]) / (p_f_label[ok, i] / p_f[ok])
-    corrected = _posterior_correct_with_ratios(p, f, ratios)
+    f_ratios = _ratios(u, priors[None, :], p_f_label, p_priors[None, :])
+    corrected = _posterior_correct_with_ratios(p, f, _conditional_ratios(u, p_f_label))
     return SjsFit(f, u, priors, f_ratios, corrected, float(residual), method, diagnostics)
+
+
+def _ratios(u, u_norm, p_mass, p_norm) -> np.ndarray:
+    """``(u / u_norm) / (p_mass / p_norm)`` where the last three are positive, else 0.
+
+    Normalised by the label priors, (f-cell, label) masses give the
+    class-conditional density ratios; by the f-cell masses, the ratios of
+    the label probabilities conditional on each f-cell.
+    """
+    u_norm, p_norm = np.broadcast_to(u_norm, u.shape), np.broadcast_to(p_norm, u.shape)
+    ok = (u_norm > 0.0) & (p_mass > 0.0) & (p_norm > 0.0)
+    out = np.zeros_like(u)
+    out[ok] = (u[ok] / u_norm[ok]) / (p_mass[ok] / p_norm[ok])
+    return out
+
+
+def _conditional_ratios(u: np.ndarray, p_f_label: np.ndarray) -> np.ndarray:
+    return _ratios(u, u.sum(axis=1)[:, None], p_f_label, p_f_label.sum(axis=1)[:, None])
 
 
 def sees_d_fit(p: FiniteJointDistribution, q_marginal: np.ndarray,
@@ -281,6 +285,10 @@ def sees_d_fit(p: FiniteJointDistribution, q_marginal: np.ndarray,
         r = int(np.argmax(bad))
         raise AbsoluteContinuityViolated(r, mass=float(q_hp[r]))
     p_f_label = aggregate(p.mass, f)
+    # Equations come from the positive-mass h'-cells, grouped by f-cell.
+    live = np.nonzero(p_hp > 0.0)[0]
+    order, bounds = group(parent[live], f.num_cells)
+    live = live[order]
 
     ell = p.num_labels
     u = np.zeros((f.num_cells, ell))
@@ -289,19 +297,18 @@ def sees_d_fit(p: FiniteJointDistribution, q_marginal: np.ndarray,
     deficient: list[int] = []
     systems: dict[int, tuple] = {}
     for n in range(f.num_cells):
-        rows = np.nonzero((parent == n) & (p_hp > 0.0))[0]
+        rows = live[bounds[n]:bounds[n + 1]]
         cols = np.nonzero(p_f_label[n] > 0.0)[0]
         if rows.size == 0 or cols.size == 0:
             continue
-        post_rows = p_hp_label[np.ix_(rows, cols)] / p_hp[rows, None]
+        post_rows = p_hp_label[rows[:, None], cols] / p_hp[rows, None]
         A = post_rows / p_f_label[n, cols][None, :]
         b = q_hp[rows] / p_hp[rows]
         sol, rnorm = nnls(A, b)
         per_cell_residual[n] = float(rnorm) ** 2
         residual += float(rnorm) ** 2
         s = np.linalg.svd(A, compute_uv=False)
-        thresh = (s[0] * max(A.shape) * _RANK_RTOL) if s.size and s[0] > 0 else 0.0
-        if int(np.sum(s > thresh)) < cols.size:
+        if numerical_rank(s, max(A.shape)) < cols.size:
             deficient.append(n)
             systems[n] = (A, cols, sol)
         u[n, cols] = sol
@@ -314,10 +321,8 @@ def sees_d_fit(p: FiniteJointDistribution, q_marginal: np.ndarray,
         det_source = p_f_label[det].sum(axis=0)
         for n in deficient:
             A, cols, sol = systems[n]
-            rho = np.where(det_source[cols] > 0.0,
-                           np.divide(det_mass[cols], det_source[cols],
-                                     out=np.ones(cols.size), where=det_source[cols] > 0.0),
-                           1.0)
+            rho = np.divide(det_mass[cols], det_source[cols],
+                            out=np.ones(cols.size), where=det_source[cols] > 0.0)
             anchor = p_f_label[n, cols] * rho
             u[n, cols] = _anchored_solution(A, sol, anchor)
 
@@ -384,6 +389,7 @@ class SeesCProblem:
         self.free = self.coeffs > 0.0
         support = q_marginal > 0.0
         self._idx = f.cell_of[support]
+        self._groups = group(self._idx, f.num_cells)
         self._bq = post[support] / priors
         self._qx = q_marginal[support]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -409,8 +415,7 @@ class SeesCProblem:
         s = self.density(phi)
         if np.any(s <= 0.0):
             raise DegenerateObjective("implied density vanishes on a target cell")
-        grad = np.zeros_like(phi)
-        np.add.at(grad, self._idx, self._bq * (self._qx / s)[:, None])
+        grad = group_sum(self._idx, self._bq * (self._qx / s)[:, None], self.f.num_cells)
         grad[~self.free] = 0.0
         return grad
 
@@ -421,11 +426,11 @@ class SeesCProblem:
         """Per-f-cell blocks of the (block-diagonal) objective Hessian."""
         s = self.density(phi)
         blocks = np.zeros((self.f.num_cells, self.num_labels, self.num_labels))
-        scaled = self._bq * np.sqrt(self._qx / s ** 2)[:, None]
-        for n in range(self.f.num_cells):
-            rows = scaled[self._idx == n]
-            if rows.size:
-                blocks[n] = -(rows.T @ rows)
+        order, bounds = self._groups
+        scaled = (self._bq * np.sqrt(self._qx / s ** 2)[:, None])[order]
+        for n in np.nonzero(np.diff(bounds))[0]:
+            rows = scaled[bounds[n]:bounds[n + 1]]
+            blocks[n] = -(rows.T @ rows)
         return blocks
 
     def projected_gradient(self, phi: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -635,15 +640,7 @@ def posterior_correct(p: FiniteJointDistribution, correction) -> ConditionalTabl
     """
     if isinstance(correction, SjsFit):
         f = correction.partition
-        u = correction.cell_label_mass
-        q_f = u.sum(axis=1)
-        p_f_label = aggregate(p.mass, f)
-        p_f = p_f_label.sum(axis=1)
-        ratios = np.zeros_like(u)
-        ok = (q_f > 0.0) & (p_f > 0.0)
-        for i in range(p.num_labels):
-            cols = ok & (p_f_label[:, i] > 0.0)
-            ratios[cols, i] = (u[cols, i] / q_f[cols]) / (p_f_label[cols, i] / p_f[cols])
+        ratios = _conditional_ratios(correction.cell_label_mass, aggregate(p.mass, f))
         return _posterior_correct_with_ratios(p, f, ratios)
     target_table, source_table = correction
     if target_table.partition.num_cells != source_table.partition.num_cells:

@@ -159,9 +159,30 @@ def load_target_marginal(path, source: FiniteJointDistribution,
     """
     path = Path(path)
     if path.suffix == ".json":
-        return FiniteJointDistribution.load(path).feature_marginal()
+        target = FiniteJointDistribution.load(path)
+        want, got = source.space, target.space
+        if (got.feature_names, got.cardinalities) != (want.feature_names, want.cardinalities):
+            raise SchemaViolation(
+                f"target {path} has features {dict(zip(got.feature_names, got.cardinalities))}, "
+                f"source has {dict(zip(want.feature_names, want.cardinalities))}")
+        for name, ours, theirs in zip(want.feature_names, source.domains or (),
+                                      target.domains or ()):
+            if ours != theirs:
+                raise SchemaViolation(f"target {path} spells feature {name!r} as "
+                                      f"{list(theirs)}, source as {list(ours)}")
+        return target.feature_marginal()
     rows = load_dataset(path, schema_for_distribution(source, labelled=False))
     return empirical_distribution(rows, smoothing_alpha)
+
+
+def fit_method(method: str, source: FiniteJointDistribution, q_marginal: np.ndarray,
+               f: FeaturePartition, opts: OptimizerOptions):
+    """Fit with one of :data:`METHODS`; ``opts`` is used by SEES-c only."""
+    if method == "sees-c":
+        return sees_c_fit(source, q_marginal, f, opts)
+    if method == "sees-d":
+        return sees_d_fit(source, q_marginal, f)
+    return sees_d_fit_with_classifier(source, q_marginal, f, f, train_argmax_classifier(source))
 
 
 def _sha256(path) -> str:
@@ -194,15 +215,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     q_marginal = load_target_marginal(config.target_path, source, config.smoothing_alpha)
     f = FeaturePartition.from_features(source.space, config.shift_features)
 
-    if config.method == "sees-c":
-        fit = sees_c_fit(source, q_marginal, f,
-                         OptimizerOptions(tol=config.optimizer_tol,
-                                          max_iter=config.max_iter))
-    elif config.method == "sees-d":
-        fit = sees_d_fit(source, q_marginal, f)
-    else:
-        clf = train_argmax_classifier(source)
-        fit = sees_d_fit_with_classifier(source, q_marginal, f, f, clf)
+    fit = fit_method(config.method, source, q_marginal, f,
+                     OptimizerOptions(tol=config.optimizer_tol, max_iter=config.max_iter))
 
     report = rank_matrix(source, f, posterior_statistics(source))
 

@@ -16,7 +16,7 @@ import numpy as np
 from .distribution import FiniteJointDistribution
 from .errors import InfeasibleRatios, InvalidDistribution
 from .estimators import SeesCProblem, SjsFit
-from .space import FeaturePartition, aggregate
+from .space import FeaturePartition, aggregate, group
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,9 +159,12 @@ def brute_force_fit(p: FiniteJointDistribution, q_marginal: np.ndarray,
     q_marginal = q_marginal / q_marginal.sum()
     p_h = p.feature_marginal()
     p_f_label = aggregate(p.mass, f)
+    live = np.nonzero(p_h > 0.0)[0]
+    order, bounds = group(f.cell_of[live], f.num_cells)
+    live = live[order]
     cells = []
     for n in range(f.num_cells):
-        members = np.nonzero((f.cell_of == n) & (p_h > 0.0))[0]
+        members = live[bounds[n]:bounds[n + 1]]
         labels = np.nonzero(p_f_label[n] > 0.0)[0]
         if members.size == 0 or labels.size == 0:
             cells.append(CellSolutionSet(n, labels, np.zeros((0, labels.size)),

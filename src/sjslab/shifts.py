@@ -28,6 +28,11 @@ DEFAULT_TOL = 1e-9
 RANK_RTOL = 1e-10
 
 
+def numerical_rank(s, scale, rtol: float = RANK_RTOL):
+    """Count the singular values (descending, last axis) above ``s_max * scale * rtol``."""
+    return np.count_nonzero(s > s[..., :1] * scale * rtol, axis=-1)
+
+
 @dataclass(frozen=True)
 class ShiftVerdict:
     """Boolean-with-evidence outcome of a shift-hypothesis check.
@@ -117,21 +122,14 @@ def check_sjs(p: FiniteJointDistribution, q: FiniteJointDistribution,
     """
     p_f, q_f = _pair_tables(p, q, f)
     cells = f.cell_of
-    max_violation = 0.0
-    witness = None
-    for i in range(p.num_labels):
-        p_cell = p_f[:, i][cells]
-        q_cell = q_f[:, i][cells]
-        active = (p_cell > 0.0) & (q_cell > 0.0)
-        if not active.any():
-            continue
-        diff = np.zeros(p.space.num_cells)
-        diff[active] = np.abs(q.mass[active, i] / q_cell[active]
-                              - p.mass[active, i] / p_cell[active])
-        x = int(np.argmax(diff))
-        if diff[x] > max_violation:
-            max_violation = float(diff[x])
-            witness = (int(cells[x]), x, i)
+    p_cell, q_cell = p_f[cells], q_f[cells]
+    active = (p_cell > 0.0) & (q_cell > 0.0)
+    diff = np.zeros_like(p.mass)
+    diff[active] = np.abs(q.mass[active] / q_cell[active] - p.mass[active] / p_cell[active])
+    # The witness is the first maximum in label-major order.
+    i, x = np.unravel_index(int(np.argmax(diff.T)), diff.T.shape)
+    max_violation = float(diff[x, i])
+    witness = (int(cells[x]), int(x), int(i)) if max_violation > 0.0 else None
     return ShiftVerdict("sjs", max_violation <= tol, max_violation, tol, witness)
 
 
@@ -235,7 +233,7 @@ def classifier_statistics(assignment: np.ndarray, num_labels: int) -> list:
 
 def _conditional_class_matrix(p: FiniteJointDistribution, g: FeaturePartition,
                               statistics: list) -> tuple:
-    """Per-cell matrices M[i, j] = E[stat_i | cell, label j], with 0/0 = 0."""
+    """Matrices M[n, i, j] = E[stat_i | cell n, label j] (0/0 = 0), class masses, stats."""
     stats = [np.asarray(s, dtype=np.float64) for s in statistics]
     for k, s in enumerate(stats):
         if s.shape != (p.space.num_cells,):
@@ -243,15 +241,10 @@ def _conditional_class_matrix(p: FiniteJointDistribution, g: FeaturePartition,
         if np.any(s < 0):
             raise InvalidDistribution(f"statistic {k} must be non-negative")
     class_cell = p.project(g)  # (cells, labels)
-    num = np.stack([aggregate(p.mass * s[:, None], g) for s in stats])  # (n_stats, cells, labels)
-    matrices = []
-    for n in range(g.num_cells):
-        denom = class_cell[n]
-        m = np.zeros((len(stats), p.num_labels))
-        pos = denom > 0.0
-        m[:, pos] = num[:, n, pos] / denom[pos]
-        matrices.append(m)
-    return matrices, class_cell
+    num = np.stack([aggregate(p.mass * s[:, None], g) for s in stats], axis=1)
+    matrices = np.zeros_like(num)
+    np.divide(num, class_cell[:, None, :], out=matrices, where=class_cell[:, None, :] > 0.0)
+    return matrices, class_cell, np.stack(stats, axis=1)
 
 
 def rank_matrix(p: FiniteJointDistribution, g: FeaturePartition, statistics: list,
@@ -270,19 +263,12 @@ def rank_matrix(p: FiniteJointDistribution, g: FeaturePartition, statistics: lis
     if len(statistics) != p.num_labels:
         raise InvalidDistribution(
             f"need {p.num_labels} statistics (one per label), got {len(statistics)}")
-    matrices, class_cell = _conditional_class_matrix(p, g, statistics)
+    matrices, class_cell, _ = _conditional_class_matrix(p, g, statistics)
     cell_masses = class_cell.sum(axis=1)
-    ranks, svals = [], []
-    identifiable = True
-    for n in range(g.num_cells):
-        s = np.linalg.svd(matrices[n], compute_uv=False)
-        thresh = (s[0] * p.num_labels * rank_rtol) if s.size and s[0] > 0 else 0.0
-        r = int(np.sum(s > thresh))
-        ranks.append(r)
-        svals.append(s)
-        if cell_masses[n] > 0.0 and r < p.num_labels:
-            identifiable = False
-    return RankReport(g, p.num_labels, matrices, ranks, svals, cell_masses,
+    svals = np.linalg.svd(matrices, compute_uv=False)
+    ranks = numerical_rank(svals, p.num_labels, rank_rtol)
+    identifiable = not np.any((cell_masses > 0.0) & (ranks < p.num_labels))
+    return RankReport(g, p.num_labels, matrices, ranks.tolist(), list(svals), cell_masses,
                       identifiable, rank_rtol)
 
 
@@ -295,20 +281,16 @@ def verify_total_expectation(p: FiniteJointDistribution, g: FeaturePartition,
     label probabilities given the cell.  Returns the largest absolute
     deviation; used as a numerical self-test.
     """
-    stats = [np.asarray(s, dtype=np.float64) for s in statistics]
-    matrices, class_cell = _conditional_class_matrix(p, g, stats)
+    matrices, class_cell, stats = _conditional_class_matrix(p, g, statistics)
     cell_mass = class_cell.sum(axis=1)
-    p_h = p.feature_marginal()
-    worst = 0.0
-    for n in range(g.num_cells):
-        if cell_mass[n] <= 0.0:
-            continue
-        members = g.cell_of == n
-        lhs = np.array([float(np.dot(p_h[members], s[members])) for s in stats]) / cell_mass[n]
-        label_given_cell = class_cell[n] / cell_mass[n]
-        rhs = matrices[n] @ label_given_cell
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    pos = cell_mass > 0.0
+    if not pos.any():
+        return 0.0
+    expectation = aggregate(p.feature_marginal()[:, None] * stats, g)[pos]
+    lhs = expectation / cell_mass[pos, None]
+    label_given_cell = class_cell[pos] / cell_mass[pos, None]
+    rhs = np.einsum("nij,nj->ni", matrices[pos], label_given_cell)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def binary_variance_criterion(p: FiniteJointDistribution, g: FeaturePartition,

@@ -195,15 +195,33 @@ class FeaturePartition:
         parent[self.cell_of] = other.cell_of
         return parent
 
-    def members(self, cell: int) -> np.ndarray:
-        """Feature cells belonging to one partition cell."""
-        return np.nonzero(self.cell_of == cell)[0]
-
     def describe(self) -> dict:
         """JSON-friendly description (used in reports)."""
         if self.feature_subset is not None:
             return {"type": "features", "features": list(self.feature_subset)}
         return {"type": "custom", "cell_of": self.cell_of.tolist()}
+
+
+def group(labels: np.ndarray, num_groups: int) -> tuple:
+    """Group items by ``labels`` (in ``0..num_groups-1``) with one stable sort.
+
+    Returns ``(order, bounds)``: group ``n`` is ``order[bounds[n]:bounds[n + 1]]``, ascending.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    order = np.argsort(labels, kind="stable")
+    bounds = np.zeros(num_groups + 1, dtype=np.int64)
+    np.cumsum(np.bincount(labels, minlength=num_groups), out=bounds[1:])
+    return order, bounds
+
+
+def group_sum(labels: np.ndarray, values: np.ndarray, num_groups: int) -> np.ndarray:
+    """Sum the rows of 1-D or 2-D ``values`` per group, in row order (``np.bincount``)."""
+    if values.ndim == 1:
+        return np.bincount(labels, weights=values, minlength=num_groups)
+    out = np.empty((num_groups, values.shape[1]))
+    for j in range(values.shape[1]):
+        out[:, j] = np.bincount(labels, weights=values[:, j], minlength=num_groups)
+    return out
 
 
 def aggregate(values: np.ndarray, partition: FeaturePartition) -> np.ndarray:
@@ -217,8 +235,4 @@ def aggregate(values: np.ndarray, partition: FeaturePartition) -> np.ndarray:
     if values.shape[0] != partition.space.num_cells:
         raise InvalidDistribution(
             f"table has {values.shape[0]} rows, space has {partition.space.num_cells} cells")
-    if values.ndim == 1:
-        return np.bincount(partition.cell_of, weights=values, minlength=partition.num_cells)
-    out = np.zeros((partition.num_cells, values.shape[1]))
-    np.add.at(out, partition.cell_of, values)
-    return out
+    return group_sum(partition.cell_of, values, partition.num_cells)

@@ -134,3 +134,137 @@ def reference_load_dataset(path, schema):
                                           row=rownum, column=schema.label_column)
                 lab_rows.append(code)
     return feat_rows, (lab_rows if schema.label_column else None)
+
+
+# -- per-cell reference loops ---------------------------------------------------
+#
+# The loops below are the per-cell code the grouping core in ``space``
+# replaced: one ``cell_of == n`` mask per cell and ``np.add.at`` sums.  The
+# differential tests require the library to match them.
+
+
+def reference_aggregate(values, partition) -> np.ndarray:
+    """``np.add.at`` sum of a feature-cell table within each partition cell."""
+    values = np.asarray(values, dtype=np.float64)
+    out = np.zeros((partition.num_cells,) + values.shape[1:])
+    np.add.at(out, partition.cell_of, values)
+    return out
+
+
+def reference_conditional_class_matrix(p, g, statistics) -> tuple:
+    """One loop step per cell: (list of matrices E[stat_i | cell, label j], class masses)."""
+    class_cell = reference_aggregate(p.mass, g)
+    num = np.stack([reference_aggregate(p.mass * np.asarray(s)[:, None], g)
+                    for s in statistics])
+    matrices = []
+    for n in range(g.num_cells):
+        denom = class_cell[n]
+        m = np.zeros((len(statistics), p.num_labels))
+        pos = denom > 0.0
+        m[:, pos] = num[:, n, pos] / denom[pos]
+        matrices.append(m)
+    return matrices, class_cell
+
+
+def reference_verify_total_expectation(p, g, statistics) -> float:
+    stats = [np.asarray(s, dtype=np.float64) for s in statistics]
+    matrices, class_cell = reference_conditional_class_matrix(p, g, stats)
+    cell_mass = class_cell.sum(axis=1)
+    p_h = p.feature_marginal()
+    worst = 0.0
+    for n in range(g.num_cells):
+        if cell_mass[n] <= 0.0:
+            continue
+        members = g.cell_of == n
+        lhs = np.array([float(np.dot(p_h[members], s[members])) for s in stats]) / cell_mass[n]
+        rhs = matrices[n] @ (class_cell[n] / cell_mass[n])
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+def reference_gradient(problem, phi) -> np.ndarray:
+    s = problem.density(phi)
+    grad = np.zeros_like(phi)
+    np.add.at(grad, problem._idx, problem._bq * (problem._qx / s)[:, None])
+    grad[~problem.free] = 0.0
+    return grad
+
+
+def reference_hessian_blocks(problem, phi) -> np.ndarray:
+    s = problem.density(phi)
+    blocks = np.zeros((problem.f.num_cells, problem.num_labels, problem.num_labels))
+    scaled = problem._bq * np.sqrt(problem._qx / s ** 2)[:, None]
+    for n in range(problem.f.num_cells):
+        rows = scaled[problem._idx == n]
+        if rows.size:
+            blocks[n] = -(rows.T @ rows)
+    return blocks
+
+
+def reference_sees_d_cells(p, q_marginal, f, h_prime) -> tuple:
+    """SEES-d's per-cell systems found with ``parent == n`` masks.
+
+    Returns ``(normalised cell masses, per-cell residuals, underdetermined
+    cells)``; rank-deficient cells are anchored as the library does.
+    """
+    from scipy.optimize import nnls
+
+    from sjslab.estimators import _anchored_solution
+
+    q_marginal = q_marginal / q_marginal.sum()
+    parent = h_prime.parent_cells(f)
+    p_hp_label = reference_aggregate(p.mass, h_prime)
+    p_hp = p_hp_label.sum(axis=1)
+    q_hp = reference_aggregate(q_marginal, h_prime)
+    p_f_label = reference_aggregate(p.mass, f)
+    u = np.zeros((f.num_cells, p.num_labels))
+    per_cell = np.zeros(f.num_cells)
+    deficient, systems = [], {}
+    for n in range(f.num_cells):
+        rows = np.nonzero((parent == n) & (p_hp > 0.0))[0]
+        cols = np.nonzero(p_f_label[n] > 0.0)[0]
+        if rows.size == 0 or cols.size == 0:
+            continue
+        A = (p_hp_label[np.ix_(rows, cols)] / p_hp[rows, None]) / p_f_label[n, cols][None, :]
+        sol, rnorm = nnls(A, q_hp[rows] / p_hp[rows])
+        per_cell[n] = float(rnorm) ** 2
+        s = np.linalg.svd(A, compute_uv=False)
+        thresh = (s[0] * max(A.shape) * 1e-10) if s.size and s[0] > 0 else 0.0
+        if int(np.sum(s > thresh)) < cols.size:
+            deficient.append(n)
+            systems[n] = (A, cols, sol)
+        u[n, cols] = sol
+    if deficient:
+        det = np.ones(f.num_cells, dtype=bool)
+        det[deficient] = False
+        det_mass = u[det].sum(axis=0)
+        det_source = p_f_label[det].sum(axis=0)
+        for n in deficient:
+            A, cols, sol = systems[n]
+            rho = np.where(det_source[cols] > 0.0,
+                           np.divide(det_mass[cols], det_source[cols],
+                                     out=np.ones(cols.size), where=det_source[cols] > 0.0),
+                           1.0)
+            u[n, cols] = _anchored_solution(A, sol, p_f_label[n, cols] * rho)
+    return u / u.sum(), per_cell, deficient
+
+
+def sparse_instance(rng, cardinalities, num_labels, num_cells) -> tuple:
+    """Source with zero-mass feature cells and (cell, label) pairs, a random
+    partition with one all-zero cell, and a target feature marginal.
+
+    Returns ``(source, partition, q_marginal)``.
+    """
+    space = FeatureSpace([f"X{k + 1}" for k in range(len(cardinalities))], cardinalities)
+    cell_of = np.concatenate([rng.permutation(num_cells),
+                              rng.integers(0, num_cells, space.num_cells - num_cells)])
+    f = FeaturePartition(space, cell_of)
+    mass = rng.uniform(0.05, 1.0, size=(space.num_cells, num_labels))
+    mass[rng.random(mass.shape) < 0.2] = 0.0
+    mass[rng.random(space.num_cells) < 0.2] = 0.0
+    mass[f.cell_of == 0] = 0.0
+    elsewhere = np.nonzero(f.cell_of != 0)[0]
+    mass[rng.choice(elsewhere, num_labels), np.arange(num_labels)] = 1.0  # every label has mass
+    source = FiniteJointDistribution(space, num_labels, mass / mass.sum())
+    q = source.feature_marginal() * rng.uniform(0.5, 2.0, space.num_cells)
+    return source, f, q / q.sum()

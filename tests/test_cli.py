@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sjslab import FiniteJointDistribution
+from sjslab import FeatureSpace, FiniteJointDistribution
 from sjslab.cli import main
 from _support import example_source, example_target_literal
 
@@ -127,6 +127,42 @@ class TestEstimate:
         doc = read_json(capsys)
         assert doc["ranking"][0]["features"] == ["X1"]
         assert "best" in doc
+
+
+class TestEstimateInputErrors:
+    def test_oversized_csv_field_exits_1(self, tmp_path, capsys):
+        example_source().save(tmp_path / "p.json")
+        (tmp_path / "q.csv").write_text("X1,X2\n0," + "1" * 131073 + "\n")
+        code = main(["estimate", "--method", "sees-d", "--source", str(tmp_path / "p.json"),
+                     "--target-features", str(tmp_path / "q.csv"), "--shift-features", "X1"])
+        assert code == 1
+        assert "field larger than field limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("names,cards,named", [(["X1"], [4], "{'X1': 4}"),
+                                                   (["X1", "X3"], [2, 2], "'X3'"),
+                                                   (["X1", "X2"], [2, 3], "'X2': 3")])
+    def test_json_target_over_another_space_exits_1(self, tmp_path, capsys, names, cards,
+                                                     named):
+        example_source().save(tmp_path / "p.json")
+        space = FeatureSpace(names, cards)
+        mass = np.full((space.num_cells, 2), 1.0 / (2 * space.num_cells))
+        FiniteJointDistribution(space, 2, mass).save(tmp_path / "q.json")
+        code = main(["estimate", "--method", "sees-d", "--source", str(tmp_path / "p.json"),
+                     "--target-features", str(tmp_path / "q.json"), "--shift-features", "X1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert named in err and "{'X1': 2, 'X2': 2}" in err
+
+    def test_json_target_with_other_spellings_exits_1(self, tmp_path, capsys):
+        source, target = example_source(), example_target_literal()
+        FiniteJointDistribution(source.space, 2, source.mass,
+                                [["a", "b"], ["0", "1"]]).save(tmp_path / "p.json")
+        FiniteJointDistribution(target.space, 2, target.mass,
+                                [["b", "a"], ["0", "1"]]).save(tmp_path / "q.json")
+        code = main(["estimate", "--method", "sees-d", "--source", str(tmp_path / "p.json"),
+                     "--target-features", str(tmp_path / "q.json"), "--shift-features", "X1"])
+        assert code == 1
+        assert "spells feature 'X1' as ['b', 'a']" in capsys.readouterr().err
 
 
 class TestPlantAndCorrect:

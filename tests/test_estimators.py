@@ -114,6 +114,28 @@ class TestSeesD:
         assert_fit_invariants(fit, p)
 
 
+class TestRankRule:
+    def test_rank_report_flags_the_cells_sees_d_finds_underdetermined(self):
+        # The two use different matrices and threshold scales (num_labels
+        # and max(A.shape)) but must reach the same verdict on every cell.
+        # Dropping one feature leaves cells with fewer feature cells than
+        # labels on some instances, so rank-deficient cells are tested too.
+        flagged = 0
+        for seed in range(200):
+            inst, f = random_planted(seed)
+            p, names = inst.source, inst.source.space.feature_names
+            stats = posterior_statistics(p)
+            for g in [f] + [FeaturePartition.from_features(p.space, [m for m in names if m != drop])
+                            for drop in names]:
+                report = rank_matrix(p, g, stats)
+                deficient = [n for n in range(g.num_cells) if report.cell_masses[n] > 0.0
+                             and report.per_cell_rank[n] < p.num_labels]
+                fit = sees_d_fit(p, inst.target.feature_marginal(), g)
+                assert fit.diagnostics["underdetermined_cells"] == deficient, (seed, g.feature_subset)
+                flagged += bool(deficient)
+        assert flagged >= 100
+
+
 class TestSeesDWithClassifier:
     def test_equals_fit_on_jointly_generated_partition(self, source, target_literal, x1):
         clf = train_argmax_classifier(source)

@@ -1,7 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sjslab import FeaturePartition, FeatureSpace, InvalidDistribution, aggregate
+from sjslab.estimators import SeesCProblem, sees_d_fit
+from sjslab.shifts import (
+    _conditional_class_matrix,
+    posterior_statistics,
+    verify_total_expectation,
+)
+from sjslab.space import group
+from _support import (
+    reference_aggregate,
+    reference_conditional_class_matrix,
+    reference_gradient,
+    reference_hessian_blocks,
+    reference_sees_d_cells,
+    reference_verify_total_expectation,
+    sparse_instance,
+)
 
 
 class TestFeatureSpace:
@@ -97,3 +116,93 @@ class TestFeaturePartition:
         out2 = aggregate(table, part)
         assert out2.shape == (2, 2)
         assert np.allclose(out2.sum(axis=0), table.sum(axis=0))
+
+
+# -- the grouping core against the per-cell loops it replaced ------------------
+
+
+@st.composite
+def tables_on_partitions(draw):
+    cards = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    space = FeatureSpace([f"x{j}" for j in range(len(cards))], cards)
+    kind = draw(st.sampled_from(["trivial", "full", "random"]))
+    if kind == "trivial":
+        part = FeaturePartition.trivial(space)
+    elif kind == "full":
+        part = FeaturePartition.full(space)
+    else:
+        k = draw(st.integers(1, space.num_cells))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        part = FeaturePartition(space, rng.permutation(np.concatenate(
+            [np.arange(k), rng.integers(0, k, space.num_cells - k)])))
+    width = draw(st.sampled_from([None, 0, 1, 2, 3]))  # None: a 1-D table
+    shape = (space.num_cells,) if width is None else (space.num_cells, width)
+    values = draw(arrays(np.float64, shape, elements=st.floats(-1e6, 1e6)))
+    zero_rows = draw(st.lists(st.booleans(), min_size=space.num_cells,
+                              max_size=space.num_cells))
+    values[np.array(zero_rows, dtype=bool)] = 0.0
+    return values, part
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables_on_partitions())
+def test_aggregate_matches_add_at_bit_for_bit(case):
+    values, part = case
+    got, want = aggregate(values, part), reference_aggregate(values, part)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_group_lists_each_cell_in_ascending_order():
+    rng = np.random.default_rng(0)
+    for k in (1, 2, 7, 50):
+        labels = rng.integers(0, k, 300)
+        order, bounds = group(labels, k + 2)  # the last two groups are empty
+        assert bounds[0] == 0 and bounds[-1] == labels.size
+        for n in range(k + 2):
+            np.testing.assert_array_equal(order[bounds[n]:bounds[n + 1]],
+                                          np.nonzero(labels == n)[0])
+
+
+def sparse_instances(count):
+    """Random partitions over sources with zero-mass feature cells, zero
+    (cell, label) pairs and one partition cell without positive mass."""
+    rng = np.random.default_rng(2024)
+    for _ in range(count):
+        cards = rng.integers(2, 5, size=int(rng.integers(2, 4))).tolist()
+        num_cells = int(rng.integers(2, min(int(np.prod(cards)), 9) + 1))
+        yield rng, sparse_instance(rng, cards, int(rng.integers(2, 4)), num_cells)
+
+
+class TestPerCellLoopsReplaced:
+    def test_conditional_class_matrix_and_total_expectation(self):
+        for rng, (p, f, _) in sparse_instances(40):
+            for stats in (posterior_statistics(p),
+                          list(rng.uniform(0.0, 2.0, (p.num_labels, p.space.num_cells)))):
+                matrices, class_cell, _ = _conditional_class_matrix(p, f, stats)
+                ref_matrices, ref_class_cell = reference_conditional_class_matrix(p, f, stats)
+                assert class_cell.tobytes() == ref_class_cell.tobytes()
+                assert len(matrices) == len(ref_matrices) == f.num_cells
+                for got, want in zip(matrices, ref_matrices):
+                    assert got.tobytes() == want.tobytes()
+                # The identity is summed in another order, so it agrees to rounding.
+                got = verify_total_expectation(p, f, stats)
+                assert abs(got - reference_verify_total_expectation(p, f, stats)) <= 1e-14
+
+    def test_sees_c_gradient_and_hessian_blocks(self):
+        for rng, (p, f, q) in sparse_instances(40):
+            problem = SeesCProblem(p, q, f)
+            phi = problem.initial_phi() * rng.uniform(0.5, 2.0, (f.num_cells, p.num_labels))
+            assert problem.gradient(phi).tobytes() == reference_gradient(problem, phi).tobytes()
+            got = problem.hessian_blocks(phi)
+            assert got.tobytes() == reference_hessian_blocks(problem, phi).tobytes()
+
+    def test_sees_d_fit(self):
+        for rng, (p, f, q) in sparse_instances(40):
+            finer = f.join(FeaturePartition(p.space, rng.integers(0, 2, p.space.num_cells)))
+            for h_prime in (FeaturePartition.full(p.space), finer):
+                fit = sees_d_fit(p, q, f, h_prime)
+                mass, per_cell, deficient = reference_sees_d_cells(p, q, f, h_prime)
+                assert fit.cell_label_mass.tobytes() == mass.tobytes()
+                assert fit.diagnostics["per_cell_residual"] == per_cell.tolist()
+                assert fit.diagnostics["underdetermined_cells"] == deficient
