@@ -20,6 +20,7 @@ from .distribution import FiniteJointDistribution
 from .errors import SjslabError
 from .estimators import (
     OptimizerOptions,
+    fit_from_cell_mass,
     sparsity_search,
     train_argmax_classifier,
 )
@@ -178,9 +179,8 @@ def _cmd_correct(args) -> int:
     else:
         f = FeaturePartition(source.space, np.asarray(part["cell_of"], dtype=np.int64))
     u = np.asarray(fit_doc["cell_label_mass"], dtype=np.float64)
-    from .estimators import _fit_from_cell_mass
-    fit = _fit_from_cell_mass(source, f, u, fit_doc.get("residual", 0.0),
-                              fit_doc.get("method", "sees_d"), {})
+    fit = fit_from_cell_mass(source, f, u, fit_doc.get("residual", 0.0),
+                             fit_doc.get("method", "sees_d"))
     write_posterior_csv(args.out, source, fit.corrected_posterior)
     return EXIT_OK
 

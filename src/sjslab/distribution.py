@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ class FiniteJointDistribution:
     num_labels : int
         Number of labels, at least 2.
     mass : ndarray, shape (space.num_cells, num_labels)
-        Non-negative entries summing to 1 within ``1e-12``.
+        Finite, non-negative entries summing to 1 within ``1e-12``.
     domains : sequence of sequences of str, optional
         The value spelling of each code, one sequence per feature, as
         read from a CSV sample.  Data decoded against this table (a
@@ -66,6 +67,9 @@ class FiniteJointDistribution:
         if mass.shape != (space.num_cells, num_labels):
             raise InvalidDistribution(
                 f"mass must have shape ({space.num_cells}, {num_labels}), got {mass.shape}")
+        if not np.all(np.isfinite(mass)):
+            x, i = np.unravel_index(int(np.argmin(np.isfinite(mass))), mass.shape)
+            raise InvalidDistribution(f"mass {mass[x, i]} at cell {x}, label {i} is not finite")
         if np.any(mass < 0):
             x, i = np.unravel_index(int(np.argmin(mass)), mass.shape)
             raise InvalidDistribution(f"negative mass {mass[x, i]:.3g} at cell {x}, label {i}")
@@ -111,14 +115,15 @@ class FiniteJointDistribution:
 
     # -- serialisation -----------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        coords = self.space.all_coords()
-        rows = []
-        for x in range(self.space.num_cells):
-            for i in range(self.num_labels):
-                p = float(self.mass[x, i])
-                if p != 0.0:
-                    rows.append([int(v) for v in coords[x]] + [i, p])
+    def _nonzero_rows(self) -> tuple:
+        """``(fields, p)`` of the non-zero entries in row-major order.
+
+        ``fields`` holds each entry's coordinates and label, ``p`` its mass.
+        """
+        cells, labels = np.nonzero(self.mass)
+        return np.column_stack([self.space.coords_of(cells), labels]), self.mass[cells, labels]
+
+    def _document(self, rows: list) -> dict:
         out = {
             "features": [{"name": n, "cardinality": c}
                          for n, c in zip(self.space.feature_names, self.space.cardinalities)],
@@ -129,18 +134,34 @@ class FiniteJointDistribution:
             out["domains"] = [list(values) for values in self.domains]
         return out
 
+    def to_json_dict(self) -> dict:
+        fields, p = self._nonzero_rows()
+        return self._document([row + [q] for row, q in zip(fields.tolist(), p.tolist())])
+
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n")
+        """Write ``json.dumps(self.to_json_dict(), sort_keys=True, indent=2)`` and a newline.
+
+        The mass rows are laid out by :func:`_indented_rows` rather than
+        by the pure-Python indenting encoder, which costs most of the time.
+        """
+        text = json.dumps(self._document([]), sort_keys=True, indent=2)
+        rows = _indented_rows(*self._nonzero_rows())
+        # JSON strings hold no raw newline, so this is the top-level key.
+        text = text.replace('\n  "mass": []', '\n  "mass": ' + rows, 1)
+        Path(path).write_text(text + "\n")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteJointDistribution":
         """Parse the on-disk format.
 
         Rows are ``[coord_1, ..., coord_d, label, p]`` in any order;
-        missing entries are zero and duplicate rows accumulate.  The
-        table is renormalised when its total is within ``1e-9`` of 1 and
-        rejected otherwise.  An optional ``domains`` key lists each
-        feature's value spellings, in feature order.
+        missing entries are zero and duplicate rows accumulate.  Labels
+        and coordinates must be integers in range and ``p`` finite and
+        non-negative; the first row that breaks a rule, in file order,
+        is named in the error.  The table is renormalised when its total
+        is within ``1e-9`` of 1 and rejected otherwise.  An optional
+        ``domains`` key lists each feature's value spellings, in feature
+        order.
         """
         try:
             names = [f["name"] for f in data["features"]]
@@ -153,22 +174,26 @@ class FiniteJointDistribution:
         if domains is not None and not (isinstance(domains, list)
                                         and all(isinstance(v, list) for v in domains)):
             raise InvalidDistribution("domains must be a list of value lists, one per feature")
+        if not isinstance(rows, list):
+            raise InvalidDistribution("mass must be a list of rows")
         space = FeatureSpace(names, cards)
-        mass = np.zeros((space.num_cells, num_labels))
         d = space.num_features
-        for k, row in enumerate(rows):
-            if len(row) != d + 2:
-                raise InvalidDistribution(f"mass row {k} has {len(row)} fields, expected {d + 2}")
-            coords, label, p = row[:d], int(row[d]), float(row[d + 1])
-            if not 0 <= label < num_labels:
-                raise InvalidDistribution(f"mass row {k}: label {label} out of range")
-            for j, (v, c) in enumerate(zip(coords, cards)):
-                if not 0 <= int(v) < c:
-                    raise InvalidDistribution(
-                        f"mass row {k}: value {v} out of range for feature {names[j]!r}")
-            if p < 0:
-                raise InvalidDistribution(f"mass row {k}: negative probability {p}")
-            mass[space.index_of(coords), label] += p
+        try:
+            lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+            # Rows before the first one with a wrong field count are parsed and checked first.
+            wrong = np.flatnonzero(lengths != d + 2)
+            m = int(wrong[0]) if wrong.size else len(rows)
+            table = np.fromiter(chain.from_iterable(rows[:m]), dtype=np.float64,
+                                count=m * (d + 2)).reshape(m, d + 2)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidDistribution(f"mass rows must be lists of numbers: {exc}") from exc
+        _check_rows(rows, table, names, cards, num_labels)
+        if m < len(rows):
+            raise InvalidDistribution(f"mass row {m} has {lengths[m]} fields, expected {d + 2}")
+        cells = np.ravel_multi_index(tuple(table[:, :d].astype(np.int64).T), space.cardinalities)
+        flat = cells * num_labels + table[:, d].astype(np.int64)
+        mass = np.bincount(flat, weights=table[:, d + 1], minlength=space.num_cells * num_labels)
+        mass = mass.reshape(space.num_cells, num_labels)
         total = mass.sum()
         if abs(total - 1.0) > LOAD_TOL:
             raise InvalidDistribution(
@@ -178,6 +203,60 @@ class FiniteJointDistribution:
     @classmethod
     def load(cls, path) -> "FiniteJointDistribution":
         return cls.from_json_dict(json.loads(Path(path).read_text()))
+
+
+def _indented_rows(fields: np.ndarray, p: np.ndarray) -> str:
+    """Rows ``[*fields[k], p[k]]`` as ``json.dumps(..., indent=2)`` lays them out one level down.
+
+    ``fields`` holds non-negative integers, written from a table of the
+    distinct values; ``p`` is written with ``repr``, as the encoder does.
+    """
+    if not p.size:
+        return "[]"
+    values = np.flatnonzero(np.bincount(fields.ravel()))
+    text = np.array([f"{v},\n      " for v in values.tolist()], dtype=object)
+    columns = text[np.searchsorted(values, fields)].T.tolist()
+    rows = map("".join, zip(*columns, map(repr, p.tolist())))
+    return "[\n    [\n      " + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]"
+
+
+def _check_rows(rows: list, table: np.ndarray, names: list, cards: list, num_labels: int) -> None:
+    """Raise for the first row of ``table`` (parsed from ``rows``) that breaks a rule.
+
+    Within a row the label is checked first, then each coordinate, then
+    ``p``.  A label or coordinate whose truncation is out of range is out
+    of range; one in range that is not whole is not an integer.
+    """
+    d = len(names)
+    fields = table[:, :d + 1]
+    whole = np.trunc(fields)
+    bad = np.empty(table.shape, dtype=bool)
+    bad[:, :d + 1] = ~((whole >= 0) & (whole < np.array(cards + [num_labels])) & (whole == fields))
+    p = table[:, d + 1]
+    bad[:, d + 1] = ~((p >= 0) & (p < np.inf))
+    check_order = [d, *range(d), d + 1]
+    bad = bad[:, check_order]
+    failed = bad.any(axis=1)
+    if not failed.any():
+        return
+    k = int(np.argmax(failed))
+    col = check_order[int(np.argmax(bad[k]))]
+    value, raw = table[k, col], rows[k][col]
+    if col == d + 1:
+        if value < 0:
+            raise InvalidDistribution(f"mass row {k}: negative probability {float(raw)}")
+        raise InvalidDistribution(f"mass row {k}: probability {raw} is not finite")
+    limit = num_labels if col == d else cards[col]
+    out_of_range = np.isfinite(value) and not 0 <= np.trunc(value) < limit
+    if col == d:
+        if out_of_range:
+            raise InvalidDistribution(f"mass row {k}: label {int(raw)} out of range")
+        raise InvalidDistribution(f"mass row {k}: label {raw} is not an integer")
+    if out_of_range:
+        raise InvalidDistribution(
+            f"mass row {k}: value {raw} out of range for feature {names[col]!r}")
+    raise InvalidDistribution(
+        f"mass row {k}: value {raw} for feature {names[col]!r} is not an integer")
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .distribution import ConditionalTable, FiniteJointDistribution, posterior
 from .errors import (
@@ -31,6 +30,7 @@ from .errors import (
     DegenerateObjective,
     InvalidDistribution,
     NotConverged,
+    SjslabError,
 )
 from .shifts import numerical_rank
 from .space import FeaturePartition, FeatureSpace, aggregate, group, group_sum
@@ -148,6 +148,13 @@ def train_argmax_classifier(p: FiniteJointDistribution) -> HardClassifier:
     return HardClassifier(p.space, p.num_labels, np.argmax(post.values, axis=1))
 
 
+def nnls(A: np.ndarray, b: np.ndarray) -> tuple:
+    """``scipy.optimize.nnls``, imported on first use: the import costs most of ``import sjslab``."""
+    from scipy.optimize import nnls as scipy_nnls
+
+    return scipy_nnls(A, b)
+
+
 # -- anchored solutions for rank-deficient cells -------------------------------
 
 
@@ -199,6 +206,9 @@ def _validate_q_marginal(p: FiniteJointDistribution, q_marginal: np.ndarray) -> 
     if q_marginal.shape != (p.space.num_cells,):
         raise InvalidDistribution(
             f"q_marginal must be a table over the {p.space.num_cells} feature cells")
+    if not np.all(np.isfinite(q_marginal)):
+        x = int(np.argmin(np.isfinite(q_marginal)))
+        raise InvalidDistribution(f"q_marginal is {q_marginal[x]} at cell {x}, not finite")
     if np.any(q_marginal < 0):
         raise InvalidDistribution("q_marginal must be non-negative")
     total = q_marginal.sum()
@@ -207,8 +217,19 @@ def _validate_q_marginal(p: FiniteJointDistribution, q_marginal: np.ndarray) -> 
     return q_marginal / total
 
 
-def _fit_from_cell_mass(p, f, u, residual, method, diagnostics) -> SjsFit:
-    """Assemble the common SjsFit fields from fitted per-cell masses."""
+def fit_from_cell_mass(p: FiniteJointDistribution, f: FeaturePartition, u: np.ndarray,
+                       residual: float = 0.0, method: str = "sees_d",
+                       diagnostics: dict | None = None) -> SjsFit:
+    """An :class:`SjsFit` from fitted (f-cell, label) masses ``u``, such as a saved fit's.
+
+    ``u`` is normalised to total 1; the priors, f-ratios and corrected
+    posterior follow from it and the source ``p``.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if u.shape != (f.num_cells, p.num_labels):
+        raise InvalidDistribution(
+            f"cell masses must have shape ({f.num_cells}, {p.num_labels}), got {u.shape}")
+    diagnostics = {} if diagnostics is None else diagnostics
     total = u.sum()
     diagnostics["raw_total_mass"] = float(total)
     if total <= 0:
@@ -328,7 +349,7 @@ def sees_d_fit(p: FiniteJointDistribution, q_marginal: np.ndarray,
 
     diagnostics = {"underdetermined_cells": deficient,
                    "per_cell_residual": per_cell_residual.tolist()}
-    return _fit_from_cell_mass(p, f, u, residual, "sees_d", diagnostics)
+    return fit_from_cell_mass(p, f, u, residual, "sees_d", diagnostics)
 
 
 def sees_d_fit_with_classifier(p: FiniteJointDistribution, q_marginal: np.ndarray,
@@ -596,7 +617,7 @@ def sees_c_fit(p: FiniteJointDistribution, q_marginal: np.ndarray, f: FeaturePar
         "objective_history": [float(v) for v in objective_history],
         "constraint_errors": [float(v) for v in constraint_errors],
     }
-    fit = _fit_from_cell_mass(p, f, w, residual, "sees_c", diagnostics)
+    fit = fit_from_cell_mass(p, f, w, residual, "sees_c", diagnostics)
     if opts.strict and not converged:
         raise NotConverged(
             f"projected gradient norm {pg_norm:.3g} above {opts.tol} "
@@ -722,7 +743,7 @@ def sparsity_search(p: FiniteJointDistribution, q_marginal: np.ndarray,
                 fit = sees_d_fit(p, q_marginal, f)
             res = SubsetResult(subset, fit, fit.residual,
                                fit.residual + penalty * len(subset))
-        except Exception as exc:  # recorded inline, keeps the ranking total
+        except (SjslabError, np.linalg.LinAlgError) as exc:  # recorded, keeps the ranking total
             res = SubsetResult(subset, None, np.inf, np.inf, error=str(exc))
         results[subset] = res
         return res

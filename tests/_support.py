@@ -136,6 +136,66 @@ def reference_load_dataset(path, schema):
     return feat_rows, (lab_rows if schema.label_column else None)
 
 
+# -- table JSON reference loops -------------------------------------------------
+#
+# The row-at-a-time writer and reader that the columnar ``to_json_dict``,
+# ``save`` and ``from_json_dict`` replaced.  ``save`` must write the bytes
+# ``reference_table_json`` gives, and ``from_json_dict`` must return the mass
+# ``reference_from_json_dict`` gives, or raise as it does.
+
+
+def reference_table_json(dist) -> str:
+    """Bytes of a saved table: the row loop and the pure-Python indenting encoder."""
+    import json
+
+    coords = dist.space.all_coords()
+    rows = []
+    for x in range(dist.space.num_cells):
+        for i in range(dist.num_labels):
+            p = float(dist.mass[x, i])
+            if p != 0.0:
+                rows.append([int(v) for v in coords[x]] + [i, p])
+    out = {
+        "features": [{"name": n, "cardinality": c}
+                     for n, c in zip(dist.space.feature_names, dist.space.cardinalities)],
+        "num_labels": dist.num_labels,
+        "mass": rows,
+    }
+    if dist.domains is not None:
+        out["domains"] = [list(values) for values in dist.domains]
+    return json.dumps(out, sort_keys=True, indent=2) + "\n"
+
+
+def reference_from_json_dict(data: dict) -> np.ndarray:
+    """Row-loop parse of a table document: the renormalised mass, or the error it raises."""
+    from sjslab import InvalidDistribution
+
+    names = [f["name"] for f in data["features"]]
+    cards = [int(f["cardinality"]) for f in data["features"]]
+    num_labels = int(data["num_labels"])
+    space = FeatureSpace(names, cards)
+    mass = np.zeros((space.num_cells, num_labels))
+    d = space.num_features
+    for k, row in enumerate(data["mass"]):
+        if len(row) != d + 2:
+            raise InvalidDistribution(f"mass row {k} has {len(row)} fields, expected {d + 2}")
+        coords, label, p = row[:d], int(row[d]), float(row[d + 1])
+        if not 0 <= label < num_labels:
+            raise InvalidDistribution(f"mass row {k}: label {label} out of range")
+        for j, (v, c) in enumerate(zip(coords, cards)):
+            if not 0 <= int(v) < c:
+                raise InvalidDistribution(
+                    f"mass row {k}: value {v} out of range for feature {names[j]!r}")
+        if p < 0:
+            raise InvalidDistribution(f"mass row {k}: negative probability {p}")
+        mass[space.index_of(coords), label] += p
+    total = mass.sum()
+    if abs(total - 1.0) > 1e-9:
+        raise InvalidDistribution(
+            f"mass totals {total!r}; only totals within 1e-09 of 1 are renormalised")
+    return mass / total
+
+
 # -- per-cell reference loops ---------------------------------------------------
 #
 # The loops below are the per-cell code the grouping core in ``space``

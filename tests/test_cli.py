@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sjslab
 from sjslab import FeatureSpace, FiniteJointDistribution
 from sjslab.cli import main
 from _support import example_source, example_target_literal
@@ -20,6 +24,14 @@ def instance_dir(tmp_path):
 
 def read_json(capsys):
     return json.loads(capsys.readouterr().out)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    env = {**os.environ, "PYTHONPATH": str(Path(sjslab.__file__).resolve().parents[1])}
+    code = "import sys, sjslab, sjslab.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 class TestSimulate:

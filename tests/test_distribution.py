@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sjslab import (
     AbsoluteContinuityViolated,
@@ -18,7 +20,7 @@ from sjslab import (
     marginal_density,
     posterior,
 )
-from _support import random_source
+from _support import random_source, reference_from_json_dict, reference_table_json
 
 
 def uniform_two_by_two():
@@ -42,6 +44,13 @@ class TestConstruction:
         space = FeatureSpace(["a"], [2])
         with pytest.raises(InvalidDistribution):
             FiniteJointDistribution(space, 1, np.array([[0.5], [0.5]]))
+
+    def test_mass_must_be_finite(self):
+        space = FeatureSpace(["a"], [2])
+        with pytest.raises(InvalidDistribution, match="mass nan at cell 0, label 1 is not finite"):
+            FiniteJointDistribution(space, 2, [[0.5, np.nan], [0.25, 0.25]])
+        with pytest.raises(InvalidDistribution, match="mass inf at cell 1, label 0"):
+            FiniteJointDistribution(space, 2, [[0.5, 0.0], [np.inf, 0.25]])
 
     def test_positive_label_requirement(self):
         space = FeatureSpace(["a"], [2])
@@ -311,3 +320,146 @@ class TestJsonFormat:
                     [["a", "b"], "01"], "ab"):
             with pytest.raises(InvalidDistribution):
                 FiniteJointDistribution.from_json_dict({**doc, "domains": bad})
+
+
+# -- columnar table JSON against the row loops ---------------------------------
+
+_NAMES = st.text(st.characters(codec="utf-8"), max_size=6)
+
+
+@st.composite
+def joint_tables(draw):
+    """Tables over 1-4 features with zero cells, tiny masses, optional
+    spellings (names and values may hold quotes, newlines and JSON syntax)
+    and possibly a label without mass."""
+    d = draw(st.integers(1, 4))
+    cards = draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
+    names = draw(st.lists(_NAMES, min_size=d, max_size=d, unique=True))
+    ell = draw(st.integers(2, 4))
+    space = FeatureSpace(names, cards)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mass = rng.random((space.num_cells, ell)) * 10.0 ** rng.integers(-300, 1, (space.num_cells, ell))
+    mass[rng.random(mass.shape) < draw(st.floats(0.0, 0.9))] = 0.0
+    if draw(st.booleans()):
+        mass[:, draw(st.integers(0, ell - 1))] = 0.0
+    if not mass.any():
+        mass[rng.integers(space.num_cells), 0] = 1.0
+    domains = None
+    if draw(st.booleans()):
+        domains = [draw(st.lists(_NAMES, min_size=c, max_size=c, unique=True)) for c in cards]
+    return FiniteJointDistribution(space, ell, mass / mass.sum(), domains)
+
+
+@st.composite
+def table_documents(draw):
+    """The document of a table whose rows are shuffled and partly split in two
+    or three (duplicate rows, whose sum depends on their order), with
+    integral values sometimes written as floats."""
+    doc = json.loads(reference_table_json(draw(joint_tables())))
+    rows = []
+    for row in doc["mass"]:
+        p = row[-1]
+        pieces = draw(st.sampled_from([[p], [p / 3, p - p / 3], [p / 3, p / 7, p - p / 3 - p / 7]]))
+        rows += [row[:-1] + [q] for q in pieces]
+        if draw(st.integers(0, 7)) == 0:
+            rows[-1] = [float(v) for v in rows[-1][:-1]] + rows[-1][-1:]
+    order = draw(st.permutations(range(len(rows))))
+    doc["mass"] = [rows[k] for k in order]
+    return doc
+
+
+def load_outcome(parse, doc):
+    try:
+        return parse(doc)
+    except InvalidDistribution as exc:
+        return exc
+
+
+class TestColumnarTableJson:
+    @settings(max_examples=150, deadline=None)
+    @given(joint_tables())
+    def test_save_writes_the_row_loop_bytes(self, tmp_path_factory, dist):
+        path = tmp_path_factory.mktemp("save") / "dist.json"
+        dist.save(path)
+        want = reference_table_json(dist)
+        assert path.read_text() == want
+        assert dist.to_json_dict() == json.loads(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(table_documents())
+    def test_load_sums_rows_as_the_row_loop_does(self, doc):
+        want = load_outcome(reference_from_json_dict, doc)
+        got = load_outcome(lambda d: FiniteJointDistribution.from_json_dict(d).mass, doc)
+        if isinstance(want, Exception):  # a split row can push the total past the tolerance
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(table_documents(), st.data())
+    def test_malformed_rows_raise_as_the_row_loop_does(self, doc, data):
+        """Rows the row loop rejects: wrong field counts, labels and coordinates
+        whose truncation is out of range, and negative probabilities."""
+        d, ell = len(doc["features"]), doc["num_labels"]
+        cards = [f["cardinality"] for f in doc["features"]]
+        rows = doc["mass"]
+
+        def out_of_range(limit):
+            return st.one_of(st.integers(limit, limit + 3), st.integers(-3, -1),
+                             st.floats(limit, limit + 3.0), st.floats(-3.0, -1.0))
+
+        for k in data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=3,
+                                    unique=True)):
+            row = list(rows[k])
+            faults = data.draw(st.lists(st.sampled_from(["label", "coordinate", "p", "fields"]),
+                                        min_size=1, max_size=4, unique=True))
+            if "label" in faults:
+                row[d] = data.draw(out_of_range(ell))
+            if "coordinate" in faults:
+                j = data.draw(st.integers(0, d - 1))
+                row[j] = data.draw(out_of_range(cards[j]))
+            if "p" in faults:
+                row[d + 1] = data.draw(st.one_of(st.floats(-2.0, -1e-300), st.just(-np.inf)))
+            if "fields" in faults:
+                row = data.draw(st.sampled_from([row[:-1], row + [0], []]))
+            rows[k] = row
+        want = load_outcome(reference_from_json_dict, doc)
+        got = load_outcome(FiniteJointDistribution.from_json_dict, doc)
+        assert isinstance(want, InvalidDistribution)
+        assert type(got) is type(want) and str(got) == str(want)
+
+    @pytest.mark.parametrize("row, message", [
+        ([-0.5, 0, 0.5], "mass row 1: value -0.5 for feature 'a' is not an integer"),
+        ([1.7, 0, 0.5], "mass row 1: value 1.7 for feature 'a' is not an integer"),
+        ([1, 1.9, 0.5], "mass row 1: label 1.9 is not an integer"),
+        ([1, float("nan"), 0.5], "mass row 1: label nan is not an integer"),
+        ([1, 0, float("nan")], "mass row 1: probability nan is not finite"),
+        ([1, 0, float("inf")], "mass row 1: probability inf is not finite"),
+        ([1, None, 0.5], "mass row 1: label None is not an integer"),
+    ])
+    def test_rejects_non_integral_and_non_finite_entries(self, row, message):
+        doc = {"features": [{"name": "a", "cardinality": 2}], "num_labels": 2,
+               "mass": [[0, 1, 0.5], row, [2, 0, 0.1]]}
+        with pytest.raises(InvalidDistribution) as info:
+            FiniteJointDistribution.from_json_dict(doc)
+        assert str(info.value) == message
+
+    def test_a_nan_row_no_longer_loads_as_a_nan_table(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"features": [{"name": "a", "cardinality": 2}], "num_labels": 2,'
+                        ' "mass": [[0, 0, 0.5], [1, 1, 0.5], [1, 0, NaN]]}')
+        with pytest.raises(InvalidDistribution, match="mass row 2: probability nan"):
+            FiniteJointDistribution.load(path)
+
+    def test_integral_floats_load_as_integers(self):
+        ints = {"features": [{"name": "a", "cardinality": 2}], "num_labels": 2,
+                "mass": [[0, 1, 0.25], [1, 0, 0.75]]}
+        floats = {**ints, "mass": [[0.0, 1.0, 0.25], [1.0, -0.0, 0.75]]}
+        want = FiniteJointDistribution.from_json_dict(ints).mass
+        assert FiniteJointDistribution.from_json_dict(floats).mass.tobytes() == want.tobytes()
+
+    def test_rejects_rows_that_are_not_numbers(self):
+        base = {"features": [{"name": "a", "cardinality": 2}], "num_labels": 2}
+        for mass in ([[0, "x", 1.0]], [[0, [0], 1.0]], [[0, 0, 1.0], 5], {"0": [0, 0, 1.0]}):
+            with pytest.raises(InvalidDistribution):
+                FiniteJointDistribution.from_json_dict({**base, "mass": mass})

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sjslab import (
     AbsoluteContinuityViolated,
     FeaturePartition,
     FeatureSpace,
     FiniteJointDistribution,
+    InvalidDistribution,
     NotConverged,
     OptimizerOptions,
     aggregate,
     check_covariate_shift,
     class_conditional,
+    fit_from_cell_mass,
     kl_divergence,
     plant_sjs,
     posterior,
@@ -24,6 +28,7 @@ from sjslab import (
     sparsity_search,
     train_argmax_classifier,
 )
+from sjslab import estimators
 from sjslab.synthetic import product_distribution
 from _support import random_planted, random_source
 
@@ -70,6 +75,35 @@ class TestSeesD:
             np.testing.assert_allclose(fit.cell_label_mass, inst.planted_cell_mass,
                                        atol=1e-8)
             assert_fit_invariants(fit, inst.source)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_plant_save_load_then_fit(self, tmp_path_factory, seed):
+        inst, f = random_planted(seed)
+        assume(rank_matrix(inst.source, f, posterior_statistics(inst.source)).identifiable)
+        folder = tmp_path_factory.mktemp("planted")
+        inst.source.save(folder / "source.json")
+        inst.target.save(folder / "target.json")
+        source = FiniteJointDistribution.load(folder / "source.json")
+        target = FiniteJointDistribution.load(folder / "target.json")
+        fit = sees_d_fit(source, target.feature_marginal(), f)
+        np.testing.assert_allclose(fit.target_priors, inst.planted_priors, rtol=0, atol=1e-8)
+
+    def test_rejects_a_non_finite_target_marginal(self, source, x1):
+        q = np.array([0.25, np.nan, 0.25, 0.5])
+        for fit in (sees_d_fit, sees_c_fit):
+            with pytest.raises(InvalidDistribution, match="q_marginal is nan at cell 1"):
+                fit(source, q, x1)
+
+    def test_fit_from_cell_mass_rebuilds_a_fit(self, source, target_literal, x1):
+        fit = sees_d_fit(source, target_literal.feature_marginal(), x1)
+        again = fit_from_cell_mass(source, x1, fit.cell_label_mass, fit.residual)
+        for name in ("cell_label_mass", "target_priors", "f_ratios"):
+            assert getattr(again, name).tobytes() == getattr(fit, name).tobytes()
+        assert again.corrected_posterior.values.tobytes() == \
+            fit.corrected_posterior.values.tobytes()
+        with pytest.raises(InvalidDistribution, match=r"shape \(2, 2\), got \(2, 3\)"):
+            fit_from_cell_mass(source, x1, np.ones((2, 3)) / 6)
 
     def test_marginal_fit_identity(self):
         rng = np.random.default_rng(42)
@@ -318,6 +352,21 @@ class TestSparsitySearch:
         assert "X1" in top.features
         supersets = [r for r in results if set(r.features) >= {"X1"}]
         assert all(r.objective < 1e-10 for r in supersets)
+
+    def test_fit_errors_are_recorded_and_bugs_propagate(self, source, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular cell")
+
+        monkeypatch.setattr(estimators, "sees_d_fit", singular)
+        results = sparsity_search(source, source.feature_marginal(), ["X1", "X2"], 0.0)
+        assert results and all(r.fit is None and r.error == "singular cell" for r in results)
+
+        def broken(*args, **kwargs):
+            raise TypeError("a bug")
+
+        monkeypatch.setattr(estimators, "sees_d_fit", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            sparsity_search(source, source.feature_marginal(), ["X1", "X2"], 0.0)
 
     def test_no_shift_prefers_smallest_subset(self, source):
         results = sparsity_search(source, source.feature_marginal(),
