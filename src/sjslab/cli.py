@@ -150,8 +150,9 @@ def _cmd_estimate(args) -> int:
     if args.search:
         candidates = [s.strip() for s in args.search.split(",")] if args.search != "all" \
             else list(source.space.feature_names)
+        opts = OptimizerOptions(tol=args.tol, max_iter=args.max_iter)
         ranking = sparsity_search(source, q_marginal, candidates, args.penalty,
-                                  method="sees_c" if args.method == "sees-c" else "sees_d")
+                                  lambda q, g: fit_method(args.method, source, q, g, opts))
         payload = {"ranking": [
             {"features": list(r.features), "objective": r.objective,
              "penalized_objective": r.penalized_objective, "error": r.error}
@@ -170,15 +171,24 @@ def _cmd_estimate(args) -> int:
     return _fit_exit_code(fit)
 
 
+def _fit_field(doc, key: str, path: str):
+    if not isinstance(doc, dict) or key not in doc:
+        raise SjslabError(f"fit file {path} has no {key!r}")
+    return doc[key]
+
+
 def _cmd_correct(args) -> int:
     source = FiniteJointDistribution.load(args.source)
     fit_doc = json.loads(Path(args.fit).read_text())
-    part = fit_doc["partition"]
-    if part.get("type") == "features":
-        f = FeaturePartition.from_features(source.space, part["features"])
+    if isinstance(fit_doc, dict) and "ranking" in fit_doc:
+        fit_doc = fit_doc.get("best", {})  # a search file: its best fit
+    part = _fit_field(fit_doc, "partition", args.fit)
+    u = np.asarray(_fit_field(fit_doc, "cell_label_mass", args.fit), dtype=np.float64)
+    if isinstance(part, dict) and part.get("type") == "features":
+        f = FeaturePartition.from_features(source.space, _fit_field(part, "features", args.fit))
     else:
-        f = FeaturePartition(source.space, np.asarray(part["cell_of"], dtype=np.int64))
-    u = np.asarray(fit_doc["cell_label_mass"], dtype=np.float64)
+        f = FeaturePartition(source.space,
+                             np.asarray(_fit_field(part, "cell_of", args.fit), dtype=np.int64))
     fit = fit_from_cell_mass(source, f, u, fit_doc.get("residual", 0.0),
                              fit_doc.get("method", "sees_d"))
     write_posterior_csv(args.out, source, fit.corrected_posterior)

@@ -10,8 +10,8 @@ partition ``f``:
   matches the observed one, by non-negative least squares.
 * :func:`sees_c_fit` maximises the target log-likelihood of the implied
   feature density (equivalently minimises the KL divergence to it) over
-  f-measurable non-negative weight tables, by projected gradient ascent
-  on a single linear constraint.
+  f-measurable non-negative weight tables: one mixture-weight fit per
+  f-cell, by EM steps and then bordered Newton steps.
 
 Both return an :class:`SjsFit` carrying the fitted masses, target
 priors, per-cell density ratios, the corrected posterior and solver
@@ -21,6 +21,7 @@ diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -368,12 +369,16 @@ def sees_d_fit_with_classifier(p: FiniteJointDistribution, q_marginal: np.ndarra
     return replace(fit, method="conditional_confusion")
 
 
-# -- SEES-c: constrained likelihood maximisation -------------------------------
+# -- SEES-c: likelihood maximisation, one small problem per f-cell -----------
+
+_EM_STEPS = 3  # EM warm-start steps before the Newton steps
 
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Settings for the projected-gradient likelihood maximiser."""
+    """SEES-c settings: ``tol`` bounds the KKT residual, ``max_iter`` the EM and
+    Newton steps, ``min_step`` the backtracking; ``strict`` raises
+    :class:`NotConverged` instead of returning an unconverged fit."""
 
     tol: float = 1e-10
     max_iter: int = 10000
@@ -389,7 +394,11 @@ class SeesCProblem:
     where ``coeffs[n, i]`` is the source class-conditional mass of
     f-cell ``n``.  The objective is the target-weighted log of the
     implied feature density.  It is concave, and its maximiser gives
-    ``phi[n, i] = f_i(n) * Q[label i]``.
+    ``phi[n, i] = f_i(n) * Q[label i]``.  As
+    ``sum_i phi[n, i] * gradient[n, i] = Q[F_n]`` at every ``phi``, the
+    constraint's multiplier is 1 at the optimum: each f-cell carries its
+    target mass ``cell_mass[n]``, and the problem splits into one
+    mixture-weight fit per f-cell.
     """
 
     def __init__(self, p: FiniteJointDistribution, q_marginal: np.ndarray,
@@ -410,9 +419,9 @@ class SeesCProblem:
         self.free = self.coeffs > 0.0
         support = q_marginal > 0.0
         self._idx = f.cell_of[support]
-        self._groups = group(self._idx, f.num_cells)
         self._bq = post[support] / priors
         self._qx = q_marginal[support]
+        self.cell_mass = group_sum(self._idx, self._qx, f.num_cells)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(support, q_marginal / np.where(p_h > 0, p_h, 1.0), 1.0)
         self.kl_offset = float(np.sum(self._qx * np.log(ratio[support])))
@@ -443,37 +452,27 @@ class SeesCProblem:
     def constraint(self, phi: np.ndarray) -> float:
         return float(np.sum(phi * self.coeffs))
 
-    def hessian_blocks(self, phi: np.ndarray) -> np.ndarray:
-        """Per-f-cell blocks of the (block-diagonal) objective Hessian."""
-        s = self.density(phi)
-        blocks = np.zeros((self.f.num_cells, self.num_labels, self.num_labels))
-        order, bounds = self._groups
-        scaled = (self._bq * np.sqrt(self._qx / s ** 2)[:, None])[order]
-        for n in np.nonzero(np.diff(bounds))[0]:
-            rows = scaled[bounds[n]:bounds[n + 1]]
-            blocks[n] = -(rows.T @ rows)
-        return blocks
+    def cell_hessian(self, phi: np.ndarray) -> np.ndarray:
+        """The objective's Hessian, one (label, label) block per f-cell."""
+        rows = self._bq * (np.sqrt(self._qx) / self.density(phi))[:, None]
+        i, j = np.triu_indices(self.num_labels)
+        hess = np.empty((self.f.num_cells, self.num_labels, self.num_labels))
+        hess[:, i, j] = hess[:, j, i] = -group_sum(self._idx, rows[:, i] * rows[:, j],
+                                                   self.f.num_cells)
+        return hess
 
-    def projected_gradient(self, phi: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """Gradient projected on the feasible directions at ``phi``.
+    def cell_gain(self, phi: np.ndarray, step: np.ndarray) -> np.ndarray:
+        """Each f-cell's objective gain from ``phi`` to ``phi + step``, at its target mass.
 
-        Zero iff ``phi`` satisfies the first-order optimality conditions
-        of the constrained problem: the gradient is a multiple of the
-        constraint coefficients on positive entries and no entry pinned
-        at zero has an inward ascent direction.
+        Summed from ``log1p`` of relative changes, its sign holds where the
+        objective is flat to rounding.
         """
-        a = self.coeffs
-        work = self.free & (phi > 0.0)
-        lam = 0.0
-        for _ in range(3):
-            denom = float(np.sum(a[work] ** 2))
-            lam = float(np.sum(grad[work] * a[work])) / denom if denom > 0 else 0.0
-            work = self.free & ((phi > 0.0) | (grad - lam * a > 0.0))
-        pg = grad - lam * a
-        at_bound = self.free & (phi <= 0.0)
-        pg[at_bound] = np.maximum(pg[at_bound], 0.0)
-        pg[~self.free] = 0.0
-        return pg
+        mass = np.sum(phi * self.coeffs, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = group_sum(self._idx, self._qx * np.log1p(self.density(step) / self.density(phi)),
+                             self.f.num_cells)
+            moved = np.sum(step * self.coeffs, axis=1) / np.where(mass > 0.0, mass, 1.0)
+        return gain - self.cell_mass * np.log1p(moved)
 
 
 def sees_c_problem(p: FiniteJointDistribution, q_marginal: np.ndarray,
@@ -482,146 +481,103 @@ def sees_c_problem(p: FiniteJointDistribution, q_marginal: np.ndarray,
     return SeesCProblem(p, q_marginal, f)
 
 
+def _newton_direction(hess, border, rhs, active) -> np.ndarray:
+    """``d`` of ``[[H, b], [b', 0]] [d, mu] = [rhs, 0]`` for every f-cell, on active entries.
+
+    Inactive entries get ``d = 0``, and the pseudo-inverse drops
+    directions the objective cannot see.
+    """
+    k = rhs.shape[1]
+    on = active.astype(float)
+    kkt = np.zeros((len(rhs), k + 1, k + 1))
+    kkt[:, :k, :k] = hess * on[:, :, None] * on[:, None, :]
+    kkt[:, :k, k] = kkt[:, k, :k] = border * on
+    kkt[:, range(k), range(k)] -= 1.0 - on
+    inverse = np.linalg.pinv(kkt, rcond=1e-13, hermitian=True)[:, :k, :k]
+    return on * np.einsum("nij,nj->ni", inverse, on * rhs)
+
+
 def sees_c_fit(p: FiniteJointDistribution, q_marginal: np.ndarray, f: FeaturePartition,
                opts: OptimizerOptions | None = None) -> SjsFit:
     """Fit by maximising the target likelihood of the implied density.
 
-    Projected gradient ascent with exact renormalisation onto the linear
-    constraint after every step and a backtracking line search, so the
-    recorded objective is non-decreasing and every accepted iterate is
-    feasible.  A short Newton polish on the first-order system finishes
-    the job when the likelihood is nearly flat.  Convergence is declared
-    when the projected-gradient norm drops below ``opts.tol`` (or the
-    polish stalls below 1e-9, the float64 resolution of this objective);
-    stopping early at ``opts.max_iter`` is reported in the diagnostics
-    and raises :class:`NotConverged` when ``opts.strict``.
-
-    ``residual`` on the returned fit is the optimal KL divergence of the
-    observed feature density from the fitted one (0 for an exact fit).
+    All f-cells' problems (see :class:`SeesCProblem`) are solved at once,
+    from the no-shift start with each f-cell at its target mass: EM steps
+    ``phi <- phi * gradient / coeffs``, then bordered Newton steps on each
+    cell's active entries.  A ratio test keeps ``phi >= 0``, and each cell
+    halves its step, down to ``opts.min_step``, until its objective does
+    not fall, so the recorded objective never decreases.  Converged means
+    a KKT residual (``|gradient / coeffs - 1|`` where ``phi > 0``, its
+    positive part where ``phi == 0``) of at most ``opts.tol``.  Stopping
+    after ``opts.max_iter`` steps, or after a Newton step that raised no
+    objective and cut no residual, is reported in the diagnostics and
+    raises :class:`NotConverged` when ``opts.strict``.  ``residual`` on
+    the fit is the optimal KL divergence of the observed feature density
+    from the fitted one (0 for an exact fit).
     """
     opts = opts or OptimizerOptions()
     problem = SeesCProblem(p, q_marginal, f)
-    phi = problem.initial_phi()
+    coeffs, free, target = problem.coeffs, problem.free, problem.cell_mass[:, None]
+
+    def at_target(phi):
+        mass = np.sum(phi * coeffs, axis=1, keepdims=True)
+        return np.divide(phi * target, mass, out=np.zeros_like(phi), where=mass > 0.0)
+
+    def kkt(phi):
+        ratio = np.divide(problem.gradient(phi), coeffs, out=np.zeros_like(phi), where=free)
+        return ratio, np.where(phi > 0.0, np.abs(ratio - 1.0), np.maximum(ratio - 1.0, 0.0))
+
+    phi = at_target(problem.initial_phi())
     obj = problem.objective(phi)
-    if not np.isfinite(obj):
-        raise DegenerateObjective("implied density vanishes on a target cell at the start")
-
-    objective_history = [obj]
-    constraint_errors = [abs(problem.constraint(phi) - 1.0)]
-    step = 1.0
-    pg_norm = np.inf
-    converged = False
-    iterations = 0
-    prev_phi = prev_pg = None
+    objective_history, constraint_errors = [obj], [abs(problem.constraint(phi) - 1.0)]
+    iterations = newton_steps = 0
+    best, raised = np.inf, True
     for iterations in range(1, opts.max_iter + 1):
-        grad = problem.gradient(phi)
-        pg = problem.projected_gradient(phi, grad)
-        pg_norm = float(np.max(np.abs(pg))) if pg.size else 0.0
-        if pg_norm < opts.tol:
-            converged = True
+        ratio, violation = kkt(phi)
+        worst, cell_worst = float(violation.max(initial=0.0)), violation.max(axis=1)
+        if worst <= opts.tol or (newton_steps and not raised and worst >= best):
             break
-        if pg_norm < 1e-6:
-            break  # close enough for the Newton polish to take over
-        # Spectral (Barzilai-Borwein) step guess, safeguarded by backtracking.
-        if prev_phi is not None:
-            d_phi = phi - prev_phi
-            d_pg = pg - prev_pg
-            denom = -float(np.sum(d_phi * d_pg))  # ascent: curvature is negative
-            if denom > 0:
-                step = min(max(float(np.sum(d_phi * d_phi)) / denom, opts.min_step), 1e12)
-        prev_phi, prev_pg = phi, pg
-        accepted = False
-        while step >= opts.min_step:
-            trial = np.maximum(phi + step * pg, 0.0)
-            trial[~problem.free] = 0.0
-            c = problem.constraint(trial)
-            if c > 0.0:
-                trial = trial / c
-                new_obj = problem.objective(trial)
-                if new_obj > obj:
-                    phi, obj = trial, new_obj
-                    objective_history.append(obj)
-                    constraint_errors.append(abs(problem.constraint(phi) - 1.0))
-                    accepted = True
-                    step *= 2.0
-                    break
-            step *= 0.5
-        if not accepted:
-            # Line search exhausted: no ascent at float precision from here.
-            converged = pg_norm < 1e-6
-            break
+        best, pending = min(best, worst), cell_worst > 0.0
+        if iterations <= _EM_STEPS:
+            d = at_target(phi * ratio) - phi
+        else:
+            newton_steps += 1
+            active = free & ((phi > 0.0) | (ratio > 1.0)) & pending[:, None]
+            d = _newton_direction(problem.cell_hessian(phi), coeffs, coeffs * (1.0 - ratio),
+                                  active)
+            d[(phi <= 0.0) & (d < 0.0)] = 0.0
+        blocking = np.divide(phi, -d, out=np.full_like(phi, np.inf), where=d < 0.0)
+        t = np.minimum(1.0, blocking.min(axis=1))
+        trial, gain, ok = phi, np.zeros(f.num_cells), np.zeros(f.num_cells, dtype=bool)
+        while pending.any():
+            attempt = np.maximum(phi + t[:, None] * d, 0.0)
+            attempt[blocking <= t[:, None]] = 0.0
+            attempt = at_target(attempt)
+            attempt_gain = problem.cell_gain(phi, attempt - phi)
+            take = pending & (attempt_gain >= 0.0)
+            trial = np.where(take[:, None], attempt, trial)
+            gain, ok = np.where(take, attempt_gain, gain), ok | take
+            pending &= ~take & (cell_worst > opts.tol)  # cells within tol: full step only
+            t[pending] *= 0.5
+            pending &= t >= opts.min_step
+        new_obj = obj + float(gain[ok].sum())
+        raised = new_obj > obj
+        if ok.any():
+            phi, obj = trial, new_obj
+            objective_history.append(obj)
+            constraint_errors.append(abs(problem.constraint(phi) - 1.0))
+    else:  # out of steps: the residual after the last one
+        worst = float(kkt(phi)[1].max(initial=0.0))
 
-    # Newton polish on the KKT system: the Hessian is block-diagonal per
-    # f-cell, so this is cheap and resolves the nearly flat directions
-    # that first-order steps crawl along on barely identifiable instances.
-    polish_steps = 0
-    polish_budget = min(50, max(0, opts.max_iter - iterations))
-    if phi.size > 1500:
-        polish_budget = 0  # dense KKT solve is a desk-scale tool
-    if not (converged and pg_norm < opts.tol):
-        for _ in range(polish_budget):
-            grad = problem.gradient(phi)
-            pg = problem.projected_gradient(phi, grad)
-            pg_norm = float(np.max(np.abs(pg))) if pg.size else 0.0
-            if pg_norm < opts.tol:
-                break
-            free = problem.free & ((phi > 0.0) | (pg > 0.0))
-            idx = np.nonzero(free.ravel())[0]
-            if idx.size == 0:
-                break
-            blocks = problem.hessian_blocks(phi)
-            k = phi.shape[1]
-            hess = np.zeros((phi.size, phi.size))
-            for n in range(phi.shape[0]):
-                hess[n * k:(n + 1) * k, n * k:(n + 1) * k] = blocks[n]
-            a_vec = problem.coeffs.ravel()[idx]
-            kkt = np.zeros((idx.size + 1, idx.size + 1))
-            kkt[:-1, :-1] = hess[np.ix_(idx, idx)]
-            kkt[:-1, -1] = -a_vec
-            kkt[-1, :-1] = a_vec
-            rhs = np.concatenate([-grad.ravel()[idx], [0.0]])
-            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-            direction = np.zeros(phi.size)
-            direction[idx] = sol[:-1]
-            direction = direction.reshape(phi.shape)
-            t = 1.0
-            improved = False
-            while t >= opts.min_step:
-                trial = np.maximum(phi + t * direction, 0.0)
-                trial[~problem.free] = 0.0
-                c = problem.constraint(trial)
-                if c > 0.0:
-                    trial = trial / c
-                    new_obj = problem.objective(trial)
-                    if new_obj >= obj:
-                        phi, obj = trial, new_obj
-                        objective_history.append(obj)
-                        constraint_errors.append(abs(problem.constraint(phi) - 1.0))
-                        improved = True
-                        break
-                t *= 0.5
-            polish_steps += 1
-            if not improved:
-                break
-        grad = problem.gradient(phi)
-        pg_norm = float(np.max(np.abs(problem.projected_gradient(phi, grad))))
-        converged = converged or pg_norm < max(opts.tol, 1e-9)
-
-    w = phi * problem.coeffs
-    residual = max(0.0, problem.kl_offset - obj)
-    diagnostics = {
-        "converged": converged,
-        "iterations": iterations,
-        "polish_steps": polish_steps,
-        "projected_gradient_norm": pg_norm,
-        "objective_history": [float(v) for v in objective_history],
-        "constraint_errors": [float(v) for v in constraint_errors],
-    }
-    fit = fit_from_cell_mass(p, f, w, residual, "sees_c", diagnostics)
+    converged = worst <= opts.tol
+    diagnostics = {"converged": converged, "iterations": iterations,
+                   "polish_steps": newton_steps, "kkt_residual": worst,
+                   "objective_history": objective_history, "constraint_errors": constraint_errors}
+    fit = fit_from_cell_mass(p, f, phi * coeffs, max(0.0, problem.kl_offset - obj), "sees_c",
+                             diagnostics)
     if opts.strict and not converged:
         raise NotConverged(
-            f"projected gradient norm {pg_norm:.3g} above {opts.tol} "
-            f"after {iterations} iterations", fit)
+            f"KKT residual {worst:.3g} above {opts.tol} after {iterations} iterations", fit)
     return fit
 
 
@@ -711,9 +667,11 @@ class SubsetResult:
 
 def sparsity_search(p: FiniteJointDistribution, q_marginal: np.ndarray,
                     candidate_features: list, penalty: float,
-                    method: str = "sees_d",
-                    opts: OptimizerOptions | None = None) -> list:
+                    fit: Callable[[np.ndarray, FeaturePartition], SjsFit] | None = None) -> list:
     """Rank feature subsets by penalised goodness-of-fit.
+
+    ``fit(q, f)`` fits the checked target marginal ``q`` on a candidate
+    shift partition ``f``; the default is :func:`sees_d_fit`.
 
     Because shift on a feature set transfers to every superset, fitting
     all (d-1)-subsets first loses nothing; the search then greedily
@@ -737,12 +695,9 @@ def sparsity_search(p: FiniteJointDistribution, q_marginal: np.ndarray,
             return results[subset]
         f = FeaturePartition.from_features(p.space, subset)
         try:
-            if method == "sees_c":
-                fit = sees_c_fit(p, q_marginal, f, opts)
-            else:
-                fit = sees_d_fit(p, q_marginal, f)
-            res = SubsetResult(subset, fit, fit.residual,
-                               fit.residual + penalty * len(subset))
+            result = fit(q_marginal, f) if fit is not None else sees_d_fit(p, q_marginal, f)
+            res = SubsetResult(subset, result, result.residual,
+                               result.residual + penalty * len(subset))
         except (SjslabError, np.linalg.LinAlgError) as exc:  # recorded, keeps the ranking total
             res = SubsetResult(subset, None, np.inf, np.inf, error=str(exc))
         results[subset] = res

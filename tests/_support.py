@@ -250,17 +250,6 @@ def reference_gradient(problem, phi) -> np.ndarray:
     return grad
 
 
-def reference_hessian_blocks(problem, phi) -> np.ndarray:
-    s = problem.density(phi)
-    blocks = np.zeros((problem.f.num_cells, problem.num_labels, problem.num_labels))
-    scaled = problem._bq * np.sqrt(problem._qx / s ** 2)[:, None]
-    for n in range(problem.f.num_cells):
-        rows = scaled[problem._idx == n]
-        if rows.size:
-            blocks[n] = -(rows.T @ rows)
-    return blocks
-
-
 def reference_sees_d_cells(p, q_marginal, f, h_prime) -> tuple:
     """SEES-d's per-cell systems found with ``parent == n`` masks.
 
@@ -328,3 +317,56 @@ def sparse_instance(rng, cardinalities, num_labels, num_cells) -> tuple:
     source = FiniteJointDistribution(space, num_labels, mass / mass.sum())
     q = source.feature_marginal() * rng.uniform(0.5, 2.0, space.num_cells)
     return source, f, q / q.sum()
+
+
+def awkward_source(rng, cardinalities, num_labels, shift_features, zero_cells=0.0,
+                   zero_pairs=0.0, absent=0.0, margin=None) -> tuple:
+    """Source whose f-cells are hard for the SEES-c solver, and its shift partition.
+
+    Feature cells lose all their mass with probability ``zero_cells``,
+    (cell, label) pairs with probability ``zero_pairs``, and each f-cell
+    loses one label with probability ``absent``.  With ``margin``, one
+    f-cell's class-conditional columns for two labels differ only by a
+    relative perturbation of that size.  Returns ``(source, f)``, or
+    ``None`` if some label is left without mass.
+    """
+    space = FeatureSpace([f"X{k + 1}" for k in range(len(cardinalities))], cardinalities)
+    f = FeaturePartition.from_features(space, list(space.feature_names[:shift_features]))
+    mass = rng.uniform(0.05, 1.0, size=(space.num_cells, num_labels))
+    mass[rng.random(mass.shape) < zero_pairs] = 0.0
+    mass[rng.random(space.num_cells) < zero_cells] = 0.0
+    for n in np.nonzero(rng.random(f.num_cells) < absent)[0]:
+        mass[f.cell_of == n, rng.integers(num_labels)] = 0.0
+    if margin is not None:
+        rows = f.cell_of == rng.integers(f.num_cells)
+        i, j = rng.choice(num_labels, size=2, replace=False)
+        wobble = 1.0 + margin * rng.uniform(-1.0, 1.0, int(rows.sum()))
+        mass[rows, j] = mass[rows, i] * wobble * rng.uniform(0.5, 2.0)
+    if np.any(mass.sum(axis=0) <= 0.0):
+        return None
+    return FiniteJointDistribution(space, num_labels, mass / mass.sum()), f
+
+
+def awkward_instance(rng, margins=True):
+    """Planted shift on an :func:`awkward_source` of drawn shape.
+
+    2 or 3 features of 2 to 4 values, 2 or 3 labels, each kind of zero at
+    rate 0 or 0.2 and, with ``margins``, a collinear f-cell at a margin of
+    1e-2 to 1e-8 in three draws of five; without, the shift is on a
+    proper feature subset.  Returns ``(source, f, target feature
+    marginal)``, or ``None`` where :func:`awkward_source` gives none.
+    """
+    from sjslab import plant_sjs
+
+    cards = rng.integers(2, 5, int(rng.integers(2, 4))).tolist()
+    ell = int(rng.integers(2, 4))
+    shifted = int(rng.integers(1, len(cards) + 1 if margins else len(cards)))
+    zero_cells, zero_pairs, absent = rng.choice([0.0, 0.2], 3)
+    margin = 10.0 ** -int(rng.integers(2, 9)) if margins and rng.random() < 0.6 else None
+    built = awkward_source(rng, cards, ell, shifted, zero_cells, zero_pairs, absent, margin)
+    if built is None:
+        return None
+    p, f = built
+    inst = plant_sjs(p, f, rng.dirichlet(np.full(ell, 5.0)), "random",
+                     seed=int(rng.integers(2 ** 31)))
+    return p, f, inst.target.feature_marginal()

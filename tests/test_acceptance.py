@@ -117,11 +117,11 @@ class TestCriterion3PlantAndRecover:
             worst_gap = max(worst_gap, float(np.abs(fit_d.target_priors
                                                     - fit_c.target_priors).max()))
         assert worst_d < 1e-8
-        assert worst_c < 1e-3
-        assert worst_gap < 1e-3  # the two strategies agree on exact instances
+        assert worst_c < 1e-8
+        assert worst_gap < 1e-8  # the two strategies agree on exact instances
         report(3, f"200 planted recoveries: linear fit max error {worst_d:.2e} "
-                  f"(< 1e-8), likelihood fit {worst_c:.2e} (< 1e-3), "
-                  f"agreement gap {worst_gap:.2e}")
+                  f"(< 1e-8), likelihood fit {worst_c:.2e} (< 1e-8), "
+                  f"agreement gap {worst_gap:.2e} (< 1e-8)")
 
 
 class TestCriterion4OracleEquivalence:

@@ -140,6 +140,24 @@ class TestEstimate:
         assert doc["ranking"][0]["features"] == ["X1"]
         assert "best" in doc
 
+    def test_search_honours_max_iter(self, instance_dir, capsys):
+        main(["estimate", "--method", "sees-c",
+              "--source", str(instance_dir / "source.json"),
+              "--target-features", str(instance_dir / "target.json"),
+              "--search", "all", "--tol", "0", "--max-iter", "2"])
+        best = read_json(capsys)["best"]
+        assert best["method"] == "sees_c"
+        assert best["diagnostics"]["iterations"] == 2
+        assert not best["diagnostics"]["converged"]
+
+    def test_search_with_confusion_fits_with_the_classifier(self, instance_dir, capsys):
+        code = main(["estimate", "--method", "confusion",
+                     "--source", str(instance_dir / "source.json"),
+                     "--target-features", str(instance_dir / "target.json"),
+                     "--search", "all"])
+        assert code == 0
+        assert read_json(capsys)["best"]["method"] == "conditional_confusion"
+
 
 class TestEstimateInputErrors:
     def test_oversized_csv_field_exits_1(self, tmp_path, capsys):
@@ -210,6 +228,36 @@ class TestPlantAndCorrect:
         assert len(rows) == 4
         total = sum(float(rows[0][f"posterior_{i}"]) for i in range(2))
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_correct_reads_the_best_fit_of_a_search_file(self, instance_dir):
+        source = str(instance_dir / "source.json")
+        main(["estimate", "--method", "sees-d", "--source", source,
+              "--target-features", str(instance_dir / "target.json"),
+              "--search", "all", "--out", str(instance_dir / "search.json")])
+        best = json.loads((instance_dir / "search.json").read_text())["best"]
+        (instance_dir / "best.json").write_text(json.dumps(best))
+        for fit, out in (("search.json", "from_search.csv"), ("best.json", "from_best.csv")):
+            code = main(["correct", "--source", source, "--fit", str(instance_dir / fit),
+                         "--out", str(instance_dir / out)])
+            assert code == 0
+        assert ((instance_dir / "from_search.csv").read_bytes()
+                == (instance_dir / "from_best.csv").read_bytes())
+
+    @pytest.mark.parametrize("doc,key", [({"ranking": []}, "partition"),
+                                         ({"partition": {"type": "features", "features": []}},
+                                          "cell_label_mass"),
+                                         ([1, 2], "partition"),
+                                         ({"partition": {"type": "features"},
+                                           "cell_label_mass": [[1.0, 0.0]]}, "features"),
+                                         ({"partition": {"type": "custom"},
+                                           "cell_label_mass": [[1.0, 0.0]]}, "cell_of")])
+    def test_correct_without_a_fit_exits_1(self, tmp_path, capsys, doc, key):
+        example_source().save(tmp_path / "p.json")
+        (tmp_path / "fit.json").write_text(json.dumps(doc))
+        code = main(["correct", "--source", str(tmp_path / "p.json"),
+                     "--fit", str(tmp_path / "fit.json"), "--out", str(tmp_path / "post.csv")])
+        assert code == 1
+        assert f"has no {key!r}" in capsys.readouterr().err
 
 
 class TestReport:
