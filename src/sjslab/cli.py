@@ -25,11 +25,11 @@ from .estimators import (
     train_argmax_classifier,
 )
 from .experiment import (
-    EXIT_NOT_CONVERGED,
     EXIT_OK,
-    EXIT_UNDERDETERMINED,
+    METHODS,
     ExperimentConfig,
     fit_method,
+    fit_status,
     load_source,
     load_target_marginal,
     run_experiment,
@@ -50,7 +50,17 @@ from .shifts import (
 from .space import FeaturePartition
 from .synthetic import PRESET_KINDS, generate_synthetic
 
-HYPOTHESES = ("sjs", "csh", "cdi", "prior", "sufficiency", "variance")
+# Each hypothesis: its check, called as check(source, target, partition, tol),
+# and whether it needs --target.
+CHECKS = {
+    "sjs": (check_sjs, True),
+    "csh": (check_covariate_shift, True),
+    "cdi": (check_cdi, True),
+    "prior": (lambda p, q, f, tol: check_prior_shift(p, q, tol), True),
+    "sufficiency": (lambda p, q, f, tol: check_sufficiency(p, f, tol), False),
+    "variance": (lambda p, q, f, tol: binary_variance_criterion(p, f, tol), False),
+}
+HYPOTHESES = tuple(CHECKS)
 
 
 def _parse_partition(space, text: str) -> FeaturePartition:
@@ -102,20 +112,8 @@ def _cmd_check(args) -> int:
     source = FiniteJointDistribution.load(args.source)
     target = FiniteJointDistribution.load(args.target) if args.target else None
     f = _parse_partition(source.space, args.partition)
-    tol = args.tol
-    if args.hypothesis == "sjs":
-        verdict = check_sjs(source, target, f, tol)
-    elif args.hypothesis == "csh":
-        verdict = check_covariate_shift(source, target, f, tol)
-    elif args.hypothesis == "cdi":
-        verdict = check_cdi(source, target, f, tol)
-    elif args.hypothesis == "prior":
-        verdict = check_prior_shift(source, target, tol)
-    elif args.hypothesis == "sufficiency":
-        verdict = check_sufficiency(source, f, tol)
-    else:
-        verdict = binary_variance_criterion(source, f, tol)
-    _emit(verdict.to_json_dict(), args.out)
+    check, _ = CHECKS[args.hypothesis]
+    _emit(check(source, target, f, args.tol).to_json_dict(), args.out)
     return EXIT_OK
 
 
@@ -131,14 +129,6 @@ def _cmd_identifiability(args) -> int:
     payload = report.to_json_dict()
     payload["statistics"] = args.stats
     _emit(payload, args.out)
-    return EXIT_OK
-
-
-def _fit_exit_code(fit) -> int:
-    if not fit.diagnostics.get("converged", True):
-        return EXIT_NOT_CONVERGED
-    if fit.underdetermined:
-        return EXIT_UNDERDETERMINED
     return EXIT_OK
 
 
@@ -168,7 +158,7 @@ def _cmd_estimate(args) -> int:
     _emit(fit.to_json_dict(), args.out)
     if args.posterior_out:
         write_posterior_csv(args.posterior_out, source, fit.corrected_posterior)
-    return _fit_exit_code(fit)
+    return fit_status(fit)[1]
 
 
 def _fit_field(doc, key: str, path: str):
@@ -184,11 +174,7 @@ def _cmd_correct(args) -> int:
         fit_doc = fit_doc.get("best", {})  # a search file: its best fit
     part = _fit_field(fit_doc, "partition", args.fit)
     u = np.asarray(_fit_field(fit_doc, "cell_label_mass", args.fit), dtype=np.float64)
-    if isinstance(part, dict) and part.get("type") == "features":
-        f = FeaturePartition.from_features(source.space, _fit_field(part, "features", args.fit))
-    else:
-        f = FeaturePartition(source.space,
-                             np.asarray(_fit_field(part, "cell_of", args.fit), dtype=np.int64))
+    f = FeaturePartition.from_description(source.space, part)
     fit = fit_from_cell_mass(source, f, u, fit_doc.get("residual", 0.0),
                              fit_doc.get("method", "sees_d"))
     write_posterior_csv(args.out, source, fit.corrected_posterior)
@@ -241,18 +227,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_identifiability)
 
     p = sub.add_parser("estimate", help="fit target priors and posteriors")
-    p.add_argument("--method", required=True, choices=("sees-c", "sees-d", "confusion"))
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--source", required=True)
     p.add_argument("--target-features", required=True)
     p.add_argument("--shift-features", default="")
-    p.add_argument("--classifier", default="argmax", choices=("argmax",))
     p.add_argument("--penalty", type=float, default=0.0)
     p.add_argument("--search", default=None,
                    help="comma-separated candidate features or 'all'; ranks subsets")
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--posterior-out", default=None)
     p.set_defaults(func=_cmd_estimate)
@@ -272,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "hypothesis", None) in ("sjs", "csh", "cdi", "prior") \
-            and not getattr(args, "target", None):
+    if args.command == "check" and CHECKS[args.hypothesis][1] and not args.target:
         parser.error(f"--target is required for hypothesis {args.hypothesis!r}")
     try:
         return args.func(args)

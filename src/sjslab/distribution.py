@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
@@ -112,6 +113,11 @@ class FiniteJointDistribution:
     def project(self, partition: FeaturePartition) -> np.ndarray:
         """(partition cell, label) mass table."""
         return aggregate(self.mass, partition)
+
+    @cached_property
+    def full_posterior(self) -> "ConditionalTable":
+        """Label posterior given all features, built once: ``mass`` is read-only."""
+        return posterior(self, FeaturePartition.full(self.space))
 
     # -- serialisation -----------------------------------------------------
 
@@ -304,6 +310,34 @@ class ConditionalTable:
 # -- core operations ---------------------------------------------------------
 
 
+def ratio(num, den) -> np.ndarray:
+    """``num / den`` where ``den > 0`` and 0 elsewhere (0/0 as 0), broadcast."""
+    num, den = np.asarray(num, dtype=np.float64), np.asarray(den, dtype=np.float64)
+    out = np.zeros(np.broadcast_shapes(num.shape, den.shape))
+    return np.divide(num, den, out=out, where=den > 0.0)
+
+
+def density_ratio(q, p, label: int | None = None) -> np.ndarray:
+    """``ratio(q, p)`` of target over source masses, absolutely continuous.
+
+    Raises
+    ------
+    AbsoluteContinuityViolated
+        At the first entry, in row-major order, with ``q > 0`` and
+        ``p == 0``.  It names the cell, and the label: the column of a
+        2-D table, or ``label``.
+    """
+    q, p = np.asarray(q, dtype=np.float64), np.asarray(p, dtype=np.float64)
+    bad = (p == 0.0) & (q > 0.0)
+    if bad.any():
+        at = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        cell = int(at[0])
+        if bad.ndim == 2:
+            label = int(at[1])
+        raise AbsoluteContinuityViolated(cell, label=label, mass=float(q[at]))
+    return ratio(q, p)
+
+
 def class_conditional(dist: FiniteJointDistribution, label: int) -> np.ndarray:
     """Feature distribution conditional on one label.
 
@@ -332,10 +366,7 @@ def posterior(dist: FiniteJointDistribution, partition: FeaturePartition) -> Con
     """
     table = dist.project(partition)
     cell_mass = table.sum(axis=1)
-    defined = cell_mass > 0.0
-    values = np.zeros_like(table)
-    values[defined] = table[defined] / cell_mass[defined, None]
-    return ConditionalTable(partition, values, defined)
+    return ConditionalTable(partition, ratio(table, cell_mass[:, None]), cell_mass > 0.0)
 
 
 def marginal_density(q: FiniteJointDistribution, p: FiniteJointDistribution,
@@ -350,16 +381,8 @@ def marginal_density(q: FiniteJointDistribution, p: FiniteJointDistribution,
     AbsoluteContinuityViolated
         If some cell has positive target mass but zero source mass.
     """
-    q_cells = aggregate(q.feature_marginal(), partition)
-    p_cells = aggregate(p.feature_marginal(), partition)
-    bad = (p_cells == 0.0) & (q_cells > 0.0)
-    if bad.any():
-        n = int(np.argmax(bad))
-        raise AbsoluteContinuityViolated(n, mass=float(q_cells[n]))
-    out = np.zeros_like(q_cells)
-    pos = p_cells > 0.0
-    out[pos] = q_cells[pos] / p_cells[pos]
-    return out
+    return density_ratio(aggregate(q.feature_marginal(), partition),
+                         aggregate(p.feature_marginal(), partition))
 
 
 def class_conditional_density(q: FiniteJointDistribution, p: FiniteJointDistribution,
@@ -369,16 +392,8 @@ def class_conditional_density(q: FiniteJointDistribution, p: FiniteJointDistribu
     Entry ``n`` is ``q[cell n | label] / p[cell n | label]``, with
     ``E_{p(.|label)}[density] = 1``.
     """
-    q_i = aggregate(class_conditional(q, label), partition)
-    p_i = aggregate(class_conditional(p, label), partition)
-    bad = (p_i == 0.0) & (q_i > 0.0)
-    if bad.any():
-        n = int(np.argmax(bad))
-        raise AbsoluteContinuityViolated(n, label=label, mass=float(q_i[n]))
-    out = np.zeros_like(q_i)
-    pos = p_i > 0.0
-    out[pos] = q_i[pos] / p_i[pos]
-    return out
+    return density_ratio(aggregate(class_conditional(q, label), partition),
+                         aggregate(class_conditional(p, label), partition), label)
 
 
 def full_importance_weight(q: FiniteJointDistribution,
@@ -425,7 +440,5 @@ def check_absolute_continuity(q: FiniteJointDistribution,
     """Raise unless the target joint is absolutely continuous w.r.t. the source."""
     if q.space != p.space or q.num_labels != p.num_labels:
         raise InvalidDistribution("source and target must share space and labels")
-    bad = (p.mass == 0.0) & (q.mass > 0.0)
-    if bad.any():
-        x, i = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        raise AbsoluteContinuityViolated(int(x), label=int(i), mass=float(q.mass[x, i]))
+    if np.any(q.mass[p.mass == 0.0] > 0.0):
+        density_ratio(q.mass, p.mass)  # raises at the first violation

@@ -25,14 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .distribution import ConditionalTable, FiniteJointDistribution, posterior
-from .errors import (
-    AbsoluteContinuityViolated,
-    DegenerateObjective,
-    InvalidDistribution,
-    NotConverged,
-    SjslabError,
-)
+from .distribution import ConditionalTable, FiniteJointDistribution, density_ratio, ratio
+from .errors import DegenerateObjective, InvalidDistribution, NotConverged, SjslabError
 from .shifts import numerical_rank
 from .space import FeaturePartition, FeatureSpace, aggregate, group, group_sum
 
@@ -145,8 +139,7 @@ def train_argmax_classifier(p: FiniteJointDistribution) -> HardClassifier:
     Ties (and zero-mass cells, whose posterior is undefined) resolve to
     the lowest label index.
     """
-    post = posterior(p, FeaturePartition.full(p.space))
-    return HardClassifier(p.space, p.num_labels, np.argmax(post.values, axis=1))
+    return HardClassifier(p.space, p.num_labels, np.argmax(p.full_posterior.values, axis=1))
 
 
 def nnls(A: np.ndarray, b: np.ndarray) -> tuple:
@@ -238,29 +231,16 @@ def fit_from_cell_mass(p: FiniteJointDistribution, f: FeaturePartition, u: np.nd
     u = u / total
     priors = u.sum(axis=0)
     p_f_label = aggregate(p.mass, f)
-    p_priors = p.label_masses()
-
-    f_ratios = _ratios(u, priors[None, :], p_f_label, p_priors[None, :])
+    # Class-conditional density ratios: (f-cell, label) masses over the label priors.
+    f_ratios = ratio(ratio(u, priors), ratio(p_f_label, p.label_masses()))
     corrected = _posterior_correct_with_ratios(p, f, _conditional_ratios(u, p_f_label))
     return SjsFit(f, u, priors, f_ratios, corrected, float(residual), method, diagnostics)
 
 
-def _ratios(u, u_norm, p_mass, p_norm) -> np.ndarray:
-    """``(u / u_norm) / (p_mass / p_norm)`` where the last three are positive, else 0.
-
-    Normalised by the label priors, (f-cell, label) masses give the
-    class-conditional density ratios; by the f-cell masses, the ratios of
-    the label probabilities conditional on each f-cell.
-    """
-    u_norm, p_norm = np.broadcast_to(u_norm, u.shape), np.broadcast_to(p_norm, u.shape)
-    ok = (u_norm > 0.0) & (p_mass > 0.0) & (p_norm > 0.0)
-    out = np.zeros_like(u)
-    out[ok] = (u[ok] / u_norm[ok]) / (p_mass[ok] / p_norm[ok])
-    return out
-
-
 def _conditional_ratios(u: np.ndarray, p_f_label: np.ndarray) -> np.ndarray:
-    return _ratios(u, u.sum(axis=1)[:, None], p_f_label, p_f_label.sum(axis=1)[:, None])
+    """Target over source label probabilities conditional on each f-cell."""
+    return ratio(ratio(u, u.sum(axis=1)[:, None]),
+                 ratio(p_f_label, p_f_label.sum(axis=1)[:, None]))
 
 
 def sees_d_fit(p: FiniteJointDistribution, q_marginal: np.ndarray,
@@ -301,11 +281,7 @@ def sees_d_fit(p: FiniteJointDistribution, q_marginal: np.ndarray,
     parent = h_prime.parent_cells(f)
     p_hp_label = aggregate(p.mass, h_prime)
     p_hp = p_hp_label.sum(axis=1)
-    q_hp = aggregate(q_marginal, h_prime)
-    bad = (p_hp == 0.0) & (q_hp > 0.0)
-    if bad.any():
-        r = int(np.argmax(bad))
-        raise AbsoluteContinuityViolated(r, mass=float(q_hp[r]))
+    density = density_ratio(aggregate(q_marginal, h_prime), p_hp)
     p_f_label = aggregate(p.mass, f)
     # Equations come from the positive-mass h'-cells, grouped by f-cell.
     live = np.nonzero(p_hp > 0.0)[0]
@@ -325,8 +301,7 @@ def sees_d_fit(p: FiniteJointDistribution, q_marginal: np.ndarray,
             continue
         post_rows = p_hp_label[rows[:, None], cols] / p_hp[rows, None]
         A = post_rows / p_f_label[n, cols][None, :]
-        b = q_hp[rows] / p_hp[rows]
-        sol, rnorm = nnls(A, b)
+        sol, rnorm = nnls(A, density[rows])
         per_cell_residual[n] = float(rnorm) ** 2
         residual += float(rnorm) ** 2
         s = np.linalg.svd(A, compute_uv=False)
@@ -372,17 +347,17 @@ def sees_d_fit_with_classifier(p: FiniteJointDistribution, q_marginal: np.ndarra
 # -- SEES-c: likelihood maximisation, one small problem per f-cell -----------
 
 _EM_STEPS = 3  # EM warm-start steps before the Newton steps
+_MIN_STEP = 1e-14  # smallest backtracking step
 
 
 @dataclass(frozen=True)
 class OptimizerOptions:
     """SEES-c settings: ``tol`` bounds the KKT residual, ``max_iter`` the EM and
-    Newton steps, ``min_step`` the backtracking; ``strict`` raises
-    :class:`NotConverged` instead of returning an unconverged fit."""
+    Newton steps; ``strict`` raises :class:`NotConverged` instead of
+    returning an unconverged fit."""
 
     tol: float = 1e-10
     max_iter: int = 10000
-    min_step: float = 1e-14
     strict: bool = False
 
 
@@ -408,13 +383,9 @@ class SeesCProblem:
         self.p = p
         self.f = f
         self.num_labels = p.num_labels
-        p_h = p.feature_marginal()
-        bad = (p_h == 0.0) & (q_marginal > 0.0)
-        if bad.any():
-            x = int(np.argmax(bad))
-            raise AbsoluteContinuityViolated(x, mass=float(q_marginal[x]))
+        density = density_ratio(q_marginal, p.feature_marginal())
         priors = p.label_masses()
-        post = posterior(p, FeaturePartition.full(p.space)).values
+        post = p.full_posterior.values
         self.coeffs = aggregate(p.mass, f) / priors  # E_{P_i}[1_{F_n}]
         self.free = self.coeffs > 0.0
         support = q_marginal > 0.0
@@ -422,9 +393,7 @@ class SeesCProblem:
         self._bq = post[support] / priors
         self._qx = q_marginal[support]
         self.cell_mass = group_sum(self._idx, self._qx, f.num_cells)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(support, q_marginal / np.where(p_h > 0, p_h, 1.0), 1.0)
-        self.kl_offset = float(np.sum(self._qx * np.log(ratio[support])))
+        self.kl_offset = float(np.sum(self._qx * np.log(density[support])))
 
     def initial_phi(self) -> np.ndarray:
         """Feasible start equivalent to the no-shift hypothesis."""
@@ -505,9 +474,9 @@ def sees_c_fit(p: FiniteJointDistribution, q_marginal: np.ndarray, f: FeaturePar
     from the no-shift start with each f-cell at its target mass: EM steps
     ``phi <- phi * gradient / coeffs``, then bordered Newton steps on each
     cell's active entries.  A ratio test keeps ``phi >= 0``, and each cell
-    halves its step, down to ``opts.min_step``, until its objective does
-    not fall, so the recorded objective never decreases.  Converged means
-    a KKT residual (``|gradient / coeffs - 1|`` where ``phi > 0``, its
+    halves its step, down to ``_MIN_STEP``, until its objective does not
+    fall, so the recorded objective never decreases.  Converged means a
+    KKT residual (``|gradient / coeffs - 1|`` where ``phi > 0``, its
     positive part where ``phi == 0``) of at most ``opts.tol``.  Stopping
     after ``opts.max_iter`` steps, or after a Newton step that raised no
     objective and cut no residual, is reported in the diagnostics and
@@ -520,12 +489,11 @@ def sees_c_fit(p: FiniteJointDistribution, q_marginal: np.ndarray, f: FeaturePar
     coeffs, free, target = problem.coeffs, problem.free, problem.cell_mass[:, None]
 
     def at_target(phi):
-        mass = np.sum(phi * coeffs, axis=1, keepdims=True)
-        return np.divide(phi * target, mass, out=np.zeros_like(phi), where=mass > 0.0)
+        return ratio(phi * target, np.sum(phi * coeffs, axis=1, keepdims=True))
 
     def kkt(phi):
-        ratio = np.divide(problem.gradient(phi), coeffs, out=np.zeros_like(phi), where=free)
-        return ratio, np.where(phi > 0.0, np.abs(ratio - 1.0), np.maximum(ratio - 1.0, 0.0))
+        scaled = ratio(problem.gradient(phi), coeffs)
+        return scaled, np.where(phi > 0.0, np.abs(scaled - 1.0), np.maximum(scaled - 1.0, 0.0))
 
     phi = at_target(problem.initial_phi())
     obj = problem.objective(phi)
@@ -533,17 +501,17 @@ def sees_c_fit(p: FiniteJointDistribution, q_marginal: np.ndarray, f: FeaturePar
     iterations = newton_steps = 0
     best, raised = np.inf, True
     for iterations in range(1, opts.max_iter + 1):
-        ratio, violation = kkt(phi)
+        scaled, violation = kkt(phi)
         worst, cell_worst = float(violation.max(initial=0.0)), violation.max(axis=1)
         if worst <= opts.tol or (newton_steps and not raised and worst >= best):
             break
         best, pending = min(best, worst), cell_worst > 0.0
         if iterations <= _EM_STEPS:
-            d = at_target(phi * ratio) - phi
+            d = at_target(phi * scaled) - phi
         else:
             newton_steps += 1
-            active = free & ((phi > 0.0) | (ratio > 1.0)) & pending[:, None]
-            d = _newton_direction(problem.cell_hessian(phi), coeffs, coeffs * (1.0 - ratio),
+            active = free & ((phi > 0.0) | (scaled > 1.0)) & pending[:, None]
+            d = _newton_direction(problem.cell_hessian(phi), coeffs, coeffs * (1.0 - scaled),
                                   active)
             d[(phi <= 0.0) & (d < 0.0)] = 0.0
         blocking = np.divide(phi, -d, out=np.full_like(phi, np.inf), where=d < 0.0)
@@ -559,7 +527,7 @@ def sees_c_fit(p: FiniteJointDistribution, q_marginal: np.ndarray, f: FeaturePar
             gain, ok = np.where(take, attempt_gain, gain), ok | take
             pending &= ~take & (cell_worst > opts.tol)  # cells within tol: full step only
             t[pending] *= 0.5
-            pending &= t >= opts.min_step
+            pending &= t >= _MIN_STEP
         new_obj = obj + float(gain[ok].sum())
         raised = new_obj > obj
         if ok.any():
@@ -593,14 +561,10 @@ def _posterior_correct_with_ratios(p: FiniteJointDistribution, f: FeaturePartiti
     denominator vanishes are flagged undefined (possible only on
     target-null cells); the 0/0-as-0 convention applies throughout.
     """
-    post = posterior(p, FeaturePartition.full(p.space))
-    expanded = ratios[f.cell_of]
-    numer = expanded * post.values
+    post = p.full_posterior
+    numer = ratios[f.cell_of] * post.values
     denom = numer.sum(axis=1)
-    defined = denom > 0.0
-    values = np.zeros_like(numer)
-    values[defined] = numer[defined] / denom[defined, None]
-    return ConditionalTable(FeaturePartition.full(p.space), values, defined)
+    return ConditionalTable(post.partition, ratio(numer, denom[:, None]), denom > 0.0)
 
 
 def posterior_correct(p: FiniteJointDistribution, correction) -> ConditionalTable:
@@ -622,9 +586,7 @@ def posterior_correct(p: FiniteJointDistribution, correction) -> ConditionalTabl
     target_table, source_table = correction
     if target_table.partition.num_cells != source_table.partition.num_cells:
         raise InvalidDistribution("conditional tables must share their partition")
-    ratios = np.zeros_like(target_table.values)
-    ok = source_table.values > 0.0
-    ratios[ok] = target_table.values[ok] / source_table.values[ok]
+    ratios = ratio(target_table.values, source_table.values)
     ratios[~(target_table.defined & source_table.defined)] = 0.0
     return _posterior_correct_with_ratios(p, source_table.partition, ratios)
 
@@ -637,14 +599,11 @@ def reconstruct_target(p: FiniteJointDistribution, fit: SjsFit) -> FiniteJointDi
     """
     f = fit.partition
     p_f_label = aggregate(p.mass, f)
-    scale = np.zeros_like(fit.cell_label_mass)
-    pos = p_f_label > 0.0
-    scale[pos] = fit.cell_label_mass[pos] / p_f_label[pos]
-    lost = fit.cell_label_mass[~pos].sum()
+    lost = fit.cell_label_mass[p_f_label <= 0.0].sum()
     if lost > 1e-9:
         raise InvalidDistribution(
             f"fit places mass {lost:.3g} on source-null (cell, label) pairs")
-    mass = p.mass * scale[f.cell_of]
+    mass = p.mass * ratio(fit.cell_label_mass, p_f_label)[f.cell_of]
     total = mass.sum()
     if abs(total - 1.0) > 1e-9:
         raise InvalidDistribution(f"reconstructed table totals {total!r}")

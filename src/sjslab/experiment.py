@@ -185,6 +185,15 @@ def fit_method(method: str, source: FiniteJointDistribution, q_marginal: np.ndar
     return sees_d_fit_with_classifier(source, q_marginal, f, f, train_argmax_classifier(source))
 
 
+def fit_status(fit) -> tuple:
+    """``(status, exit code)`` of a fit: not converged (3) before underdetermined (4)."""
+    if not fit.diagnostics.get("converged", True):
+        return "not_converged", EXIT_NOT_CONVERGED
+    if fit.underdetermined:
+        return "underdetermined", EXIT_UNDERDETERMINED
+    return "ok", EXIT_OK
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -231,13 +240,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     outputs["rank_report"].write_text(
         json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n")
 
-    status = "ok"
-    exit_code = EXIT_OK
-    if not fit.diagnostics.get("converged", True):
-        status, exit_code = "not_converged", EXIT_NOT_CONVERGED
-    elif fit.underdetermined:
-        status, exit_code = "underdetermined", EXIT_UNDERDETERMINED
-
+    status, exit_code = fit_status(fit)
     manifest = {
         "config": config.to_json_dict(),
         "inputs": {

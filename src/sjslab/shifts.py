@@ -20,6 +20,7 @@ from .distribution import (
     check_absolute_continuity,
     marginal_density,
     posterior,
+    ratio,
 )
 from .errors import InvalidDistribution
 from .space import FeaturePartition, aggregate
@@ -124,8 +125,7 @@ def check_sjs(p: FiniteJointDistribution, q: FiniteJointDistribution,
     cells = f.cell_of
     p_cell, q_cell = p_f[cells], q_f[cells]
     active = (p_cell > 0.0) & (q_cell > 0.0)
-    diff = np.zeros_like(p.mass)
-    diff[active] = np.abs(q.mass[active] / q_cell[active] - p.mass[active] / p_cell[active])
+    diff = np.where(active, np.abs(ratio(q.mass, q_cell) - ratio(p.mass, p_cell)), 0.0)
     # The witness is the first maximum in label-major order.
     i, x = np.unravel_index(int(np.argmax(diff.T)), diff.T.shape)
     max_violation = float(diff[x, i])
@@ -179,18 +179,14 @@ def check_cdi(p: FiniteJointDistribution, q: FiniteJointDistribution,
     q_f = aggregate(q_h, f)
     cells = f.cell_of
     active = (p_f[cells] > 0.0) & (q_f[cells] > 0.0)
-    diff = np.zeros(p.space.num_cells)
-    diff[active] = np.abs(q_h[active] / q_f[cells][active] - p_h[active] / p_f[cells][active])
+    diff = np.where(active, np.abs(ratio(q_h, q_f[cells]) - ratio(p_h, p_f[cells])), 0.0)
     x = int(np.argmax(diff)) if diff.size else 0
     max_violation = float(diff[x]) if diff.size else 0.0
     witness = (int(cells[x]), x, None) if diff.size else None
 
     # Density form: the per-feature-cell density must be constant on f-cells.
     density = marginal_density(q, p, FeaturePartition.full(p.space))
-    cell_density = np.zeros(f.num_cells)
-    pos = p_f > 0.0
-    cell_density[pos] = q_f[pos] / p_f[pos]
-    dens_dev = np.abs(density - cell_density[cells])
+    dens_dev = np.abs(density - ratio(q_f, p_f)[cells])
     dens_dev[p_h == 0.0] = 0.0
     return ShiftVerdict("cdi", max_violation <= tol, max_violation, tol, witness,
                         details={"density_form_max_deviation": float(dens_dev.max(initial=0.0))})
@@ -204,7 +200,7 @@ def check_sufficiency(p: FiniteJointDistribution, f: FeaturePartition,
     every f-cell, i.e. conditioning on ``f`` already captures all label
     information.
     """
-    post_h = posterior(p, FeaturePartition.full(p.space))
+    post_h = p.full_posterior
     post_f = posterior(p, f)
     cells = f.cell_of
     active = post_h.defined  # feature cells with positive mass
@@ -221,7 +217,7 @@ def check_sufficiency(p: FiniteJointDistribution, f: FeaturePartition,
 
 def posterior_statistics(p: FiniteJointDistribution) -> list:
     """The label posteriors given all features, as rank statistics."""
-    post = posterior(p, FeaturePartition.full(p.space))
+    post = p.full_posterior
     return [post.values[:, i].copy() for i in range(p.num_labels)]
 
 
@@ -242,20 +238,17 @@ def _conditional_class_matrix(p: FiniteJointDistribution, g: FeaturePartition,
             raise InvalidDistribution(f"statistic {k} must be non-negative")
     class_cell = p.project(g)  # (cells, labels)
     num = np.stack([aggregate(p.mass * s[:, None], g) for s in stats], axis=1)
-    matrices = np.zeros_like(num)
-    np.divide(num, class_cell[:, None, :], out=matrices, where=class_cell[:, None, :] > 0.0)
-    return matrices, class_cell, np.stack(stats, axis=1)
+    return ratio(num, class_cell[:, None, :]), class_cell, np.stack(stats, axis=1)
 
 
-def rank_matrix(p: FiniteJointDistribution, g: FeaturePartition, statistics: list,
-                rank_rtol: float = RANK_RTOL) -> RankReport:
+def rank_matrix(p: FiniteJointDistribution, g: FeaturePartition, statistics: list) -> RankReport:
     """Conditional class matrix per cell of ``g`` and its identifiability verdict.
 
     ``statistics`` must be one non-negative feature-cell table per label.
     Entry ``(i, j)`` of the cell-``n`` matrix is the expectation of
     statistic ``i`` under the class-``j`` conditional distribution,
     conditioned on the cell.  A singular value counts towards the rank
-    when it exceeds ``sigma_max * num_labels * rank_rtol``; the shift
+    when it exceeds ``sigma_max * num_labels * RANK_RTOL``; the shift
     model is identifiable from the feature marginal when every
     positive-mass cell reaches full rank.
     """
@@ -266,10 +259,10 @@ def rank_matrix(p: FiniteJointDistribution, g: FeaturePartition, statistics: lis
     matrices, class_cell, _ = _conditional_class_matrix(p, g, statistics)
     cell_masses = class_cell.sum(axis=1)
     svals = np.linalg.svd(matrices, compute_uv=False)
-    ranks = numerical_rank(svals, p.num_labels, rank_rtol)
+    ranks = numerical_rank(svals, p.num_labels)
     identifiable = not np.any((cell_masses > 0.0) & (ranks < p.num_labels))
     return RankReport(g, p.num_labels, matrices, ranks.tolist(), list(svals), cell_masses,
-                      identifiable, rank_rtol)
+                      identifiable)
 
 
 def verify_total_expectation(p: FiniteJointDistribution, g: FeaturePartition,
@@ -282,15 +275,10 @@ def verify_total_expectation(p: FiniteJointDistribution, g: FeaturePartition,
     deviation; used as a numerical self-test.
     """
     matrices, class_cell, stats = _conditional_class_matrix(p, g, statistics)
-    cell_mass = class_cell.sum(axis=1)
-    pos = cell_mass > 0.0
-    if not pos.any():
-        return 0.0
-    expectation = aggregate(p.feature_marginal()[:, None] * stats, g)[pos]
-    lhs = expectation / cell_mass[pos, None]
-    label_given_cell = class_cell[pos] / cell_mass[pos, None]
-    rhs = np.einsum("nij,nj->ni", matrices[pos], label_given_cell)
-    return float(np.max(np.abs(lhs - rhs)))
+    cell_mass = class_cell.sum(axis=1)[:, None]
+    lhs = ratio(aggregate(p.feature_marginal()[:, None] * stats, g), cell_mass)
+    rhs = np.einsum("nij,nj->ni", matrices, ratio(class_cell, cell_mass))
+    return float(np.abs(lhs - rhs).max(initial=0.0))
 
 
 def binary_variance_criterion(p: FiniteJointDistribution, g: FeaturePartition,
@@ -306,12 +294,9 @@ def binary_variance_criterion(p: FiniteJointDistribution, g: FeaturePartition,
     if p.num_labels != 2:
         raise InvalidDistribution("the variance criterion is defined for 2 labels")
     p.require_positive_labels("source")
-    post = posterior(p, FeaturePartition.full(p.space)).values[:, 0]
+    post = p.full_posterior.values[:, 0]
     p_h = p.feature_marginal()
-    cell_mass = aggregate(p_h, g)
-    cell_avg = np.zeros(g.num_cells)
-    pos = cell_mass > 0.0
-    cell_avg[pos] = aggregate(p_h * post, g)[pos] / cell_mass[pos]
+    cell_avg = ratio(aggregate(p_h * post, g), aggregate(p_h, g))
     dev = np.abs(post - cell_avg[g.cell_of])
     dev[p_h == 0.0] = 0.0
     x = int(np.argmax(dev))
@@ -365,7 +350,7 @@ def check_triangle(p: FiniteJointDistribution, q: FiniteJointDistribution,
     cdi = check_cdi(p, q, f, tol)
     csh = check_covariate_shift(p, q, FeaturePartition.full(p.space), tol)
 
-    post = posterior(p, FeaturePartition.full(p.space))
+    post = p.full_posterior
     positive = bool(np.all(post.values[post.defined] > 0.0)) if post.defined.any() else True
 
     rank_full = None

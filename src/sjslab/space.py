@@ -196,10 +196,22 @@ class FeaturePartition:
         return parent
 
     def describe(self) -> dict:
-        """JSON-friendly description (used in reports)."""
+        """JSON-friendly description (used in reports); :meth:`from_description` reads it."""
         if self.feature_subset is not None:
             return {"type": "features", "features": list(self.feature_subset)}
         return {"type": "custom", "cell_of": self.cell_of.tolist()}
+
+    @classmethod
+    def from_description(cls, space: FeatureSpace, doc) -> "FeaturePartition":
+        """The partition :meth:`describe` wrote; raises naming a missing key."""
+        def need(key):
+            if not isinstance(doc, dict) or key not in doc:
+                raise InvalidDistribution(f"partition has no {key!r}")
+            return doc[key]
+
+        if isinstance(doc, dict) and doc.get("type") == "features":
+            return cls.from_features(space, need("features"))
+        return cls(space, need("cell_of"))
 
 
 def group(labels: np.ndarray, num_groups: int) -> tuple:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import sample_rows, schema_for_distribution, write_rows_csv
-from .distribution import FiniteJointDistribution, posterior
+from .distribution import FiniteJointDistribution
 from .errors import InvalidDistribution
 from .oracle import plant_sjs
 from .space import FeaturePartition, FeatureSpace
@@ -84,7 +84,7 @@ def cdi_not_sjs_tables() -> tuple:
     x1 = source.space.all_coords()[:, 0]
     weight = np.where(x1 == 1, 0.8, 1.2)
     q_features = source.feature_marginal() * weight
-    post1 = posterior(source, FeaturePartition.full(source.space)).values[:, 1]
+    post1 = source.full_posterior.values[:, 1]
     mass = np.stack([q_features * (1.0 - post1 ** 2), q_features * post1 ** 2], axis=1)
     return source, FiniteJointDistribution(source.space, 2, mass)
 
@@ -124,7 +124,7 @@ def make_preset(kind: str, params: dict | None = None, seed: int = 0) -> tuple:
         reweight = rng.uniform(0.3, 3.0, size=source.space.num_cells)
         q_features = source.feature_marginal() * reweight
         q_features /= q_features.sum()
-        post = posterior(source, FeaturePartition.full(source.space)).values
+        post = source.full_posterior.values
         target = FiniteJointDistribution(source.space, num_labels,
                                          post * q_features[:, None])
         return source, target, tuple(source.space.feature_names)

@@ -196,6 +196,37 @@ def reference_from_json_dict(data: dict) -> np.ndarray:
     return mass / total
 
 
+# -- the 0/0-as-0 ratio and the continuity check --------------------------------
+#
+# The idioms ``distribution.ratio`` and ``distribution.density_ratio``
+# replaced: a masked assignment into zeros, and a raise at the first
+# violating entry.  The library must match them bit for bit and word for word.
+
+
+def reference_ratio(num, den) -> np.ndarray:
+    """``num / den`` assigned where ``den > 0`` into a table of zeros."""
+    num, den = np.broadcast_arrays(np.asarray(num, dtype=np.float64),
+                                   np.asarray(den, dtype=np.float64))
+    out = np.zeros(num.shape)
+    ok = den > 0.0
+    out[ok] = num[ok] / den[ok]
+    return out
+
+
+def reference_continuity_error(q, p, label=None):
+    """The error the hand-written checks raised for ``q`` over ``p``, or None."""
+    from sjslab import AbsoluteContinuityViolated
+
+    bad = (p == 0.0) & (q > 0.0)
+    if not bad.any():
+        return None
+    if bad.ndim == 2:
+        x, i = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        return AbsoluteContinuityViolated(int(x), label=int(i), mass=float(q[x, i]))
+    n = int(np.argmax(bad))
+    return AbsoluteContinuityViolated(n, label=label, mass=float(q[n]))
+
+
 # -- per-cell reference loops ---------------------------------------------------
 #
 # The loops below are the per-cell code the grouping core in ``space``

@@ -150,6 +150,23 @@ class TestEstimate:
         assert best["diagnostics"]["iterations"] == 2
         assert not best["diagnostics"]["converged"]
 
+    def test_exit_code_follows_the_fit_but_not_the_search(self, instance_dir, capsys):
+        """A fit stopped by --max-iter exits 3; a search exits 0 whatever its best fit says."""
+        fit = ["estimate", "--method", "sees-c", "--source", str(instance_dir / "source.json"),
+               "--target-features", str(instance_dir / "target.json"),
+               "--tol", "0", "--max-iter", "2"]
+        assert main(fit + ["--shift-features", "X1"]) == 3
+        assert not read_json(capsys)["diagnostics"]["converged"]
+        assert main(fit + ["--search", "all"]) == 0
+        assert not read_json(capsys)["best"]["diagnostics"]["converged"]
+
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--classifier", "argmax"]])
+    def test_removed_flags_are_usage_errors(self, instance_dir, flag):
+        with pytest.raises(SystemExit) as info:
+            main(["estimate", "--method", "sees-d", "--source", str(instance_dir / "source.json"),
+                  "--target-features", str(instance_dir / "target.json"), *flag])
+        assert info.value.code == 2
+
     def test_search_with_confusion_fits_with_the_classifier(self, instance_dir, capsys):
         code = main(["estimate", "--method", "confusion",
                      "--source", str(instance_dir / "source.json"),

@@ -20,7 +20,14 @@ from sjslab import (
     marginal_density,
     posterior,
 )
-from _support import random_source, reference_from_json_dict, reference_table_json
+from sjslab.distribution import density_ratio, ratio
+from _support import (
+    random_source,
+    reference_continuity_error,
+    reference_from_json_dict,
+    reference_ratio,
+    reference_table_json,
+)
 
 
 def uniform_two_by_two():
@@ -463,3 +470,93 @@ class TestColumnarTableJson:
         for mass in ([[0, "x", 1.0]], [[0, [0], 1.0]], [[0, 0, 1.0], 5], {"0": [0, 0, 1.0]}):
             with pytest.raises(InvalidDistribution):
                 FiniteJointDistribution.from_json_dict({**base, "mass": mass})
+
+
+# -- the 0/0-as-0 ratio, the continuity check and the cached posterior --------
+
+# Zeros, subnormals, and normal values down to where a quotient overflows.
+_ENTRIES = st.one_of(st.just(0.0), st.just(5e-324),
+                     st.floats(0.0, 1e-300, allow_subnormal=True), st.floats(1e-300, 1.0))
+
+
+@st.composite
+def ratio_operands(draw):
+    """``(num, den)`` of one shape, or broadcast along rows or columns, or a scalar."""
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    num_shape, den_shape = draw(st.sampled_from([
+        ((n,), (n,)), ((n, k), (n, k)), ((n, k), (n, 1)), ((n, k), (k,)), ((n, 1), (1, k)),
+        ((n, k), ())]))
+
+    def table(shape):
+        size = int(np.prod(shape, dtype=np.int64))
+        return np.array(draw(st.lists(_ENTRIES, min_size=size, max_size=size))).reshape(shape)
+
+    return table(num_shape), table(den_shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ratio_operands())
+def test_ratio_equals_the_masked_assignment_bit_for_bit(operands):
+    num, den = operands
+    with np.errstate(over="ignore"):
+        got, want = ratio(num, den), reference_ratio(num, den)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_ratio_sets_zero_over_zero_and_positive_over_zero_to_zero():
+    got = ratio(np.array([0.0, 2.0, 0.0, 3.0]), np.array([0.0, 0.0, 4.0, 2.0]))
+    assert got.tobytes() == np.array([0.0, 0.0, 0.0, 1.5]).tobytes()
+
+
+@st.composite
+def continuity_operands(draw):
+    """``(q, p, label)`` tables over 1-D or 2-D index sets, often with violations."""
+    shape = draw(st.sampled_from([(draw(st.integers(1, 8)),),
+                                  (draw(st.integers(1, 6)), draw(st.integers(1, 4)))]))
+    size = int(np.prod(shape))
+    q = np.array(draw(st.lists(_ENTRIES, min_size=size, max_size=size))).reshape(shape)
+    p = np.array(draw(st.lists(_ENTRIES, min_size=size, max_size=size))).reshape(shape)
+    label = draw(st.one_of(st.none(), st.integers(0, 3))) if len(shape) == 1 else None
+    return q, p, label
+
+
+@settings(max_examples=150, deadline=None)
+@given(continuity_operands())
+def test_density_ratio_raises_where_the_hand_written_checks_did(operands):
+    q, p, label = operands
+    want = reference_continuity_error(q, p, label)
+    if want is None:
+        with np.errstate(over="ignore"):
+            got = density_ratio(q, p, label)
+            assert got.tobytes() == reference_ratio(q, p).tobytes()
+        return
+    with pytest.raises(AbsoluteContinuityViolated) as info:
+        density_ratio(q, p, label)
+    got = info.value
+    assert (got.cell, got.label, got.mass) == (want.cell, want.label, want.mass)
+    assert type(got.cell) is int and (got.label is None or type(got.label) is int)
+    assert str(got) == str(want)
+
+
+def test_density_ratio_messages():
+    with pytest.raises(AbsoluteContinuityViolated, match=r"at cell 1$"):
+        density_ratio(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+    with pytest.raises(AbsoluteContinuityViolated, match=r"at cell 1, label 2$"):
+        density_ratio(np.array([0.5, 0.5]), np.array([1.0, 0.0]), label=2)
+    with pytest.raises(AbsoluteContinuityViolated, match=r"at cell 1, label 0$"):
+        density_ratio(np.array([[0.5, 0.0], [0.25, 0.25]]), np.array([[0.5, 0.0], [0.0, 0.5]]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(joint_tables())
+def test_full_posterior_is_built_once_and_equals_posterior(dist):
+    cached = dist.full_posterior
+    assert dist.full_posterior is cached
+    want = posterior(dist, FeaturePartition.full(dist.space))
+    assert cached.values.tobytes() == want.values.tobytes()
+    assert cached.defined.tobytes() == want.defined.tobytes()
+    assert cached.partition.cell_of.tobytes() == want.partition.cell_of.tobytes()
+    assert not cached.values.flags.writeable and not cached.defined.flags.writeable
+    with pytest.raises(ValueError):
+        cached.values[0, 0] = 1.0

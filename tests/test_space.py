@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,6 +117,53 @@ class TestFeaturePartition:
         out2 = aggregate(table, part)
         assert out2.shape == (2, 2)
         assert np.allclose(out2.sum(axis=0), table.sum(axis=0))
+
+
+# -- partition descriptions ------------------------------------------------------
+
+
+@st.composite
+def described_partitions(draw):
+    """Partitions by a feature subset (the empty one included), ``full``, a join
+    of two subsets, and custom ones with no feature subset."""
+    cards = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    space = FeatureSpace([f"x{j}" for j in range(len(cards))], cards)
+    names = list(space.feature_names)
+    subset = st.lists(st.sampled_from(names), unique=True, max_size=len(names))
+    kind = draw(st.sampled_from(["features", "full", "join", "custom"]))
+    if kind == "features":
+        part = FeaturePartition.from_features(space, draw(subset))
+    elif kind == "full":
+        part = FeaturePartition.full(space)
+    elif kind == "join":
+        part = FeaturePartition.from_features(space, draw(subset)).join(
+            FeaturePartition.from_features(space, draw(subset)))
+    else:
+        k = draw(st.integers(1, space.num_cells))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        part = FeaturePartition(space, rng.permutation(np.concatenate(
+            [np.arange(k), rng.integers(0, k, space.num_cells - k)])))
+    return space, part
+
+
+@settings(max_examples=100, deadline=None)
+@given(described_partitions())
+def test_from_description_inverts_describe(case):
+    space, part = case
+    doc = json.loads(json.dumps(part.describe()))
+    back = FeaturePartition.from_description(space, doc)
+    assert back.describe() == part.describe()
+    assert back.num_cells == part.num_cells
+    assert back.cell_of.tobytes() == part.cell_of.tobytes()
+    assert back.feature_subset == part.feature_subset
+
+
+@pytest.mark.parametrize("doc,key", [({"type": "features"}, "features"),
+                                     ({"type": "custom"}, "cell_of"), ([0, 0], "cell_of")])
+def test_from_description_names_the_missing_key(doc, key):
+    space = FeatureSpace(["a"], [2])
+    with pytest.raises(InvalidDistribution, match=f"^partition has no {key!r}$"):
+        FeaturePartition.from_description(space, doc)
 
 
 # -- the grouping core against the per-cell loops it replaced ------------------
