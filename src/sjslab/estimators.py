@@ -28,7 +28,7 @@ import numpy as np
 from .distribution import ConditionalTable, FiniteJointDistribution, density_ratio, ratio
 from .errors import DegenerateObjective, InvalidDistribution, NotConverged, SjslabError
 from .shifts import numerical_rank
-from .space import FeaturePartition, FeatureSpace, aggregate, group, group_sum
+from .space import FeaturePartition, FeatureSpace, aggregate, group_sum, stacks
 
 _MARGINAL_TOL = 1e-9
 
@@ -142,54 +142,77 @@ def train_argmax_classifier(p: FiniteJointDistribution) -> HardClassifier:
     return HardClassifier(p.space, p.num_labels, np.argmax(p.full_posterior.values, axis=1))
 
 
-def nnls(A: np.ndarray, b: np.ndarray) -> tuple:
-    """``scipy.optimize.nnls``, imported on first use: the import costs most of ``import sjslab``."""
-    from scipy.optimize import nnls as scipy_nnls
+def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("...ij,...j->...i", M, v)
 
-    return scipy_nnls(A, b)
+
+def nnls(A: np.ndarray, b: np.ndarray) -> tuple:
+    """``(x, rnorm)``: ``x >= 0`` minimising ``rnorm = ||A x - b||``, for one system or a stack.
+
+    The active-set method of Lawson & Hanson (1974, *Solving Least Squares
+    Problems*, ch. 23) on every system of ``A`` (``(..., m, k)``) and ``b``
+    (``(..., m)``) at once: each step is one stacked least-squares solve
+    over the systems still moving.  After ``10 * (k + 1)`` steps ``x`` is
+    returned as it stands, feasible as every iterate is.
+    """
+    A, b = np.asarray(A, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    shape, (m, k) = A.shape[:-2], A.shape[-2:]
+    A, b = A.reshape(-1, m, k), b.reshape(-1, m)
+    x, passive = np.zeros((len(A), k)), np.zeros((len(A), k), dtype=bool)
+    tol = 10 * np.finfo(float).eps * max(m, k) * np.linalg.norm(A, axis=(1, 2)) \
+        * np.linalg.norm(b, axis=1)
+    moving, choosing = np.ones(len(A), dtype=bool), np.ones(len(A), dtype=bool)
+    for _ in range(10 * (k + 1)):
+        g = np.nonzero(choosing)[0]  # outer step: the column of largest gradient enters
+        w = np.where(passive[g], -np.inf, _mv(np.swapaxes(A[g], 1, 2), b[g] - _mv(A[g], x[g])))
+        j = np.argmax(w, axis=1)
+        enter = w[np.arange(g.size), j] > tol[g]
+        moving[g[~enter]], passive[g[enter], j[enter]], choosing[g] = False, True, False
+        g = np.nonzero(moving)[0]
+        if not g.size:
+            break
+        on, xg = passive[g], x[g]
+        s = _mv(np.linalg.pinv(A[g] * on[:, None, :]), b[g]) * on
+        # inner step: to s, or towards it until the first passive entry reaches 0 and leaves
+        t = np.where(on & (s <= 0.0), ratio(xg, xg - s), np.inf)
+        done = np.all(np.isinf(t), axis=1)
+        xg += np.minimum(t.min(axis=1), 1.0)[:, None] * (s - xg)
+        xg[np.arange(g.size), np.argmin(t, axis=1)] *= done
+        passive[g] = on & (xg > 0.0)
+        x[g] = np.where(passive[g], xg, 0.0)
+        choosing[g] = done | ~passive[g].any(axis=1)
+    rnorm = np.linalg.norm(_mv(A, x) - b, axis=1)
+    if not shape:
+        return x[0], float(rnorm[0])
+    return x.reshape(*shape, k), rnorm.reshape(shape)
 
 
 # -- anchored solutions for rank-deficient cells -------------------------------
 
 
-def _ldp(G: np.ndarray, h: np.ndarray) -> np.ndarray | None:
-    """Minimum-norm x with G x >= h, via the classic reduction to NNLS.
-
-    Returns None when the constraints are (numerically) infeasible.
-    """
-    m, n = G.shape
-    E = np.vstack([G.T, h[None, :]])
-    fvec = np.zeros(n + 1)
-    fvec[-1] = 1.0
-    u, _ = nnls(E, fvec)
-    r = E @ u - fvec
-    if abs(r[-1]) < 1e-12:
-        return None
-    return -r[:-1] / r[-1]
-
-
-def _anchored_solution(A: np.ndarray, u_hat: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    """Point of ``{u >= 0 : A u = A u_hat}`` closest to ``anchor``.
+def _anchored_solution(A: np.ndarray, u_hat: np.ndarray, anchor: np.ndarray,
+                       scale=None) -> np.ndarray:
+    """Point of ``{u >= 0 : A u = A u_hat}`` closest to ``anchor``, for one system or a stack.
 
     ``u_hat`` (a non-negative least-squares solution) certifies the set
-    is non-empty; it is returned unchanged when the projection cannot be
-    computed reliably.
+    is non-empty; it is returned unchanged where the projection cannot be
+    computed reliably.  ``scale`` is the rank rule's, ``max(A.shape[-2:])``
+    by default.
     """
-    b = A @ u_hat
-    u0, *_ = np.linalg.lstsq(A, b, rcond=None)
     _, s, vt = np.linalg.svd(A)
-    rank = numerical_rank(s, max(A.shape))
-    null = vt[rank:].T  # orthonormal basis of null(A)
-    if null.shape[1] == 0:
-        return np.maximum(u0, 0.0)
-    z0 = null.T @ (anchor - u0)
-    v = _ldp(null, -(u0 + null @ z0))
-    if v is None:
-        return u_hat
-    u = u0 + null @ (z0 + v)
-    if u.min() < -1e-9:
-        return u_hat
-    return np.maximum(u, 0.0)
+    rank = np.asarray(numerical_rank(s, max(A.shape[-2:]) if scale is None else scale))
+    # orthonormal basis of null(A), as columns; the rest are zero
+    null = np.swapaxes(vt, -1, -2) * (np.arange(vt.shape[-1]) >= rank[..., None])[..., None, :]
+    base = u_hat + _mv(null, _mv(np.swapaxes(null, -1, -2), anchor - u_hat))
+    # Minimum-norm v with null @ v >= -base (least distance), by the classic reduction to NNLS.
+    E = np.concatenate([np.swapaxes(null, -1, -2), -base[..., None, :]], axis=-2)
+    e = np.zeros(E.shape[:-1])
+    e[..., -1] = 1.0
+    r = _mv(E, nnls(E, e)[0]) - e
+    feasible = np.abs(r[..., -1]) >= 1e-12
+    u = base - _mv(null, r[..., :-1] / np.where(feasible, r[..., -1], 1.0)[..., None])
+    ok = feasible & (u.min(axis=-1) >= -1e-9)
+    return np.where(ok[..., None], np.maximum(u, 0.0), u_hat)
 
 
 # -- SEES-d: per-cell linear systems ------------------------------------------
@@ -283,49 +306,51 @@ def sees_d_fit(p: FiniteJointDistribution, q_marginal: np.ndarray,
     p_hp = p_hp_label.sum(axis=1)
     density = density_ratio(aggregate(q_marginal, h_prime), p_hp)
     p_f_label = aggregate(p.mass, f)
-    # Equations come from the positive-mass h'-cells, grouped by f-cell.
-    live = np.nonzero(p_hp > 0.0)[0]
-    order, bounds = group(parent[live], f.num_cells)
-    live = live[order]
-
+    positive = p_f_label > 0.0
     ell = p.num_labels
-    u = np.zeros((f.num_cells, ell))
-    residual = 0.0
-    per_cell_residual = np.zeros(f.num_cells)
-    deficient: list[int] = []
-    systems: dict[int, tuple] = {}
-    for n in range(f.num_cells):
-        rows = live[bounds[n]:bounds[n + 1]]
-        cols = np.nonzero(p_f_label[n] > 0.0)[0]
-        if rows.size == 0 or cols.size == 0:
-            continue
-        post_rows = p_hp_label[rows[:, None], cols] / p_hp[rows, None]
-        A = post_rows / p_f_label[n, cols][None, :]
-        sol, rnorm = nnls(A, density[rows])
-        per_cell_residual[n] = float(rnorm) ** 2
-        residual += float(rnorm) ** 2
-        s = np.linalg.svd(A, compute_uv=False)
-        if numerical_rank(s, max(A.shape)) < cols.size:
-            deficient.append(n)
-            systems[n] = (A, cols, sol)
-        u[n, cols] = sol
+    # Equations come from the positive-mass h'-cells.  One QR of [A | b] per f-cell
+    # leaves an (ell + 1, ell + 1) triangle R with A's solutions, singular values and
+    # null space, and the residual below R[:ell]; an overflow leaves it non-finite.
+    live = np.nonzero(p_hp > 0.0)[0]
+    tri = np.zeros((f.num_cells, ell + 1, ell + 1))
+    scale = np.maximum(np.bincount(parent[live], minlength=f.num_cells), positive.sum(axis=1))
+    per_label = ratio(1.0, p_f_label)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cells, members in stacks(parent[live], f.num_cells):
+            x = live[members]
+            columns = np.empty((cells.size, ell + 1, x.shape[1]))  # [A | b] column by column
+            p_x = p_hp[x]
+            for i in range(ell):
+                columns[:, i] = p_hp_label[x, i] / p_x * per_label[cells, i, None]
+            columns[:, ell] = density[x]
+            r = np.linalg.qr(np.swapaxes(columns, 1, 2), mode="r")
+            tri[cells, :r.shape[1]] = r
+        R, T, c = tri[:, :, :ell], tri[:, :ell, :ell], tri[:, :ell, ell]
+        rank = numerical_rank(np.linalg.svd(T, compute_uv=False), scale[:, None])
+        # A full-rank cell's least-squares solution, if non-negative, is its NNLS optimum.
+        u, full = np.zeros((f.num_cells, ell)), rank == ell
+        u[full] = np.linalg.solve(T[full], c[full, :, None])[:, :, 0]
+        rest = ~full | np.any(u < 0.0, axis=1)
+        u[rest] = nnls(T[rest], c[rest])[0]
+        per_cell_residual = np.sum((_mv(R, u) - tri[:, :, ell]) ** 2, axis=1)
+    if not np.all(np.isfinite(per_cell_residual)):
+        n = int(np.argmin(np.isfinite(per_cell_residual)))
+        raise DegenerateObjective(
+            f"f-cell {n}: squared residual {per_cell_residual[n]} is not finite "
+            f"(target/source density up to {np.max(density[parent == n]):.3g})")
 
-    if deficient:
+    deficient = rank < positive.sum(axis=1)
+    if deficient.any():
         # Overall prior ratios from the determinate cells anchor the rest.
-        det = np.ones(f.num_cells, dtype=bool)
-        det[deficient] = False
-        det_mass = u[det].sum(axis=0)
-        det_source = p_f_label[det].sum(axis=0)
-        for n in deficient:
-            A, cols, sol = systems[n]
-            rho = np.divide(det_mass[cols], det_source[cols],
-                            out=np.ones(cols.size), where=det_source[cols] > 0.0)
-            anchor = p_f_label[n, cols] * rho
-            u[n, cols] = _anchored_solution(A, sol, anchor)
+        det_mass, det_source = u[~deficient].sum(axis=0), p_f_label[~deficient].sum(axis=0)
+        rho = np.divide(det_mass, det_source, out=np.ones(ell), where=det_source > 0.0)
+        u[deficient] = _anchored_solution(R[deficient], u[deficient],
+                                          p_f_label[deficient] * rho, scale[deficient, None])
+        u[~positive] = 0.0
 
-    diagnostics = {"underdetermined_cells": deficient,
+    diagnostics = {"underdetermined_cells": np.nonzero(deficient)[0].tolist(),
                    "per_cell_residual": per_cell_residual.tolist()}
-    return fit_from_cell_mass(p, f, u, residual, "sees_d", diagnostics)
+    return fit_from_cell_mass(p, f, u, per_cell_residual.sum(), "sees_d", diagnostics)
 
 
 def sees_d_fit_with_classifier(p: FiniteJointDistribution, q_marginal: np.ndarray,

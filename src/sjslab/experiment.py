@@ -17,7 +17,6 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .datasets import (
@@ -254,7 +253,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "sjslab": __version__,
         },
     }

@@ -226,6 +226,22 @@ def group(labels: np.ndarray, num_groups: int) -> tuple:
     return order, bounds
 
 
+def stacks(labels: np.ndarray, num_groups: int) -> list:
+    """The non-empty groups of :func:`group`, stacked by size.
+
+    Returns one ``(groups, members)`` pair per distinct group size, where
+    ``members[j]`` is group ``groups[j]`` (ascending), so ``values[members]``
+    is a ``(len(groups), size, ...)`` array with no padding.
+    """
+    order, bounds = group(labels, num_groups)
+    sizes = np.diff(bounds)
+    out = []
+    for size in np.unique(sizes[sizes > 0]):
+        groups = np.nonzero(sizes == size)[0]
+        out.append((groups, order[bounds[groups, None] + np.arange(size)]))
+    return out
+
+
 def group_sum(labels: np.ndarray, values: np.ndarray, num_groups: int) -> np.ndarray:
     """Sum the rows of 1-D or 2-D ``values`` per group, in row order (``np.bincount``)."""
     if values.ndim == 1:

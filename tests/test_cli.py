@@ -26,12 +26,30 @@ def read_json(capsys):
     return json.loads(capsys.readouterr().out)
 
 
-def test_import_leaves_scipy_optimize_unloaded():
+def test_import_leaves_scipy_optimize_unloaded(tmp_path):
+    # Neither the import nor a simulate, a SEES-d report and a search load scipy.
     env = {**os.environ, "PYTHONPATH": str(Path(sjslab.__file__).resolve().parents[1])}
-    code = "import sys, sjslab, sjslab.cli; print('scipy.optimize' in sys.modules)"
+    inst = tmp_path / "inst"
+    config = {"source_path": str(inst / "source_sample.csv"),
+              "target_path": str(inst / "target_features.csv"),
+              "shift_features": ["X1"], "method": "sees-d", "output_dir": str(tmp_path / "run")}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    commands = [
+        ["simulate", "--kind", "paper_example", "--out", str(inst), "--seed", "3",
+         "--samples", "400"],
+        ["report", "--config", str(tmp_path / "config.json")],
+        ["estimate", "--method", "sees-d", "--source", str(inst / "source.json"),
+         "--target-features", str(inst / "target.json"), "--search", "all",
+         "--out", str(tmp_path / "search.json")],
+    ]
+    code = ("import sys, sjslab, sjslab.cli\n"
+            "loaded = lambda: [m for m in ('scipy', 'scipy.optimize') if m in sys.modules]\n"
+            "after_import = loaded()\n"
+            f"codes = [sjslab.cli.main(argv) for argv in {commands!r}]\n"
+            "print([after_import, codes, loaded()])\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "[[], [0, 0, 0], []]"
 
 
 class TestSimulate:
@@ -177,6 +195,17 @@ class TestEstimate:
 
 
 class TestEstimateInputErrors:
+    def test_non_finite_residual_exits_1(self, tmp_path, capsys):
+        space = FeatureSpace(["X1", "X2"], [2, 3])
+        mass = np.full((6, 2), 1.0 / 12)
+        mass[4] = 0.5e-301
+        FiniteJointDistribution(space, 2, mass / mass.sum()).save(tmp_path / "p.json")
+        FiniteJointDistribution(space, 2, np.full((6, 2), 1.0 / 12)).save(tmp_path / "q.json")
+        code = main(["estimate", "--method", "sees-d", "--source", str(tmp_path / "p.json"),
+                     "--target-features", str(tmp_path / "q.json"), "--shift-features", "X1"])
+        assert code == 1
+        assert "f-cell 1: squared residual" in capsys.readouterr().err
+
     def test_oversized_csv_field_exits_1(self, tmp_path, capsys):
         example_source().save(tmp_path / "p.json")
         (tmp_path / "q.csv").write_text("X1,X2\n0," + "1" * 131073 + "\n")

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from sjslab import (
     AbsoluteContinuityViolated,
+    DegenerateObjective,
     FeaturePartition,
     FeatureSpace,
     FiniteJointDistribution,
@@ -146,6 +147,65 @@ class TestSeesD:
         np.testing.assert_allclose(rec.feature_marginal(),
                                    inst.target.feature_marginal(), atol=1e-9)
         assert_fit_invariants(fit, p)
+
+    def test_non_finite_residual_names_the_f_cell(self):
+        # A source cell of mass ~1e-301 where the target has ordinary mass makes
+        # b = q / p about 1e300, whose squared residual overflows.
+        space = FeatureSpace(["X1", "X2"], [2, 3])
+        mass = np.full((6, 2), 1.0 / 12)
+        mass[4] = 0.5e-301
+        p = FiniteJointDistribution(space, 2, mass / mass.sum())
+        q = np.full(6, 1.0 / 6)
+        with pytest.raises(DegenerateObjective, match="f-cell 1: squared residual"):
+            sees_d_fit(p, q, FeaturePartition.from_features(space, ["X1"]))
+        ranking = sparsity_search(p, q, ["X1", "X2"], 0.0)
+        assert ranking and all(r.fit is None and "f-cell" in r.error for r in ranking)
+
+
+class TestNnls:
+    """The in-house NNLS against ``scipy.optimize.nnls`` as the reference."""
+
+    KINDS = ["full_rank", "rank_deficient", "negative_least_squares", "zero_columns"]
+
+    @staticmethod
+    def system(seed, kind, m, k):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(m, k))
+        if kind == "rank_deficient":  # an exact integer product, so the rank is exact
+            r = int(rng.integers(1, k)) if k > 1 else 1
+            A = (rng.integers(-3, 4, (m, r)) @ rng.integers(-3, 4, (r, k))).astype(float)
+        elif kind == "zero_columns":
+            A[:, rng.random(k) < 0.5] = 0.0
+        if kind == "negative_least_squares":
+            b = A @ rng.uniform(-1.0, 1.0, k)
+        else:
+            b = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3)
+        return A, b
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(KINDS), st.integers(1, 7),
+           st.integers(1, 6))
+    def test_agrees_with_scipy(self, seed, kind, m, k):
+        from scipy.optimize import nnls as reference_nnls
+
+        A, b = self.system(seed, kind, m, k)
+        x, rnorm = estimators.nnls(A, b)
+        want, want_rnorm = reference_nnls(A, b)
+        assert x.shape == (k,) and np.all(x >= 0.0)
+        assert abs(rnorm - np.linalg.norm(A @ x - b)) <= 1e-12 * np.linalg.norm(b)
+        # Objectives relative to the objective at x = 0.
+        assert abs(rnorm ** 2 - want_rnorm ** 2) <= 1e-12 * (b @ b)
+        if m >= k and np.linalg.cond(A) < 1e6:
+            np.testing.assert_allclose(x, want, rtol=1e-9, atol=1e-9 * max(1.0, want.max()))
+
+    def test_solves_a_stack_as_its_systems(self):
+        systems = [self.system(seed, kind, 5, 3) for seed in range(10) for kind in self.KINDS]
+        x, rnorm = estimators.nnls(np.stack([A for A, _ in systems]),
+                                   np.stack([b for _, b in systems]))
+        for (A, b), got, got_rnorm in zip(systems, x, rnorm):
+            want, want_rnorm = estimators.nnls(A, b)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+            assert got_rnorm == pytest.approx(want_rnorm, rel=1e-12, abs=1e-15)
 
 
 class TestRankRule:
