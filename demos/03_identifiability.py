@@ -3,7 +3,8 @@
 Shift on a partition leaves one linear system per cell linking the
 unknown (cell, label) masses to the observable feature marginal.  The
 conditional class matrix decides solvability: the model is identifiable
-when every positive-mass cell reaches full rank.  Good statistics are
+when every cell's rank equals the number of labels with source mass in
+it.  Good statistics are
 the source posteriors or the decision regions of an accurate classifier.
 """
 
@@ -31,10 +32,10 @@ for n, (rank, svals) in enumerate(zip(report.per_cell_rank, report.singular_valu
 print("identifiable:", report.identifiable)
 
 # In the two-label case the rank condition has a direct reading: the full
-# posterior must vary inside some partition cell.
+# posterior must vary inside every partition cell holding both labels.
 verdict = binary_variance_criterion(source, x1)
 print("posterior varies within cells:", verdict.holds,
-      f"(max within-cell deviation {verdict.max_violation:.3f})")
+      f"(smallest within-cell spread {verdict.max_violation:.3f})")
 
 # Classifier decision regions work as statistics too.
 clf = train_argmax_classifier(source)

@@ -398,7 +398,7 @@ def class_conditional_density(q: FiniteJointDistribution, p: FiniteJointDistribu
 
 def full_importance_weight(q: FiniteJointDistribution,
                            p: FiniteJointDistribution) -> np.ndarray:
-    """Importance weight table over (feature cell, label).
+    """Importance weight table over (feature cell, label): ``density_ratio(q.mass, p.mass)``.
 
     Entry ``(x, i)`` is the per-label feature density times the prior
     ratio, which reconstructs the target cellwise: ``q = weight * p``.
@@ -407,13 +407,7 @@ def full_importance_weight(q: FiniteJointDistribution,
         raise InvalidDistribution("source and target must share space and labels")
     p.require_positive_labels("source")
     q.require_positive_labels("target")
-    full = FeaturePartition.full(p.space)
-    prior_ratio = q.label_masses() / p.label_masses()
-    out = np.zeros_like(p.mass)
-    for i in range(p.num_labels):
-        h_i = class_conditional_density(q, p, full, i)
-        out[:, i] = h_i * prior_ratio[i]
-    return out
+    return density_ratio(q.mass, p.mass)
 
 
 def kl_divergence(p_table: np.ndarray, q_table: np.ndarray) -> float:

@@ -253,17 +253,16 @@ def fit_from_cell_mass(p: FiniteJointDistribution, f: FeaturePartition, u: np.nd
         raise InvalidDistribution("fit produced zero total mass")
     u = u / total
     priors = u.sum(axis=0)
-    p_f_label = aggregate(p.mass, f)
-    # Class-conditional density ratios: (f-cell, label) masses over the label priors.
-    f_ratios = ratio(ratio(u, priors), ratio(p_f_label, p.label_masses()))
-    corrected = _posterior_correct_with_ratios(p, f, _conditional_ratios(u, p_f_label))
-    return SjsFit(f, u, priors, f_ratios, corrected, float(residual), method, diagnostics)
+    w = _shift_density(p, f, u)
+    # Class-conditional density ratios: dQ/dP over the prior ratio Q_i / P_i.
+    f_ratios = w * ratio(p.label_masses(), priors)
+    return SjsFit(f, u, priors, f_ratios, _corrected_posterior(p, f, w), float(residual),
+                  method, diagnostics)
 
 
-def _conditional_ratios(u: np.ndarray, p_f_label: np.ndarray) -> np.ndarray:
-    """Target over source label probabilities conditional on each f-cell."""
-    return ratio(ratio(u, u.sum(axis=1)[:, None]),
-                 ratio(p_f_label, p_f_label.sum(axis=1)[:, None]))
+def _shift_density(p: FiniteJointDistribution, f: FeaturePartition, u: np.ndarray) -> np.ndarray:
+    """The fitted shift density ``dQ/dP`` per (f-cell, label): ``u`` over the source's masses."""
+    return ratio(u, aggregate(p.mass, f))
 
 
 def sees_d_fit(p: FiniteJointDistribution, q_marginal: np.ndarray,
@@ -304,18 +303,19 @@ def sees_d_fit(p: FiniteJointDistribution, q_marginal: np.ndarray,
     parent = h_prime.parent_cells(f)
     p_hp_label = aggregate(p.mass, h_prime)
     p_hp = p_hp_label.sum(axis=1)
-    density = density_ratio(aggregate(q_marginal, h_prime), p_hp)
     p_f_label = aggregate(p.mass, f)
     positive = p_f_label > 0.0
     ell = p.num_labels
     # Equations come from the positive-mass h'-cells.  One QR of [A | b] per f-cell
     # leaves an (ell + 1, ell + 1) triangle R with A's solutions, singular values and
-    # null space, and the residual below R[:ell]; an overflow leaves it non-finite.
+    # null space, and the residual below R[:ell]; an overflow (such as a density
+    # over a subnormal source mass) leaves it non-finite.
     live = np.nonzero(p_hp > 0.0)[0]
     tri = np.zeros((f.num_cells, ell + 1, ell + 1))
     scale = np.maximum(np.bincount(parent[live], minlength=f.num_cells), positive.sum(axis=1))
-    per_label = ratio(1.0, p_f_label)
     with np.errstate(over="ignore", invalid="ignore"):
+        density = density_ratio(aggregate(q_marginal, h_prime), p_hp)
+        per_label = ratio(1.0, p_f_label)
         for cells, members in stacks(parent[live], f.num_cells):
             x = live[members]
             columns = np.empty((cells.size, ell + 1, x.shape[1]))  # [A | b] column by column
@@ -408,7 +408,9 @@ class SeesCProblem:
         self.p = p
         self.f = f
         self.num_labels = p.num_labels
-        density = density_ratio(q_marginal, p.feature_marginal())
+        p_h = p.feature_marginal()
+        if np.any(q_marginal[p_h == 0.0] > 0.0):
+            density_ratio(q_marginal, p_h)  # raises at the first violation
         priors = p.label_masses()
         post = p.full_posterior.values
         self.coeffs = aggregate(p.mass, f) / priors  # E_{P_i}[1_{F_n}]
@@ -418,7 +420,8 @@ class SeesCProblem:
         self._bq = post[support] / priors
         self._qx = q_marginal[support]
         self.cell_mass = group_sum(self._idx, self._qx, f.num_cells)
-        self.kl_offset = float(np.sum(self._qx * np.log(density[support])))
+        # From logs, so a subnormal source mass cannot overflow a density.
+        self.kl_offset = float(np.sum(self._qx * (np.log(self._qx) - np.log(p_h[support]))))
 
     def initial_phi(self) -> np.ndarray:
         """Feasible start equivalent to the no-shift hypothesis."""
@@ -577,19 +580,17 @@ def sees_c_fit(p: FiniteJointDistribution, q_marginal: np.ndarray, f: FeaturePar
 # -- posterior correction and reconstruction -----------------------------------
 
 
-def _posterior_correct_with_ratios(p: FiniteJointDistribution, f: FeaturePartition,
-                                   ratios: np.ndarray) -> ConditionalTable:
-    """Apply the conditional correction formula with explicit prior ratios.
+def _normalised_rows(full: FeaturePartition, joint: np.ndarray) -> ConditionalTable:
+    """Rows of ``joint`` over their sums, undefined where a row sums to 0."""
+    denom = joint.sum(axis=1)
+    return ConditionalTable(full, ratio(joint, denom[:, None]), denom > 0.0)
 
-    ``ratios[n, i]`` is the target/source ratio of the label-``i``
-    probability conditional on f-cell ``n``.  Cells where the corrected
-    denominator vanishes are flagged undefined (possible only on
-    target-null cells); the 0/0-as-0 convention applies throughout.
-    """
-    post = p.full_posterior
-    numer = ratios[f.cell_of] * post.values
-    denom = numer.sum(axis=1)
-    return ConditionalTable(post.partition, ratio(numer, denom[:, None]), denom > 0.0)
+
+def _corrected_posterior(p: FiniteJointDistribution, f: FeaturePartition,
+                         w: np.ndarray) -> ConditionalTable:
+    """Target label posterior of the source times the shift density ``w``."""
+    # The cached source posterior is built, if it must be, before the joint is allocated.
+    return _normalised_rows(p.full_posterior.partition, p.mass * w[f.cell_of])
 
 
 def posterior_correct(p: FiniteJointDistribution, correction) -> ConditionalTable:
@@ -602,18 +603,21 @@ def posterior_correct(p: FiniteJointDistribution, correction) -> ConditionalTabl
 
         ``corrected_i(x) ~ ratio_i(cell of x) * source_posterior_i(x)``
 
-    normalised over labels.
+    normalised over labels.  For a fit the per-cell factors cancel in the
+    normalisation, which leaves the source joint times the fitted shift
+    density ``Q[cell n, label i] / P[cell n, label i]``: the result is the
+    fit's ``corrected_posterior``.
     """
     if isinstance(correction, SjsFit):
         f = correction.partition
-        ratios = _conditional_ratios(correction.cell_label_mass, aggregate(p.mass, f))
-        return _posterior_correct_with_ratios(p, f, ratios)
+        return _corrected_posterior(p, f, _shift_density(p, f, correction.cell_label_mass))
     target_table, source_table = correction
     if target_table.partition.num_cells != source_table.partition.num_cells:
         raise InvalidDistribution("conditional tables must share their partition")
     ratios = ratio(target_table.values, source_table.values)
     ratios[~(target_table.defined & source_table.defined)] = 0.0
-    return _posterior_correct_with_ratios(p, source_table.partition, ratios)
+    post = p.full_posterior
+    return _normalised_rows(post.partition, ratios[source_table.partition.cell_of] * post.values)
 
 
 def reconstruct_target(p: FiniteJointDistribution, fit: SjsFit) -> FiniteJointDistribution:
@@ -623,12 +627,13 @@ def reconstruct_target(p: FiniteJointDistribution, fit: SjsFit) -> FiniteJointDi
     for ``n`` the f-cell of ``x``.
     """
     f = fit.partition
-    p_f_label = aggregate(p.mass, f)
-    lost = fit.cell_label_mass[p_f_label <= 0.0].sum()
+    w = _shift_density(p, f, fit.cell_label_mass)
+    # Masses are at most 1, so w is 0 only where u is 0 or the source pair is null.
+    lost = fit.cell_label_mass[w == 0.0].sum()
     if lost > 1e-9:
         raise InvalidDistribution(
             f"fit places mass {lost:.3g} on source-null (cell, label) pairs")
-    mass = p.mass * ratio(fit.cell_label_mass, p_f_label)[f.cell_of]
+    mass = p.mass * w[f.cell_of]
     total = mass.sum()
     if abs(total - 1.0) > 1e-9:
         raise InvalidDistribution(f"reconstructed table totals {total!r}")

@@ -3,7 +3,7 @@
 A run loads the source and target data, estimates the target under the
 configured shift hypothesis, and writes four artefacts into the output
 directory: the fit, the corrected posterior, the identifiability report
-and a manifest (hashed inputs, seed, versions) that pins the run down
+and a manifest (config, hashed inputs, versions) that pins the run down
 for bit-exact reproduction.
 """
 
@@ -13,7 +13,7 @@ import csv
 import hashlib
 import json
 import platform
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -57,9 +57,7 @@ class ExperimentConfig:
     shift_features: tuple
     method: str = "sees-d"
     smoothing_alpha: float = 0.0
-    seed: int = 0
     output_dir: str = "run"
-    check_tol: float = 1e-9
     optimizer_tol: float = 1e-10
     max_iter: int = 10000
 
@@ -87,18 +85,7 @@ class ExperimentConfig:
         return cls(**data)
 
     def to_json_dict(self) -> dict:
-        return {
-            "source_path": self.source_path,
-            "target_path": self.target_path,
-            "shift_features": list(self.shift_features),
-            "method": self.method,
-            "smoothing_alpha": self.smoothing_alpha,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "check_tol": self.check_tol,
-            "optimizer_tol": self.optimizer_tol,
-            "max_iter": self.max_iter,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,7 +233,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "source": {"path": config.source_path, "sha256": _sha256(config.source_path)},
             "target": {"path": config.target_path, "sha256": _sha256(config.target_path)},
         },
-        "seed": config.seed,
         "status": status,
         "exit_code": exit_code,
         "outputs": sorted(p.name for p in outputs.values()),

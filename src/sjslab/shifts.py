@@ -41,8 +41,8 @@ class ShiftVerdict:
     For equality-style checks (``kind`` in sjs/prior_shift/covariate_shift/
     cdi/sufficiency) ``holds`` is True iff ``max_violation <= tol``.  For
     the variance criterion the reading flips: ``max_violation`` is the
-    largest within-cell posterior deviation and the criterion holds iff
-    it exceeds the tolerance.
+    smallest within-cell posterior spread and the criterion holds iff it
+    exceeds the tolerance (or no cell holds both labels).
 
     ``witness`` is ``(partition_cell, feature_cell, label)`` for the
     entry achieving ``max_violation`` (entries may be None).
@@ -72,7 +72,7 @@ class RankReport:
     """Conditional class matrix, its numerical rank, and the verdict.
 
     One matrix per partition cell; ``identifiable`` is True iff every
-    positive-source-mass cell reaches full rank.
+    cell's rank equals the number of labels with source mass in it.
     """
 
     partition: FeaturePartition
@@ -249,8 +249,10 @@ def rank_matrix(p: FiniteJointDistribution, g: FeaturePartition, statistics: lis
     statistic ``i`` under the class-``j`` conditional distribution,
     conditioned on the cell.  A singular value counts towards the rank
     when it exceeds ``sigma_max * num_labels * RANK_RTOL``; the shift
-    model is identifiable from the feature marginal when every
-    positive-mass cell reaches full rank.
+    model is identifiable from the feature marginal when every cell's
+    rank equals the number of labels with source mass in it.  A label
+    absent from a cell has target mass 0 there, so its zero column loses
+    nothing.
     """
     p.require_positive_labels("source")
     if len(statistics) != p.num_labels:
@@ -260,7 +262,7 @@ def rank_matrix(p: FiniteJointDistribution, g: FeaturePartition, statistics: lis
     cell_masses = class_cell.sum(axis=1)
     svals = np.linalg.svd(matrices, compute_uv=False)
     ranks = numerical_rank(svals, p.num_labels)
-    identifiable = not np.any((cell_masses > 0.0) & (ranks < p.num_labels))
+    identifiable = not np.any(ranks < np.count_nonzero(class_cell > 0.0, axis=1))
     return RankReport(g, p.num_labels, matrices, ranks.tolist(), list(svals), cell_masses,
                       identifiable)
 
@@ -285,11 +287,14 @@ def binary_variance_criterion(p: FiniteJointDistribution, g: FeaturePartition,
                               tol: float = DEFAULT_TOL) -> ShiftVerdict:
     """Two-label identifiability criterion via within-cell posterior variance.
 
-    Holds iff the full-feature label posterior is non-constant inside at
-    least one positive-mass cell of ``g`` (deviation from the cell
-    average exceeding ``tol`` on a positive-mass feature cell).  With
-    posterior statistics this is equivalent to the full-rank condition
-    of :func:`rank_matrix`.
+    Holds iff the full-feature label posterior is non-constant inside
+    every cell of ``g`` in which both labels have source mass: its
+    spread there, the largest deviation from the cell average on a
+    positive-mass feature cell, exceeds ``tol``.  ``max_violation`` is
+    the smallest such spread, and ``witness`` names that cell and the
+    feature cell reaching it; with no such cell the criterion holds,
+    with spread 0 and no witness.  With posterior statistics this is
+    equivalent to the rank condition of :func:`rank_matrix`.
     """
     if p.num_labels != 2:
         raise InvalidDistribution("the variance criterion is defined for 2 labels")
@@ -299,10 +304,15 @@ def binary_variance_criterion(p: FiniteJointDistribution, g: FeaturePartition,
     cell_avg = ratio(aggregate(p_h * post, g), aggregate(p_h, g))
     dev = np.abs(post - cell_avg[g.cell_of])
     dev[p_h == 0.0] = 0.0
-    x = int(np.argmax(dev))
-    max_dev = float(dev[x])
-    return ShiftVerdict("binary_variance_criterion", max_dev > tol, max_dev, tol,
-                        (int(g.cell_of[x]), x, 0))
+    spread = np.zeros(g.num_cells)
+    np.maximum.at(spread, g.cell_of, dev)
+    both = np.flatnonzero(np.all(p.project(g) > 0.0, axis=1))
+    if not both.size:
+        return ShiftVerdict("binary_variance_criterion", True, 0.0, tol)
+    n = int(both[np.argmin(spread[both])])
+    x = int(np.argmax(np.where(g.cell_of == n, dev, -1.0)))
+    weakest = float(spread[n])
+    return ShiftVerdict("binary_variance_criterion", weakest > tol, weakest, tol, (n, x, 0))
 
 
 # -- triangle of shift hypotheses ---------------------------------------------

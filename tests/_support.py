@@ -378,14 +378,14 @@ def awkward_source(rng, cardinalities, num_labels, shift_features, zero_cells=0.
     return FiniteJointDistribution(space, num_labels, mass / mass.sum()), f
 
 
-def awkward_instance(rng, margins=True):
+def awkward_planted(rng, margins=True):
     """Planted shift on an :func:`awkward_source` of drawn shape.
 
     2 or 3 features of 2 to 4 values, 2 or 3 labels, each kind of zero at
     rate 0 or 0.2 and, with ``margins``, a collinear f-cell at a margin of
     1e-2 to 1e-8 in three draws of five; without, the shift is on a
-    proper feature subset.  Returns ``(source, f, target feature
-    marginal)``, or ``None`` where :func:`awkward_source` gives none.
+    proper feature subset.  Returns ``(source, f, planted instance)``, or
+    ``None`` where :func:`awkward_source` gives none.
     """
     from sjslab import plant_sjs
 
@@ -398,6 +398,31 @@ def awkward_instance(rng, margins=True):
     if built is None:
         return None
     p, f = built
-    inst = plant_sjs(p, f, rng.dirichlet(np.full(ell, 5.0)), "random",
-                     seed=int(rng.integers(2 ** 31)))
-    return p, f, inst.target.feature_marginal()
+    return p, f, plant_sjs(p, f, rng.dirichlet(np.full(ell, 5.0)), "random",
+                           seed=int(rng.integers(2 ** 31)))
+
+
+def awkward_instance(rng, margins=True):
+    """:func:`awkward_planted` as ``(source, f, target feature marginal)``, or ``None``."""
+    built = awkward_planted(rng, margins)
+    return None if built is None else (*built[:2], built[2].target.feature_marginal())
+
+
+def near_singular_cells(p, f, lo=1e-12, hi=1e-3) -> bool:
+    """Has a positive-mass f-cell a smallest singular value between ``lo`` and ``hi`` of its largest?
+
+    The singular values are those of the cell's conditional class matrix,
+    with posterior statistics, over the labels with source mass in it.
+    There ``rank_matrix`` and SEES-d rank different matrices (the first's
+    singular values are about the squares of the second's), so near the
+    threshold their verdicts may split.
+    """
+    from sjslab import posterior_statistics, rank_matrix
+
+    matrices = rank_matrix(p, f, posterior_statistics(p)).per_cell_matrices
+    for matrix, present in zip(matrices, p.project(f) > 0.0):
+        if present.any():
+            s = np.linalg.svd(matrix[:, present], compute_uv=False)
+            if lo * s[0] < s[-1] < hi * s[0]:
+                return True
+    return False

@@ -328,7 +328,9 @@ class TestReport:
         assert len(fit["target_priors"]) == source.num_labels
 
     @pytest.mark.parametrize("change,named", [({"methd": "sees-d"}, "methd"),
-                                              ({"shift_features": None}, "shift_features")])
+                                              ({"shift_features": None}, "shift_features"),
+                                              ({"seed": 0}, "seed"),
+                                              ({"check_tol": 1e-9}, "check_tol")])
     def test_bad_config_keys_exit_1(self, tmp_path, instance_dir, capsys, change, named):
         config = {
             "source_path": str(instance_dir / "source.json"),

@@ -193,6 +193,14 @@ class TestFullImportanceWeight:
             w = full_importance_weight(q, p)
             np.testing.assert_allclose(w * p.mass, q.mass, atol=1e-12)
 
+    def test_continuity_error_names_the_first_cell_and_label_row_major(self):
+        space = FeatureSpace(["a"], [3])
+        p = FiniteJointDistribution(space, 2, np.array([[0.2, 0.2], [0.2, 0.0], [0.0, 0.4]]))
+        q = FiniteJointDistribution(space, 2, np.array([[0.1, 0.1], [0.1, 0.3], [0.3, 0.1]]))
+        with pytest.raises(AbsoluteContinuityViolated) as info:
+            full_importance_weight(q, p)
+        assert str(info.value) == str(AbsoluteContinuityViolated(1, label=1, mass=0.3))
+
 
 class TestKlDivergence:
     def test_zero_iff_equal(self):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +15,7 @@ from sjslab import (
     NotConverged,
     OptimizerOptions,
     aggregate,
+    brute_force_fit,
     check_covariate_shift,
     class_conditional,
     fit_from_cell_mass,
@@ -31,7 +34,13 @@ from sjslab import (
 )
 from sjslab import estimators
 from sjslab.synthetic import product_distribution
-from _support import awkward_instance, random_planted, random_source
+from _support import (
+    awkward_instance,
+    awkward_planted,
+    near_singular_cells,
+    random_planted,
+    random_source,
+)
 
 
 def assert_fit_invariants(fit, source):
@@ -160,6 +169,24 @@ class TestSeesD:
             sees_d_fit(p, q, FeaturePartition.from_features(space, ["X1"]))
         ranking = sparsity_search(p, q, ["X1", "X2"], 0.0)
         assert ranking and all(r.fit is None and "f-cell" in r.error for r in ranking)
+
+    def test_subnormal_source_mass_raises_without_a_warning(self):
+        # q / p overflows to inf at the cell of mass 1e-320, inside the fit's errstate.
+        p, q = subnormal_source()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateObjective, match="f-cell 1: squared residual"):
+                sees_d_fit(p, q, FeaturePartition.from_features(p.space, ["A"]))
+            ranking = sparsity_search(p, q, ["A", "B"], 0.0)
+        assert ranking and all(r.fit is None and "f-cell" in r.error for r in ranking)
+
+
+def subnormal_source():
+    """A 2x3 source with one feature cell at mass 1e-320, and a uniform target."""
+    space = FeatureSpace(["A", "B"], [2, 3])
+    mass = np.full((6, 2), 1.0 / 12)
+    mass[4] = 0.5e-320
+    return FiniteJointDistribution(space, 2, mass / mass.sum()), np.full(6, 1.0 / 6)
 
 
 class TestNnls:
@@ -331,6 +358,20 @@ class TestSeesC:
         assert diag["iterations"] <= 30
         assert diag["converged"] == (diag["kkt_residual"] == 0.0)
 
+    def test_subnormal_source_mass_gives_a_finite_divergence(self):
+        p, q = subnormal_source()
+        f = FeaturePartition.from_features(p.space, ["A"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = sees_c_fit(p, q, f)
+        assert fit.diagnostics["converged"]
+        # Both labels have one feature law within each f-cell, so a fit can only rescale
+        # an f-cell: the optimum is p_h * Q(F_n) / P(F_n).  Its divergence, from logs:
+        p_h, cells = p.feature_marginal(), f.cell_of
+        log_fitted = np.log(p_h) + np.log(aggregate(q, f) / aggregate(p_h, f))[cells]
+        kl = float(np.sum(q * (np.log(q) - log_fitted)))
+        assert kl > 100.0 and fit.residual == pytest.approx(kl, rel=1e-12)
+
     def test_plant_and_recover_within_tolerance(self):
         for seed in (3, 11, 27):
             inst, f = random_planted(seed)
@@ -390,6 +431,19 @@ class TestSeesCProperties:
         assert gap <= 1e-9
 
 
+class TestIdentifiabilityProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(awkward_instances(margins=False))
+    def test_rank_sees_d_and_brute_force_agree(self, instance):
+        # Property (iii): identifiable by rank, iff SEES-d finds no underdetermined
+        # cell, iff the exact system has a single solution.
+        p, f, q = instance
+        assume(not near_singular_cells(p, f))
+        identifiable = rank_matrix(p, f, posterior_statistics(p)).identifiable
+        determined = not sees_d_fit(p, q, f).diagnostics["underdetermined_cells"]
+        assert identifiable == determined == brute_force_fit(p, q, f).is_singleton
+
+
 class TestPosteriorCorrect:
     def test_unit_ratios_return_source_posterior(self, source, x1):
         same = posterior(source, x1)
@@ -423,6 +477,28 @@ class TestPosteriorCorrect:
             both = corrected.defined & truth.defined
             gap = np.abs(corrected.values[both] - truth.values[both]).max()
             assert gap < 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_corrects_to_the_target_posterior_on_identifiable_instances(self, seed):
+        # Property (ii), on awkward sources: zero cells and pairs, absent labels.
+        built = awkward_planted(np.random.default_rng(seed), margins=False)
+        assume(built is not None)
+        p, f, inst = built
+        assume(rank_matrix(p, f, posterior_statistics(p)).identifiable)
+        got = posterior_correct(p, sees_d_fit(p, inst.target.feature_marginal(), f))
+        truth = inst.target.full_posterior
+        np.testing.assert_array_equal(got.defined, truth.defined)
+        assert np.abs(got.values - truth.values).max() <= 1e-9
+
+    @pytest.mark.parametrize("fit_with", [sees_d_fit, sees_c_fit])
+    def test_fit_route_returns_the_fits_posterior(self, fit_with):
+        for seed in range(10):
+            inst, f = random_planted(seed)
+            fit = fit_with(inst.source, inst.target.feature_marginal(), f)
+            got = posterior_correct(inst.source, fit)
+            assert got.values.tobytes() == fit.corrected_posterior.values.tobytes()
+            assert got.defined.tobytes() == fit.corrected_posterior.defined.tobytes()
 
     def test_fit_route_matches_table_route(self, source, target_literal, x1):
         fit = sees_d_fit(source, target_literal.feature_marginal(), x1)

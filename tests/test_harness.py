@@ -500,6 +500,7 @@ class TestRunExperiment:
         r2 = run_experiment(ExperimentConfig(output_dir=str(tmp_path / "r2"), **kwargs))
         m1 = json.loads(Path(r1.outputs["manifest"]).read_text())
         assert set(m1["inputs"]) == {"source", "target"}
+        assert "seed" not in m1 and not {"seed", "check_tol"} & set(m1["config"])
         assert len(m1["inputs"]["source"]["sha256"]) == 64
         for name in ("fit", "posterior", "rank_report"):
             assert Path(r1.outputs[name]).read_bytes() == Path(r2.outputs[name]).read_bytes()

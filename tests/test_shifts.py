@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from sjslab import (
     InvalidDistribution,
     aggregate,
     binary_variance_criterion,
+    brute_force_fit,
     check_cdi,
     check_covariate_shift,
     check_prior_shift,
@@ -19,10 +22,11 @@ from sjslab import (
     posterior,
     posterior_statistics,
     rank_matrix,
+    sees_d_fit,
     verify_total_expectation,
 )
 from sjslab.synthetic import cdi_not_sjs_tables, product_distribution
-from _support import random_planted, random_source, sufficient_source
+from _support import awkward_source, random_planted, random_source, sufficient_source
 
 
 def prior_shift_of(source, new_priors):
@@ -164,6 +168,21 @@ class TestRankMatrix:
         with pytest.raises(InvalidDistribution):
             rank_matrix(source, x1, [np.ones(source.space.num_cells)])
 
+    def test_a_label_absent_from_a_cell_costs_no_rank(self):
+        # Label 2 has no source mass in A=0, so its target mass there is 0: that
+        # cell has two unknowns, and rank 2 determines them.
+        space = FeatureSpace(["A", "B"], [2, 3])
+        f = FeaturePartition.from_features(space, ["A"])
+        mass = np.random.default_rng(0).uniform(0.5, 1.5, (6, 3))
+        mass[f.cell_of == 0, 2] = 0.0
+        p = FiniteJointDistribution(space, 3, mass / mass.sum())
+        report = rank_matrix(p, f, posterior_statistics(p))
+        assert report.per_cell_rank == [2, 3] and report.identifiable
+        inst = plant_sjs(p, f, [0.2, 0.3, 0.5], "random", seed=1)
+        q = inst.target.feature_marginal()
+        assert sees_d_fit(p, q, f).diagnostics["underdetermined_cells"] == []
+        assert brute_force_fit(p, q, f).is_singleton
+
 
 class TestVerifyTotalExpectation:
     def test_small_random_instances(self):
@@ -194,6 +213,43 @@ class TestBinaryVarianceCriterion:
         dist, f = sufficient_source(np.random.default_rng(2))
         assert check_sufficiency(dist, f).holds
         assert not binary_variance_criterion(dist, f).holds
+
+    def test_fails_when_the_posterior_is_constant_in_one_cell(self):
+        # Both labels have mass in A=0, where the posterior is 1/3 throughout.
+        space = FeatureSpace(["A", "B"], [2, 2])
+        g = FeaturePartition.from_features(space, ["A"])
+        mass = np.array([[0.1, 0.2], [0.05, 0.1], [0.2, 0.1], [0.05, 0.2]])
+        p = FiniteJointDistribution(space, 2, mass / mass.sum())
+        verdict = binary_variance_criterion(p, g)
+        assert not verdict.holds and verdict.witness[0] == 0
+        assert verdict.max_violation < 1e-15
+        assert not rank_matrix(p, g, posterior_statistics(p)).identifiable
+
+    def test_holds_when_no_cell_holds_both_labels(self):
+        space = FeatureSpace(["A"], [2])
+        p = FiniteJointDistribution(space, 2, np.array([[0.4, 0.0], [0.0, 0.6]]))
+        full = FeaturePartition.full(space)
+        verdict = binary_variance_criterion(p, full)
+        assert verdict.holds and verdict.max_violation == 0.0 and verdict.witness is None
+        json.dumps(verdict.to_json_dict(), allow_nan=False)
+        assert rank_matrix(p, full, posterior_statistics(p)).identifiable
+
+    def test_agrees_with_rank_matrix_on_awkward_sources(self):
+        # Zero cells, zero (cell, label) pairs and labels absent from cells.
+        rng = np.random.default_rng(5)
+        checked = 0
+        for _ in range(1000):
+            cards = rng.integers(2, 5, int(rng.integers(2, 4))).tolist()
+            shifted = int(rng.integers(1, len(cards) + 1))
+            built = awkward_source(rng, cards, 2, shifted, *rng.choice([0.0, 0.2, 0.5], 3))
+            if built is None:
+                continue
+            p, g = built
+            verdict = binary_variance_criterion(p, g)
+            assert verdict.holds == rank_matrix(p, g, posterior_statistics(p)).identifiable
+            json.dumps(verdict.to_json_dict(), allow_nan=False)
+            checked += 1
+        assert checked > 900
 
     def test_requires_two_labels(self):
         rng = np.random.default_rng(1)
