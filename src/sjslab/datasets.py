@@ -79,8 +79,8 @@ UNSEEN_CODE = -1
 MISSING_CODE = -2
 
 
-class _SpellingIds(dict):
-    """Spelling -> id map that numbers each new spelling on first sight."""
+class _FirstSightIds(dict):
+    """Key -> id map that numbers each new key on first sight."""
 
     def __missing__(self, key):
         self[key] = n = len(self)
@@ -88,38 +88,57 @@ class _SpellingIds(dict):
 
 
 class CsvTokens(NamedTuple):
-    """A CSV file as integer ids: ``spellings[ids[r, j]]`` is data row r, column j."""
+    """A CSV file as its distinct records.
+
+    ``spellings[ids[row_of[r], j]]`` is data row r, column j: ``ids`` holds
+    one row of spelling ids per distinct record and ``row_of`` the record
+    index of each data row.
+    """
 
     header: list
     spellings: tuple
     ids: np.ndarray
+    row_of: np.ndarray
 
 
 def read_csv_tokens(path) -> CsvTokens:
-    """Read a CSV file in one streaming pass into an ``int32`` id matrix.
+    """Read a CSV file in one streaming pass into its distinct records.
 
-    Rows are parsed ``CHUNK_ROWS`` at a time, so only one chunk is ever
-    held as Python strings.  Each field maps to the id of its spelling
-    in one table shared by all columns, numbered in order of first
-    appearance; id ``MISSING_ID`` is the empty field.  As with
-    :class:`csv.DictReader`, blank lines are skipped, short rows are
-    padded with empty fields and long rows are cut to the header's
-    width, so row ``r`` of ``ids`` is the r-th non-blank data row.
+    :class:`csv.reader` parses the file once.  Each parsed record is
+    numbered on first sight and ``row_of`` maps every data row to its
+    record, so the per-field work below, and in :func:`decode_tokens`,
+    is done once per distinct record, not once per row.  The distinct
+    records are mapped to spelling ids ``CHUNK_ROWS`` at a time.  Each
+    field maps to the id of its spelling in one table shared by all
+    columns, numbered in order of first appearance in the file; id
+    ``MISSING_ID`` is the empty field.  As with :class:`csv.DictReader`,
+    blank lines are skipped, short rows are padded with empty fields and
+    long rows are cut to the header's width, so ``row_of[r]`` is the
+    record of the r-th non-blank data row.
+
+    Memory: until the read ends, every distinct record is held as a
+    tuple of strings.  A sample over a finite feature space repeats few
+    records, so this is small; a file of mostly distinct rows holds
+    most of its text this way.
     """
-    ids = _SpellingIds({"": MISSING_ID})
-    blocks = []
+    records = _FirstSightIds()
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        width = len(header)
-        pad = [""] * width
-        while chunk := list(islice(reader, CHUNK_ROWS)):
-            if set(map(len, chunk)) != {width} or not width:  # blank, short or long rows
-                chunk = [r if len(r) == width else (r + pad)[:width] for r in chunk if r]
-            flat = list(map(ids.__getitem__, chain.from_iterable(chunk)))
-            blocks.append(np.array(flat, dtype=np.int32).reshape(len(chunk), width))
+        row_of = np.fromiter(map(records.__getitem__, map(tuple, filter(None, reader))),
+                             dtype=np.intp)
+    width = len(header)
+    pad = ("",) * width
+    ids = _FirstSightIds({"": MISSING_ID})
+    blocks = []
+    distinct = iter(records)
+    while chunk := list(islice(distinct, CHUNK_ROWS)):
+        if set(map(len, chunk)) != {width}:  # short or long records
+            chunk = [r if len(r) == width else (r + pad)[:width] for r in chunk]
+        flat = list(map(ids.__getitem__, chain.from_iterable(chunk)))
+        blocks.append(np.array(flat, dtype=np.int32).reshape(len(chunk), width))
     matrix = np.concatenate(blocks) if blocks else np.zeros((0, width), dtype=np.int32)
-    return CsvTokens(header, tuple(ids), matrix)
+    return CsvTokens(header, tuple(ids), matrix, row_of)
 
 
 def column_positions(header) -> dict:
@@ -137,7 +156,16 @@ def load_dataset(path, schema: DatasetSchema) -> RowTable:
     file order, and within it a missing value before an unseen one;
     row numbers count dropped rows.
     """
-    header, spellings, ids = read_csv_tokens(path)
+    return decode_tokens(read_csv_tokens(path), schema)
+
+
+def decode_tokens(tokens: CsvTokens, schema: DatasetSchema) -> RowTable:
+    """Validate and code a read CSV as :func:`load_dataset` does.
+
+    Lookups and checks run once per distinct record; the codes are then
+    expanded to the rows through ``tokens.row_of``.
+    """
+    header, spellings, ids, row_of = tokens
     for col in schema.feature_columns:
         if col not in header:
             raise SchemaViolation(f"missing feature column {col!r} in header")
@@ -167,20 +195,23 @@ def load_dataset(path, schema: DatasetSchema) -> RowTable:
     else:
         bad = missing | unseen
     if bad.any():
-        row = int(np.argmax(bad))
-        if missing[row]:
-            k = int(np.argmax(codes[row] == MISSING_CODE))
+        # Records are numbered in file order, so the first bad row is the
+        # first occurrence of the lowest-numbered bad record.
+        record = int(np.argmax(bad))
+        row = int(np.argmax(row_of == record))
+        if missing[record]:
+            k = int(np.argmax(codes[record] == MISSING_CODE))
             raise SchemaViolation("missing value", row=row, column=columns[k])
-        k = int(np.argmax(codes[row] == UNSEEN_CODE))
-        value = spellings[ids[row, position[columns[k]]]]
+        k = int(np.argmax(codes[record] == UNSEEN_CODE))
+        value = spellings[ids[record, position[columns[k]]]]
         kind = "value" if k < len(schema.feature_columns) else "label"
         raise SchemaViolation(f"{kind} {value!r} not in declared domain",
                               row=row, column=columns[k])
     if missing.any():  # rows left with a missing value are dropped (the error policy raised)
-        codes = codes[~missing]
+        row_of = row_of[~missing[row_of]]
     nf = len(schema.feature_columns)
-    feats = np.ascontiguousarray(codes[:, :nf])
-    labs = codes[:, nf].copy() if schema.label_column else None
+    feats = codes[:, :nf][row_of]
+    labs = codes[row_of, nf] if schema.label_column else None
     return RowTable(schema, feats, labs)
 
 

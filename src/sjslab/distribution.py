@@ -426,7 +426,9 @@ def kl_divergence(p_table: np.ndarray, q_table: np.ndarray) -> float:
     pos = p_table > 0.0
     if np.any(q_table[pos] == 0.0):
         return float("inf")
-    return float(np.sum(p_table[pos] * np.log(p_table[pos] / q_table[pos])))
+    p_pos, q_pos = p_table[pos], q_table[pos]
+    # A difference of logs: p / q overflows when q is subnormal.
+    return float(np.sum(p_pos * (np.log(p_pos) - np.log(q_pos))))
 
 
 def check_absolute_continuity(q: FiniteJointDistribution,

@@ -21,8 +21,10 @@ import numpy as np
 from . import __version__
 from .datasets import (
     MISSING_ID,
+    CsvTokens,
     DatasetSchema,
     column_positions,
+    decode_tokens,
     empirical_distribution,
     load_dataset,
     read_csv_tokens,
@@ -99,16 +101,20 @@ class ExperimentResult:
 
 def infer_schema(path, labelled: bool) -> DatasetSchema:
     """Schema from a CSV's observed values, ordered shortest first, then lexicographically."""
-    path = Path(path)
-    header, spellings, ids = read_csv_tokens(path)
+    return _schema_of_tokens(read_csv_tokens(path), labelled, path)
+
+
+def _schema_of_tokens(tokens: CsvTokens, labelled: bool, path) -> DatasetSchema:
+    """:func:`infer_schema` of a read CSV; ``path`` only names it in errors."""
+    header, spellings, ids, _ = tokens
     if not header:
-        raise SchemaViolation(f"{path} has no header")
+        raise SchemaViolation(f"{Path(path)} has no header")
     label_col = "label" if labelled and "label" in header else None
     if labelled and label_col is None:
         raise SchemaViolation("labelled CSV must have a 'label' column")
     position = column_positions(header)
 
-    def observed(col):
+    def observed(col):  # every distinct record occurs in some row
         used = np.unique(ids[:, position[col]])
         return sorted((spellings[k] for k in used if k != MISSING_ID),
                       key=lambda s: (len(s), s))
@@ -122,15 +128,17 @@ def infer_schema(path, labelled: bool) -> DatasetSchema:
 def load_source(path, smoothing_alpha: float = 0.0) -> FiniteJointDistribution:
     """Source joint from exact JSON or a labelled CSV sample.
 
-    A table read from CSV keeps the feature values it saw as its
-    ``domains``, so that a target sample is decoded with the same
-    spellings.
+    A CSV is read once; its schema is inferred from the same tokens that
+    are then decoded.  A table read from CSV keeps the feature values it
+    saw as its ``domains``, so that a target sample is decoded with the
+    same spellings.
     """
     path = Path(path)
     if path.suffix == ".json":
         return FiniteJointDistribution.load(path)
-    schema = infer_schema(path, labelled=True)
-    dist = empirical_distribution(load_dataset(path, schema), smoothing_alpha)
+    tokens = read_csv_tokens(path)
+    schema = _schema_of_tokens(tokens, labelled=True, path=path)
+    dist = empirical_distribution(decode_tokens(tokens, schema), smoothing_alpha)
     return FiniteJointDistribution(dist.space, dist.num_labels, dist.mass,
                                    [schema.feature_domains[c] for c in schema.feature_columns])
 

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +26,30 @@ def instance_dir(tmp_path):
 
 def read_json(capsys):
     return json.loads(capsys.readouterr().out)
+
+
+def repeated_rows_csvs(out: Path) -> None:
+    """A labelled source and a feature-only target whose rows repeat a few
+    records, in an interleaved order, with a quoted comma in one spelling.
+
+    The target counts are the source counts reweighted per (X1, label),
+    an exact sparse joint shift on X1.
+    """
+    cells = [(x1, x2, x3) for x1 in ("lo", "hi") for x2 in ("0", "1", "2")
+             for x3 in ("a,b", "c")]
+    source = [cell + (y,) for cell in cells for y in ("n", "y")]
+    source_counts = [1 + (5 * k) % 4 for k in range(len(source))]
+    shift = {"lo": (1, 3), "hi": (2, 1)}
+    target_counts = [sum(w * c for w, c in zip(shift[cell[0]], source_counts[2 * k:2 * k + 2]))
+                     for k, cell in enumerate(cells)]
+    for name, header, records, counts in (
+            ("source.csv", ["X1", "X2", "X3", "label"], source, source_counts),
+            ("target.csv", ["X1", "X2", "X3"], cells, target_counts)):
+        with (out / name).open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(record for rep in range(max(counts))
+                             for record, count in zip(records, counts) if rep < count)
 
 
 def test_import_leaves_scipy_optimize_unloaded(tmp_path):
@@ -326,6 +352,30 @@ class TestReport:
         fit = json.loads((outdir / "fit.json").read_text())
         source = FiniteJointDistribution.load(instance_dir / "source.json")
         assert len(fit["target_priors"]) == source.num_labels
+
+    # sha256 of the report files on repeated_rows_csvs, taken when CSV
+    # ingestion still decoded every row: reading each distinct record once
+    # must not change a byte.
+    REPEATED_ROWS_SHA256 = {
+        "fit.json": "97438902c5816f3ee6819658dd3b6f7983370d0e714348f3374bfd581ab15c0a",
+        "corrected_posterior.csv": "26e7b96a525cb48ee27597f1103ad3ecd2abb037dc4abca3bfa5a92ddd4da798",
+        "rank_report.json": "3673f6c219416db25ff03fed0af41f701b621981d27bdc8d9bf86dcaeef3deca",
+        "manifest.json": "41f23853c63f3152bd2812ae5d0800ea18c4f1c0c70f887fb6c42f8e8f12fc6d",
+    }
+
+    def test_report_on_repeated_csv_rows_keeps_its_bytes(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # the manifest records relative paths and the versions
+        monkeypatch.setattr(platform, "python_version", lambda: "3.11.7")
+        monkeypatch.setattr(np, "__version__", "2.4.6")
+        repeated_rows_csvs(tmp_path)
+        Path("config.json").write_text(json.dumps({
+            "source_path": "source.csv", "target_path": "target.csv",
+            "shift_features": ["X1"], "output_dir": "run"}))
+        assert main(["report", "--config", "config.json"]) == 0
+        capsys.readouterr()
+        got = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+               for name in self.REPEATED_ROWS_SHA256}
+        assert got == self.REPEATED_ROWS_SHA256
 
     @pytest.mark.parametrize("change,named", [({"methd": "sees-d"}, "methd"),
                                               ({"shift_features": None}, "shift_features"),

@@ -212,6 +212,12 @@ class TestKlDivergence:
     def test_infinite_on_support_mismatch(self):
         assert kl_divergence([0.5, 0.5], [1.0, 0.0]) == np.inf
 
+    def test_finite_without_overflow_on_subnormal_q(self):
+        # p / q overflows here; RuntimeWarning is an error in this suite.
+        value = kl_divergence([0.5, 0.5], [1.0, 1e-320])
+        assert np.isfinite(value)
+        assert value == pytest.approx(np.log(0.5) - 0.5 * np.log(1e-320))
+
     def test_non_negative_on_random_pairs(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import random
 import tempfile
@@ -32,7 +33,7 @@ from sjslab import (
     schema_for_distribution,
     write_rows_csv,
 )
-from sjslab import datasets
+from sjslab import datasets, experiment
 from sjslab.cli import main
 from sjslab.datasets import read_csv_tokens
 from sjslab.experiment import (
@@ -151,6 +152,7 @@ EDGE_CSVS = {
     "unseen_label": "color,size,label\nred,s,2\n",
     "quoted_comma": 'color,size,label\n"dark,red",s,0\nred,"m",1\r\n',
     "repeated_column": "color,color,size,label\nblue,red,s,0\n",
+    "repeated_bad_records": "color,size,label\nred,s,0\nred,s,0\nred,,1\nred,xl,1\nred,,1\nred,xl,1\n",
     "header_only": "color,size,label\n",
     "empty_file": "",
 }
@@ -202,6 +204,38 @@ def coded_rows(draw):
     return schema, feats, labels
 
 
+@st.composite
+def messy_csvs(draw):
+    """A labelled CSV text whose rows repeat a few records, and its schema.
+
+    Records may be blank, short, long, or hold missing and unseen values;
+    spellings may hold ``,``, ``"`` and newlines, so they are quoted; rows
+    end in LF or CRLF, and the last one may have no line end.
+    """
+    width = draw(st.integers(1, 3))
+    pools = [draw(st.lists(st.text(alphabet='ab0 ,"\n', min_size=1, max_size=3),
+                           min_size=1, max_size=3, unique=True))
+             for _ in range(width + 1)]
+    bad = ["", "zz"]  # missing, unseen
+
+    def record():
+        size = draw(st.sampled_from([width + 1] * 4 + [0, 1, width + 2]))
+        return [draw(st.sampled_from(pools[j] * 4 + bad if j <= width else ["x", 'y"']))
+                for j in range(size)]
+
+    records = [record() for _ in range(draw(st.integers(1, 6)))]
+    picks = draw(st.lists(st.integers(0, len(records) - 1), max_size=40))
+    out = io.StringIO()
+    for row in [[f"c{j}" for j in range(width)] + ["label"]] + [records[k] for k in picks]:
+        csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerow(row)
+    text = out.getvalue()
+    if draw(st.booleans()):
+        text = text.removesuffix("\n").removesuffix("\r")
+    schema = DatasetSchema({f"c{j}": pools[j] for j in range(width)},
+                           label_column="label", label_domain=pools[-1])
+    return text, schema
+
+
 class TestCsvReader:
     @settings(max_examples=60, deadline=None)
     @given(coded_rows())
@@ -250,11 +284,13 @@ class TestCsvReader:
 
     def test_chunk_boundaries_do_not_change_results(self, tmp_path, monkeypatch):
         text = ("color,size,label\nred,s,0\n\nred,m,1\n\"dark,red\",l\n\n\n"
-                "red,s,1,extra\nred,m,0\ndark,s,0\nred,,1\nred,l,0\n")
+                "red,s,1,extra\nred,m,0\nred,s,0\ndark,s,0\nred,m,1\nred,,1\nred,l,0\n"
+                "red,s,0\nred,m,0,more\n")
         path = write_csv(tmp_path / "d.csv", text)
 
         def results():
-            return (read_csv_tokens(path).ids.tolist(),
+            header, spellings, ids, row_of = read_csv_tokens(path)
+            return (header, spellings, ids.tolist(), row_of.tolist(),
                     infer_schema(path, labelled=True),
                     [decoded(load_codes, path, with_policy(EDGE_SCHEMA, policy))
                      for policy in ("error", "drop_row")])
@@ -262,7 +298,43 @@ class TestCsvReader:
         default = results()
         monkeypatch.setattr(datasets, "CHUNK_ROWS", 2)
         assert results() == default
-        assert len(default[0]) == 8
+        header, spellings, ids, row_of = default[:4]
+        assert (len(ids), len(row_of)) == (9, 12)  # distinct records, non-blank rows
+        # Expanded through row_of, the ids spell out every padded or cut row,
+        # with spellings numbered in order of first appearance.
+        with open(path, newline="") as fh:
+            rows = [(r + [""] * 3)[:3] for r in list(csv.reader(fh))[1:] if r]
+        assert [[spellings[k] for k in ids[r]] for r in row_of] == rows
+        assert spellings == tuple(dict.fromkeys([""] + [v for r in rows for v in r]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(messy_csvs())
+    def test_messy_csvs_match_row_reader(self, case):
+        text, schema = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            path.write_text(text, newline="")
+            for policy in ("error", "drop_row"):
+                schema = with_policy(schema, policy)
+                assert decoded(load_codes, path, schema) == \
+                    decoded(reference_load_dataset, path, schema)
+            assert inferred(lambda p: infer_schema(p, labelled=True), path) == \
+                inferred(reference_infer_schema, path)
+
+    def test_load_source_reads_the_csv_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(path):
+            calls.append(path)
+            return read_csv_tokens(path)
+
+        monkeypatch.setattr(datasets, "read_csv_tokens", counted)
+        monkeypatch.setattr(experiment, "read_csv_tokens", counted)
+        path = write_csv(tmp_path / "s.csv", "X1,label\na,0\nb,1\na,0\na,1\n")
+        source = load_source(path)
+        assert len(calls) == 1
+        assert source.domains == (("a", "b"),)
+        np.testing.assert_array_equal(source.mass, [[0.5, 0.25], [0.0, 0.25]])
 
     def test_writers_match_row_loops(self, tmp_path, source):
         schema = DatasetSchema({"X1": ["a", "b,c"], "X2": ["0", "2"]},
