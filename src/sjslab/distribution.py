@@ -277,14 +277,11 @@ class ConditionalTable:
     values: np.ndarray = field(repr=False)
     defined: np.ndarray = field(repr=False)
 
-    def __init__(self, partition: FeaturePartition, values: np.ndarray,
-                 defined: np.ndarray | None = None):
+    def __init__(self, partition: FeaturePartition, values: np.ndarray, defined: np.ndarray):
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] != partition.num_cells:
             raise InvalidDistribution(
                 f"values must have {partition.num_cells} rows, got shape {values.shape}")
-        if defined is None:
-            defined = np.ones(partition.num_cells, dtype=bool)
         defined = np.asarray(defined, dtype=bool)
         if defined.shape != (partition.num_cells,):
             raise InvalidDistribution("defined mask must have one entry per partition cell")
@@ -299,12 +296,6 @@ class ConditionalTable:
     @property
     def num_labels(self) -> int:
         return self.values.shape[1]
-
-    def check_rows_normalised(self, tol: float = MASS_TOL) -> None:
-        """Assert defined rows sum to 1 over labels (posterior tables)."""
-        sums = self.values[self.defined].sum(axis=1)
-        if sums.size and np.max(np.abs(sums - 1.0)) > tol:
-            raise InvalidDistribution("posterior rows must sum to 1 on defined cells")
 
 
 # -- core operations ---------------------------------------------------------

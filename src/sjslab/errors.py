@@ -36,17 +36,6 @@ class AbsoluteContinuityViolated(SjslabError):
         super().__init__(f"target mass {mass:.3g} on source-null event at {at}")
 
 
-class NotConverged(SjslabError):
-    """An iterative solver stopped before reaching its tolerance.
-
-    Carries the best iterate so callers can still inspect the fit.
-    """
-
-    def __init__(self, message: str, fit=None):
-        self.fit = fit
-        super().__init__(message)
-
-
 class DegenerateObjective(SjslabError):
     """The likelihood term vanishes on a positive-mass target cell."""
 

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .distribution import ConditionalTable, FiniteJointDistribution, density_ratio, ratio
-from .errors import DegenerateObjective, InvalidDistribution, NotConverged, SjslabError
+from .errors import DegenerateObjective, InvalidDistribution, SjslabError
 from .shifts import numerical_rank
 from .space import FeaturePartition, FeatureSpace, aggregate, group_sum, stacks
 
@@ -81,15 +81,7 @@ class SjsFit:
         return bool(self.diagnostics.get("underdetermined_cells"))
 
     def to_json_dict(self) -> dict:
-        diag = {}
-        for k, v in self.diagnostics.items():
-            if isinstance(v, np.ndarray):
-                v = v.tolist()
-            elif isinstance(v, (np.floating, np.integer)):
-                v = v.item()
-            elif isinstance(v, list):
-                v = [x.item() if isinstance(x, (np.floating, np.integer)) else x for x in v]
-            diag[k] = v
+        """The fit as JSON values; every producer stores Python values in ``diagnostics``."""
         return {
             "method": self.method,
             "partition": self.partition.describe(),
@@ -97,7 +89,7 @@ class SjsFit:
             "target_priors": self.target_priors.tolist(),
             "f_ratios": self.f_ratios.tolist(),
             "residual": float(self.residual),
-            "diagnostics": diag,
+            "diagnostics": dict(self.diagnostics),
         }
 
 
@@ -126,11 +118,6 @@ class HardClassifier:
         """Partition of the feature cells by predicted label."""
         _, codes = np.unique(self.assignment, return_inverse=True)
         return FeaturePartition(self.space, codes.astype(np.int64))
-
-    def source_error(self, p: FiniteJointDistribution) -> float:
-        """Probability of misclassification under the source joint."""
-        correct = p.mass[np.arange(p.space.num_cells), self.assignment]
-        return float(1.0 - correct.sum())
 
 
 def train_argmax_classifier(p: FiniteJointDistribution) -> HardClassifier:
@@ -239,13 +226,19 @@ def fit_from_cell_mass(p: FiniteJointDistribution, f: FeaturePartition, u: np.nd
                        diagnostics: dict | None = None) -> SjsFit:
     """An :class:`SjsFit` from fitted (f-cell, label) masses ``u``, such as a saved fit's.
 
-    ``u`` is normalised to total 1; the priors, f-ratios and corrected
-    posterior follow from it and the source ``p``.
+    ``u`` must be finite and non-negative, and is normalised to total 1;
+    the priors, f-ratios and corrected posterior follow from it and the
+    source ``p``.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (f.num_cells, p.num_labels):
         raise InvalidDistribution(
             f"cell masses must have shape ({f.num_cells}, {p.num_labels}), got {u.shape}")
+    bad = ~(np.isfinite(u) & (u >= 0.0))
+    if bad.any():  # the first in row-major order
+        n, i = np.unravel_index(int(np.argmax(bad)), u.shape)
+        kind = "negative" if u[n, i] < 0.0 else "non-finite"
+        raise InvalidDistribution(f"{kind} cell mass {u[n, i]:.3g} at f-cell {n}, label {i}")
     diagnostics = {} if diagnostics is None else diagnostics
     total = u.sum()
     diagnostics["raw_total_mass"] = float(total)
@@ -378,12 +371,10 @@ _MIN_STEP = 1e-14  # smallest backtracking step
 @dataclass(frozen=True)
 class OptimizerOptions:
     """SEES-c settings: ``tol`` bounds the KKT residual, ``max_iter`` the EM and
-    Newton steps; ``strict`` raises :class:`NotConverged` instead of
-    returning an unconverged fit."""
+    Newton steps.  A fit that stops short says so in ``diagnostics["converged"]``."""
 
     tol: float = 1e-10
     max_iter: int = 10000
-    strict: bool = False
 
 
 class SeesCProblem:
@@ -472,12 +463,6 @@ class SeesCProblem:
         return gain - self.cell_mass * np.log1p(moved)
 
 
-def sees_c_problem(p: FiniteJointDistribution, q_marginal: np.ndarray,
-                   f: FeaturePartition) -> SeesCProblem:
-    """Expose the likelihood problem (used by the numerical oracles)."""
-    return SeesCProblem(p, q_marginal, f)
-
-
 def _newton_direction(hess, border, rhs, active) -> np.ndarray:
     """``d`` of ``[[H, b], [b', 0]] [d, mu] = [rhs, 0]`` for every f-cell, on active entries.
 
@@ -507,10 +492,10 @@ def sees_c_fit(p: FiniteJointDistribution, q_marginal: np.ndarray, f: FeaturePar
     KKT residual (``|gradient / coeffs - 1|`` where ``phi > 0``, its
     positive part where ``phi == 0``) of at most ``opts.tol``.  Stopping
     after ``opts.max_iter`` steps, or after a Newton step that raised no
-    objective and cut no residual, is reported in the diagnostics and
-    raises :class:`NotConverged` when ``opts.strict``.  ``residual`` on
-    the fit is the optimal KL divergence of the observed feature density
-    from the fitted one (0 for an exact fit).
+    objective and cut no residual, is reported in the diagnostics as
+    ``converged`` False.  ``residual`` on the fit is the optimal KL
+    divergence of the observed feature density from the fitted one (0
+    for an exact fit).
     """
     opts = opts or OptimizerOptions()
     problem = SeesCProblem(p, q_marginal, f)
@@ -565,16 +550,11 @@ def sees_c_fit(p: FiniteJointDistribution, q_marginal: np.ndarray, f: FeaturePar
     else:  # out of steps: the residual after the last one
         worst = float(kkt(phi)[1].max(initial=0.0))
 
-    converged = worst <= opts.tol
-    diagnostics = {"converged": converged, "iterations": iterations,
+    diagnostics = {"converged": worst <= opts.tol, "iterations": iterations,
                    "polish_steps": newton_steps, "kkt_residual": worst,
                    "objective_history": objective_history, "constraint_errors": constraint_errors}
-    fit = fit_from_cell_mass(p, f, phi * coeffs, max(0.0, problem.kl_offset - obj), "sees_c",
-                             diagnostics)
-    if opts.strict and not converged:
-        raise NotConverged(
-            f"KKT residual {worst:.3g} above {opts.tol} after {iterations} iterations", fit)
-    return fit
+    return fit_from_cell_mass(p, f, phi * coeffs, max(0.0, problem.kl_offset - obj), "sees_c",
+                              diagnostics)
 
 
 # -- posterior correction and reconstruction -----------------------------------

@@ -29,9 +29,9 @@ DEFAULT_TOL = 1e-9
 RANK_RTOL = 1e-10
 
 
-def numerical_rank(s, scale, rtol: float = RANK_RTOL):
-    """Count the singular values (descending, last axis) above ``s_max * scale * rtol``."""
-    return np.count_nonzero(s > s[..., :1] * scale * rtol, axis=-1)
+def numerical_rank(s, scale):
+    """Count the singular values (descending, last axis) above ``s_max * scale * RANK_RTOL``."""
+    return np.count_nonzero(s > s[..., :1] * scale * RANK_RTOL, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,7 @@ class ShiftVerdict:
             "max_violation": float(self.max_violation),
             "tolerance": float(self.tol),
             "witness": list(self.witness) if self.witness is not None else None,
-            "details": {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
-                        for k, v in self.details.items()},
+            "details": dict(self.details),  # every check stores Python values
         }
 
 
@@ -82,14 +81,13 @@ class RankReport:
     singular_values: list
     cell_masses: np.ndarray
     identifiable: bool
-    rank_rtol: float = RANK_RTOL
 
     def to_json_dict(self) -> dict:
         return {
             "partition": self.partition.describe(),
             "num_labels": self.num_labels,
             "identifiable": bool(self.identifiable),
-            "rank_rtol": self.rank_rtol,
+            "rank_rtol": RANK_RTOL,
             "cells": [
                 {
                     "cell": n,
@@ -336,16 +334,6 @@ class TriangleReport:
     posterior_positive: bool
     rank_full: bool | None
     implication_violations: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sjs": self.sjs.to_json_dict(),
-            "cdi": self.cdi.to_json_dict(),
-            "covariate_shift_full": self.csh.to_json_dict(),
-            "posterior_positive": self.posterior_positive,
-            "rank_full": self.rank_full,
-            "implication_violations": list(self.implication_violations),
-        }
 
 
 def check_triangle(p: FiniteJointDistribution, q: FiniteJointDistribution,

@@ -6,22 +6,22 @@ last feature varying fastest).  A :class:`FeaturePartition` is a total,
 surjective map from feature cells to partition cells; it is the discrete
 stand-in for a sub-information-set of the features.  The partition
 generated by a subset of the features, the trivial partition and the
-full (one cell per feature cell) partition are the common cases, and a
-generic constructor accepts an arbitrary labelling function so that
-partitions induced by functions of the features (a norm, a bucketised
-score, a classifier) are supported as well.
+full (one cell per feature cell) partition are the common cases; any
+cell map, ``FeaturePartition(space, cell_of)``, gives the partitions
+induced by functions of the features (a norm, a bucketised score, a
+classifier) as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidDistribution
 
-DEFAULT_CELL_CAP = 10_000_000
+MAX_CELLS = 10_000_000  # upper bound on the feature cells of a space
 
 
 @dataclass(frozen=True)
@@ -33,17 +33,14 @@ class FeatureSpace:
     feature_names : sequence of str
         One identifier per feature; must be unique.
     cardinalities : sequence of int
-        Domain size of each feature, every entry >= 1.
-    cell_cap : int
-        Upper bound on the total number of feature cells.
+        Domain size of each feature, every entry >= 1; their product is
+        at most ``MAX_CELLS``.
     """
 
     feature_names: tuple
     cardinalities: tuple
-    cell_cap: int = DEFAULT_CELL_CAP
 
-    def __init__(self, feature_names: Sequence[str], cardinalities: Sequence[int],
-                 cell_cap: int = DEFAULT_CELL_CAP):
+    def __init__(self, feature_names: Sequence[str], cardinalities: Sequence[int]):
         names = tuple(str(n) for n in feature_names)
         cards = tuple(int(c) for c in cardinalities)
         if len(names) != len(cards):
@@ -53,12 +50,11 @@ class FeatureSpace:
         if any(c < 1 for c in cards):
             raise InvalidDistribution(f"cardinalities must be >= 1, got {cards}")
         total = int(np.prod(cards, dtype=np.int64)) if cards else 1
-        if total <= 0 or total > cell_cap:
+        if total <= 0 or total > MAX_CELLS:
             raise InvalidDistribution(
-                f"feature space has {total} cells, exceeding the cap of {cell_cap}")
+                f"feature space has {total} cells, exceeding the cap of {MAX_CELLS}")
         object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "cardinalities", cards)
-        object.__setattr__(self, "cell_cap", int(cell_cap))
 
     @property
     def num_features(self) -> int:
@@ -148,23 +144,6 @@ class FeaturePartition:
         """Finest partition: one cell per feature cell."""
         return cls(space, np.arange(space.num_cells, dtype=np.int64),
                    feature_subset=tuple(space.feature_names))
-
-    @classmethod
-    def from_labeling(cls, space: FeatureSpace, label_fn: Callable) -> "FeaturePartition":
-        """Partition induced by an arbitrary function of the feature coordinates.
-
-        ``label_fn`` receives one coordinate tuple and returns any hashable
-        label.  Labels are recoded to 0..k-1 in order of first appearance,
-        which keeps the construction deterministic without requiring the
-        labels to be orderable.
-        """
-        coords = space.all_coords()
-        codes = np.empty(space.num_cells, dtype=np.int64)
-        seen: dict = {}
-        for x in range(space.num_cells):
-            lab = label_fn(tuple(int(v) for v in coords[x]))
-            codes[x] = seen.setdefault(lab, len(seen))
-        return cls(space, codes)
 
     # -- algebra ---------------------------------------------------------
 

@@ -12,6 +12,7 @@ import pytest
 
 from sjslab import (
     FeaturePartition,
+    SeesCProblem,
     binary_variance_criterion,
     brute_force_fit,
     check_cdi,
@@ -27,7 +28,6 @@ from sjslab import (
     posterior_statistics,
     rank_matrix,
     sees_c_fit,
-    sees_c_problem,
     sees_d_fit,
     verify_total_expectation,
 )
@@ -240,7 +240,7 @@ class TestCriterion9OptimizerNumerics:
         rng = np.random.default_rng(99)
         worst_grad = 0.0
         for inst, f, _, _ in identifiable[:20]:
-            problem = sees_c_problem(inst.source, inst.target.feature_marginal(), f)
+            problem = SeesCProblem(inst.source, inst.target.feature_marginal(), f)
             phi = problem.initial_phi() * rng.uniform(0.7, 1.3,
                                                       problem.initial_phi().shape)
             phi[~problem.free] = 0.0

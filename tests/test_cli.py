@@ -78,6 +78,17 @@ def test_import_leaves_scipy_optimize_unloaded(tmp_path):
     assert out.stdout.splitlines()[-1] == "[[], [0, 0, 0], []]"
 
 
+def test_public_surface_is_unique_and_resolves():
+    names = sjslab.__all__
+    assert len(names) == len(set(names))
+    namespace = {}
+    exec("from sjslab import *", namespace)
+    assert all(namespace[name] is getattr(sjslab, name) for name in names)
+    assert "SeesCProblem" in names
+    for gone, module in (("NotConverged", sjslab.errors), ("sees_c_problem", sjslab.estimators)):
+        assert gone not in names and not hasattr(sjslab, gone) and not hasattr(module, gone)
+
+
 class TestSimulate:
     def test_writes_all_files(self, instance_dir):
         names = {p.name for p in instance_dir.iterdir()}
@@ -330,6 +341,25 @@ class TestPlantAndCorrect:
                      "--fit", str(tmp_path / "fit.json"), "--out", str(tmp_path / "post.csv")])
         assert code == 1
         assert f"has no {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mass,named", [([[0.5, -0.1], [0.3, 0.3]], "negative cell mass -0.1"),
+                                            ([[0.5, float("nan")], [0.3, 0.2]],
+                                             "non-finite cell mass nan")])
+    def test_correct_rejects_impossible_masses(self, instance_dir, capsys, mass, named):
+        # Such masses once gave posteriors outside [0, 1], or every row undefined.
+        source = str(instance_dir / "source.json")
+        main(["estimate", "--method", "sees-d", "--source", source,
+              "--target-features", str(instance_dir / "target.json"),
+              "--shift-features", "X1", "--out", str(instance_dir / "fit.json")])
+        doc = json.loads((instance_dir / "fit.json").read_text())
+        doc["cell_label_mass"] = mass
+        (instance_dir / "fit.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["correct", "--source", source, "--fit", str(instance_dir / "fit.json"),
+                     "--out", str(instance_dir / "post.csv")])
+        assert code == 1
+        assert f"{named} at f-cell 0, label 1" in capsys.readouterr().err
+        assert not (instance_dir / "post.csv").exists()
 
 
 class TestReport:

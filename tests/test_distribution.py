@@ -95,7 +95,7 @@ class TestPosterior:
         # cells are ordered by X1 value: 0 then 1
         assert post.values[1, 1] == pytest.approx(0.6, abs=1e-15)
         assert post.values[0, 1] == pytest.approx(0.4, abs=1e-15)
-        post.check_rows_normalised()
+        np.testing.assert_allclose(post.values.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_trivial_partition_gives_priors(self, source):
         post = posterior(source, FeaturePartition.trivial(source.space))

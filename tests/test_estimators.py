@@ -12,7 +12,6 @@ from sjslab import (
     FeatureSpace,
     FiniteJointDistribution,
     InvalidDistribution,
-    NotConverged,
     OptimizerOptions,
     aggregate,
     brute_force_fit,
@@ -337,12 +336,6 @@ class TestSeesC:
         candidate = reconstruct_target(source, fit_d).feature_marginal()
         assert fit.residual <= kl_divergence(q_marg, candidate) + 1e-9
 
-    def test_strict_mode_raises_not_converged(self, source, target_literal, x1):
-        opts = OptimizerOptions(tol=0.0, max_iter=2, strict=True)
-        with pytest.raises(NotConverged) as info:
-            sees_c_fit(source, target_literal.feature_marginal(), x1, opts)
-        assert info.value.fit is not None
-
     @pytest.mark.parametrize("shifted", [4, 5])
     def test_newton_steps_converge_quadratically_on_4096_cells(self, shifted):
         inst, f = planted_on_4096_cells(shifted)
@@ -535,7 +528,7 @@ class TestArgmaxClassifier:
         space = FeatureSpace(["a"], [2])
         dist = FiniteJointDistribution(space, 2, np.array([[0.4, 0.0], [0.0, 0.6]]))
         clf = train_argmax_classifier(dist)
-        assert clf.source_error(dist) == pytest.approx(0.0, abs=1e-15)
+        assert clf.assignment.tolist() == [0, 1]
 
     def test_example_cell_prediction(self, source):
         # P[label 1 | X1=1, X2=0] = 0.24 / (0.24 + 0.08) = 0.75

@@ -6,6 +6,7 @@ from sjslab import (
     FeatureSpace,
     FiniteJointDistribution,
     InfeasibleRatios,
+    SeesCProblem,
     brute_force_fit,
     check_prior_shift,
     check_sjs,
@@ -14,7 +15,6 @@ from sjslab import (
     posterior_statistics,
     rank_matrix,
     sees_c_fit,
-    sees_c_problem,
     sees_d_fit,
 )
 from _support import random_planted, random_source
@@ -109,7 +109,7 @@ class TestGradientOracle:
         rng = np.random.default_rng(14)
         for seed in (2, 6, 10):
             inst, f = random_planted(seed, max_features=3, max_card=3)
-            problem = sees_c_problem(inst.source, inst.target.feature_marginal(), f)
+            problem = SeesCProblem(inst.source, inst.target.feature_marginal(), f)
             phi = problem.initial_phi()
             phi = phi * rng.uniform(0.7, 1.3, phi.shape)
             phi[~problem.free] = 0.0
@@ -126,7 +126,7 @@ class TestGradientOracle:
         q_marg = source.feature_marginal().copy()
         q_marg[source.space.all_coords()[:, 0] == 0] = 0.0
         q_marg /= q_marg.sum()
-        problem = sees_c_problem(source, q_marg, x1)
+        problem = SeesCProblem(source, q_marg, x1)
         grad = problem.gradient(problem.initial_phi())
         np.testing.assert_array_equal(grad[0], [0.0, 0.0])  # cell X1=0
         assert np.any(grad[1] > 0)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sjslab import (
     FeaturePartition,
@@ -23,10 +25,17 @@ from sjslab import (
     posterior_statistics,
     rank_matrix,
     sees_d_fit,
+    train_argmax_classifier,
     verify_total_expectation,
 )
 from sjslab.synthetic import cdi_not_sjs_tables, product_distribution
-from _support import awkward_source, random_planted, random_source, sufficient_source
+from _support import (
+    awkward_planted,
+    awkward_source,
+    random_planted,
+    random_source,
+    sufficient_source,
+)
 
 
 def prior_shift_of(source, new_priors):
@@ -352,3 +361,44 @@ class TestStructuralProperties:
             by_rank = rank_matrix(dist, g, posterior_statistics(dist)).identifiable
             by_var = binary_variance_criterion(dist, g).holds
             assert by_rank == by_var
+
+
+def awkward_draws():
+    """:func:`_support.awkward_planted` instances, with and without collinear margins."""
+    return (st.tuples(st.integers(0, 2 ** 32 - 1), st.booleans())
+            .map(lambda draw: awkward_planted(np.random.default_rng(draw[0]), margins=draw[1]))
+            .filter(lambda built: built is not None))
+
+
+class TestPaperProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(awkward_draws())
+    def test_transmission_to_finer_partitions(self, built):
+        # Property (i): sparse joint shift on f holds on every partition refining f.
+        p, f, inst = built
+        names = p.space.feature_names
+        finer = [FeaturePartition.from_features(
+                     p.space, [n for n in names if n in f.feature_subset or n == extra])
+                 for extra in names if extra not in f.feature_subset]
+        finer += [f.join(train_argmax_classifier(p).partition()), FeaturePartition.full(p.space)]
+        for g in finer:
+            verdict = check_sjs(p, inst.target, g)
+            assert verdict.holds, (g.describe(), verdict.max_violation)
+
+    @settings(max_examples=150, deadline=None)
+    @given(awkward_draws(), st.sampled_from(["f_weight", "feature_weight", "planted"]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_triangle_implications_hold(self, built, kind, seed):
+        # Property (iv): cdi and covariate shift imply sjs, sjs and cdi imply
+        # covariate shift at full rank, and sjs and covariate shift imply cdi
+        # where the posterior is positive.
+        p, f, inst = built
+        if kind == "planted":
+            q = inst.target
+        else:
+            rng = np.random.default_rng(seed)
+            w = rng.uniform(0.2, 5.0, f.num_cells if kind == "f_weight" else p.space.num_cells)
+            mass = p.mass * (w[f.cell_of] if kind == "f_weight" else w)[:, None]
+            q = FiniteJointDistribution(p.space, p.num_labels, mass / mass.sum())
+        report = check_triangle(p, q, f, posterior_statistics(p))
+        assert report.implication_violations == ()
