@@ -228,7 +228,8 @@ def fit_from_cell_mass(p: FiniteJointDistribution, f: FeaturePartition, u: np.nd
 
     ``u`` must be finite and non-negative, and is normalised to total 1;
     the priors, f-ratios and corrected posterior follow from it and the
-    source ``p``.
+    source ``p``.  No more than ``1e-9`` of it may lie on (f-cell, label)
+    pairs without source mass, where the correction cannot carry it.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (f.num_cells, p.num_labels):
@@ -247,6 +248,13 @@ def fit_from_cell_mass(p: FiniteJointDistribution, f: FeaturePartition, u: np.nd
     u = u / total
     priors = u.sum(axis=0)
     w = _shift_density(p, f, u)
+    # Masses are at most 1, so w is 0 only where u is 0 or the source pair is null.
+    null = (w == 0.0) & (u > 0.0)
+    lost = u[null].sum()
+    if lost > 1e-9:
+        n, i = np.unravel_index(int(np.argmax(null)), u.shape)
+        raise InvalidDistribution(f"fit places mass {lost:.3g} on source-null (f-cell, label) "
+                                  f"pairs, the first at f-cell {n}, label {i}")
     # Class-conditional density ratios: dQ/dP over the prior ratio Q_i / P_i.
     f_ratios = w * ratio(p.label_masses(), priors)
     return SjsFit(f, u, priors, f_ratios, _corrected_posterior(p, f, w), float(residual),
@@ -607,13 +615,7 @@ def reconstruct_target(p: FiniteJointDistribution, fit: SjsFit) -> FiniteJointDi
     for ``n`` the f-cell of ``x``.
     """
     f = fit.partition
-    w = _shift_density(p, f, fit.cell_label_mass)
-    # Masses are at most 1, so w is 0 only where u is 0 or the source pair is null.
-    lost = fit.cell_label_mass[w == 0.0].sum()
-    if lost > 1e-9:
-        raise InvalidDistribution(
-            f"fit places mass {lost:.3g} on source-null (cell, label) pairs")
-    mass = p.mass * w[f.cell_of]
+    mass = p.mass * _shift_density(p, f, fit.cell_label_mass)[f.cell_of]
     total = mass.sum()
     if abs(total - 1.0) > 1e-9:
         raise InvalidDistribution(f"reconstructed table totals {total!r}")

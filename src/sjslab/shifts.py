@@ -10,7 +10,7 @@ down on positive-mass events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .distribution import (
     ConditionalTable,
     FiniteJointDistribution,
     check_absolute_continuity,
-    marginal_density,
+    density_ratio,
     posterior,
     ratio,
 )
@@ -45,7 +45,8 @@ class ShiftVerdict:
     exceeds the tolerance (or no cell holds both labels).
 
     ``witness`` is ``(partition_cell, feature_cell, label)`` for the
-    entry achieving ``max_violation`` (entries may be None).
+    entry achieving ``max_violation`` (entries may be None).  An
+    equality-style check names none exactly when ``max_violation`` is 0.
     """
 
     kind: str
@@ -101,12 +102,22 @@ class RankReport:
         }
 
 
-def _pair_tables(p: FiniteJointDistribution, q: FiniteJointDistribution,
-                 f: FeaturePartition):
-    check_absolute_continuity(q, p)
-    p.require_positive_labels("source")
-    q.require_positive_labels("target")
-    return p.project(f), q.project(f)
+def _within(q_x, q_f, p_x, p_f) -> np.ndarray:
+    """``|q_x / q_f - p_x / p_f|`` per entry, 0 wherever either f-cell sum has no mass."""
+    active = (p_f > 0.0) & (q_f > 0.0)
+    return np.where(active, np.abs(ratio(q_x, q_f) - ratio(p_x, p_f)), 0.0)
+
+
+def _verdict(kind: str, diff: np.ndarray, tol: float, witness, details=None) -> ShiftVerdict:
+    """Verdict on a masked deviation table, from its first maximum in row-major order.
+
+    ``witness`` maps that entry's indices to the verdict's witness;
+    there is none when the maximum is 0.
+    """
+    at = np.unravel_index(int(np.argmax(diff)), diff.shape)
+    max_violation = float(diff[at])
+    return ShiftVerdict(kind, max_violation <= tol, max_violation, tol,
+                        witness(*map(int, at)) if max_violation > 0.0 else None, details or {})
 
 
 def check_sjs(p: FiniteJointDistribution, q: FiniteJointDistribution,
@@ -119,16 +130,13 @@ def check_sjs(p: FiniteJointDistribution, q: FiniteJointDistribution,
     Checking the finest feature cells suffices for all feature-measurable
     events.
     """
-    p_f, q_f = _pair_tables(p, q, f)
+    check_absolute_continuity(q, p)
+    p.require_positive_labels("source")
+    q.require_positive_labels("target")
     cells = f.cell_of
-    p_cell, q_cell = p_f[cells], q_f[cells]
-    active = (p_cell > 0.0) & (q_cell > 0.0)
-    diff = np.where(active, np.abs(ratio(q.mass, q_cell) - ratio(p.mass, p_cell)), 0.0)
-    # The witness is the first maximum in label-major order.
-    i, x = np.unravel_index(int(np.argmax(diff.T)), diff.T.shape)
-    max_violation = float(diff[x, i])
-    witness = (int(cells[x]), int(x), int(i)) if max_violation > 0.0 else None
-    return ShiftVerdict("sjs", max_violation <= tol, max_violation, tol, witness)
+    diff = _within(q.mass, q.project(f)[cells], p.mass, p.project(f)[cells])
+    # Transposed, so the witness is the first maximum in label-major order.
+    return _verdict("sjs", diff.T, tol, lambda i, x: (int(cells[x]), x, i))
 
 
 def check_prior_shift(p: FiniteJointDistribution, q: FiniteJointDistribution,
@@ -137,27 +145,17 @@ def check_prior_shift(p: FiniteJointDistribution, q: FiniteJointDistribution,
 
     Equivalent to the sparse-joint-shift check on the trivial partition.
     """
-    verdict = check_sjs(p, q, FeaturePartition.trivial(p.space), tol)
-    return ShiftVerdict("prior_shift", verdict.holds, verdict.max_violation, tol,
-                        verdict.witness)
+    return replace(check_sjs(p, q, FeaturePartition.trivial(p.space), tol), kind="prior_shift")
 
 
 def check_covariate_shift(p: FiniteJointDistribution, q: FiniteJointDistribution,
                           f: FeaturePartition, tol: float = DEFAULT_TOL) -> ShiftVerdict:
     """Label posteriors conditional on ``f`` agree between source and target."""
     check_absolute_continuity(q, p)
-    post_p = posterior(p, f)
-    post_q = posterior(q, f)
+    post_p, post_q = posterior(p, f), posterior(q, f)
     active = post_p.defined & post_q.defined
-    max_violation = 0.0
-    witness = None
-    if active.any():
-        diff = np.abs(post_q.values - post_p.values)
-        diff[~active] = 0.0
-        n, i = np.unravel_index(int(np.argmax(diff)), diff.shape)
-        max_violation = float(diff[n, i])
-        witness = (int(n), None, int(i))
-    return ShiftVerdict("covariate_shift", max_violation <= tol, max_violation, tol, witness)
+    diff = np.where(active[:, None], np.abs(post_q.values - post_p.values), 0.0)
+    return _verdict("covariate_shift", diff, tol, lambda n, i: (n, None, i))
 
 
 def check_cdi(p: FiniteJointDistribution, q: FiniteJointDistribution,
@@ -171,23 +169,15 @@ def check_cdi(p: FiniteJointDistribution, q: FiniteJointDistribution,
     cross-check and reported in ``details``.
     """
     check_absolute_continuity(q, p)
-    p_h = p.feature_marginal()
-    q_h = q.feature_marginal()
-    p_f = aggregate(p_h, f)
-    q_f = aggregate(q_h, f)
+    p_h, q_h = p.feature_marginal(), q.feature_marginal()
+    p_f, q_f = aggregate(p_h, f), aggregate(q_h, f)
     cells = f.cell_of
-    active = (p_f[cells] > 0.0) & (q_f[cells] > 0.0)
-    diff = np.where(active, np.abs(ratio(q_h, q_f[cells]) - ratio(p_h, p_f[cells])), 0.0)
-    x = int(np.argmax(diff)) if diff.size else 0
-    max_violation = float(diff[x]) if diff.size else 0.0
-    witness = (int(cells[x]), x, None) if diff.size else None
-
+    diff = _within(q_h, q_f[cells], p_h, p_f[cells])
     # Density form: the per-feature-cell density must be constant on f-cells.
-    density = marginal_density(q, p, FeaturePartition.full(p.space))
-    dens_dev = np.abs(density - ratio(q_f, p_f)[cells])
+    dens_dev = np.abs(density_ratio(q_h, p_h) - ratio(q_f, p_f)[cells])
     dens_dev[p_h == 0.0] = 0.0
-    return ShiftVerdict("cdi", max_violation <= tol, max_violation, tol, witness,
-                        details={"density_form_max_deviation": float(dens_dev.max(initial=0.0))})
+    return _verdict("cdi", diff, tol, lambda x: (int(cells[x]), x, None),
+                    {"density_form_max_deviation": float(dens_dev.max(initial=0.0))})
 
 
 def check_sufficiency(p: FiniteJointDistribution, f: FeaturePartition,
@@ -199,15 +189,10 @@ def check_sufficiency(p: FiniteJointDistribution, f: FeaturePartition,
     information.
     """
     post_h = p.full_posterior
-    post_f = posterior(p, f)
     cells = f.cell_of
-    active = post_h.defined  # feature cells with positive mass
-    diff = np.abs(post_h.values - post_f.values[cells])
-    diff[~active] = 0.0
-    x, i = np.unravel_index(int(np.argmax(diff)), diff.shape)
-    max_violation = float(diff[x, i])
-    return ShiftVerdict("sufficiency", max_violation <= tol, max_violation, tol,
-                        (int(cells[x]), int(x), int(i)))
+    diff = np.where(post_h.defined[:, None],
+                    np.abs(post_h.values - posterior(p, f).values[cells]), 0.0)
+    return _verdict("sufficiency", diff, tol, lambda x, i: (int(cells[x]), x, i))
 
 
 # -- conditional class matrix -------------------------------------------------

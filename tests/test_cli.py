@@ -125,7 +125,9 @@ class TestCheck:
         code = main(["check", "--source", str(instance_dir / "source.json"),
                      "--partition", "full", "--hypothesis", "sufficiency"])
         assert code == 0
-        assert read_json(capsys)["holds"] is True
+        doc = read_json(capsys)
+        assert doc["holds"] is True and doc["max_violation"] == 0.0
+        assert doc["witness"] is None  # an exact hold has no witness
 
     def test_target_required_for_two_sample_checks(self, instance_dir):
         with pytest.raises(SystemExit):
@@ -360,6 +362,21 @@ class TestPlantAndCorrect:
         assert code == 1
         assert f"{named} at f-cell 0, label 1" in capsys.readouterr().err
         assert not (instance_dir / "post.csv").exists()
+
+    def test_correct_rejects_mass_on_source_null_pairs(self, tmp_path, capsys):
+        # The X1=0 cell has no label-1 source mass, where the fit puts 0.2.
+        space = FeatureSpace(["X1", "X2"], [2, 2])
+        mass = np.array([[0.2, 0.0], [0.1, 0.0], [0.2, 0.2], [0.1, 0.2]])
+        FiniteJointDistribution(space, 2, mass).save(tmp_path / "p.json")
+        (tmp_path / "fit.json").write_text(json.dumps(
+            {"partition": {"type": "features", "features": ["X1"]},
+             "cell_label_mass": [[0.3, 0.2], [0.2, 0.3]]}))
+        code = main(["correct", "--source", str(tmp_path / "p.json"),
+                     "--fit", str(tmp_path / "fit.json"), "--out", str(tmp_path / "post.csv")])
+        assert code == 1
+        assert ("fit places mass 0.2 on source-null (f-cell, label) pairs, "
+                "the first at f-cell 0, label 1") in capsys.readouterr().err
+        assert not (tmp_path / "post.csv").exists()
 
 
 class TestReport:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sjslab import (
+    AbsoluteContinuityViolated,
     FeaturePartition,
     FeatureSpace,
     FiniteJointDistribution,
@@ -402,3 +403,56 @@ class TestPaperProperties:
             q = FiniteJointDistribution(p.space, p.num_labels, mass / mass.sum())
         report = check_triangle(p, q, f, posterior_statistics(p))
         assert report.implication_violations == ()
+
+
+def named_deviation(kind, p, q, f, witness) -> float:
+    """The deviation of the entry a verdict's witness names, from the tables directly."""
+    n, x, i = witness
+    P, Q = aggregate(p.mass, f), aggregate(q.mass, f)
+    if kind in ("sjs", "prior_shift"):
+        return abs(q.mass[x, i] / Q[n, i] - p.mass[x, i] / P[n, i])
+    if kind == "covariate_shift":
+        return abs(Q[n, i] / Q.sum(axis=1)[n] - P[n, i] / P.sum(axis=1)[n])
+    p_h, q_h = p.feature_marginal(), q.feature_marginal()
+    if kind == "cdi":
+        return abs(q_h[x] / aggregate(q_h, f)[n] - p_h[x] / aggregate(p_h, f)[n])
+    return abs(p.mass[x, i] / p_h[x] - P[n, i] / P.sum(axis=1)[n])  # sufficiency
+
+
+class TestWitnessRule:
+    @settings(max_examples=100, deadline=None)
+    @given(awkward_draws(), st.sampled_from(["planted", "feature_weight", "source"]),
+           st.sampled_from(["f", "trivial", "full"]), st.integers(0, 2 ** 32 - 1))
+    def test_the_witness_names_a_maximum_and_only_a_positive_one(self, built, kind, part,
+                                                                 seed):
+        # Property: no witness exactly when max_violation is 0; otherwise the
+        # named entry's deviation is max_violation.
+        p, f, inst = built
+        if kind == "planted":
+            q = inst.target
+        elif kind == "source":
+            q = p
+        else:
+            mass = p.mass * np.random.default_rng(seed).uniform(0.2, 5.0, p.space.num_cells)[:, None]
+            q = FiniteJointDistribution(p.space, p.num_labels, mass / mass.sum())
+        trivial = FeaturePartition.trivial(p.space)
+        g = {"f": f, "trivial": trivial, "full": FeaturePartition.full(p.space)}[part]
+        verdicts = [(check_sjs(p, q, g), g), (check_prior_shift(p, q), trivial),
+                    (check_covariate_shift(p, q, g), g), (check_cdi(p, q, g), g),
+                    (check_sufficiency(p, g), g)]
+        for verdict, h in verdicts:
+            if verdict.max_violation == 0.0:
+                assert verdict.witness is None, verdict.kind
+            else:
+                named = named_deviation(verdict.kind, p, q, h, verdict.witness)
+                assert named == verdict.max_violation, (verdict.kind, verdict.witness)
+
+    def test_continuity_is_checked_before_label_mass(self):
+        # The target puts mass where the source has none and has no label-1 mass.
+        space = FeatureSpace(["X1"], [2])
+        p = FiniteJointDistribution(space, 2, np.array([[0.0, 0.4], [0.3, 0.3]]))
+        q = FiniteJointDistribution(space, 2, np.array([[0.6, 0.0], [0.4, 0.0]]))
+        full = FeaturePartition.full(space)
+        for check in (check_sjs, check_cdi):
+            with pytest.raises(AbsoluteContinuityViolated, match="cell 0, label 0"):
+                check(p, q, full)
