@@ -25,6 +25,7 @@ from .estimators import (
     train_argmax_classifier,
 )
 from .experiment import (
+    EXIT_ERROR,
     EXIT_OK,
     METHODS,
     ExperimentConfig,
@@ -262,7 +263,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (SjslabError, OSError, ValueError, csv.Error) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

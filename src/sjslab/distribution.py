@@ -117,41 +117,28 @@ class FiniteJointDistribution:
     @cached_property
     def full_posterior(self) -> "ConditionalTable":
         """Label posterior given all features, built once: ``mass`` is read-only."""
-        return posterior(self, FeaturePartition.full(self.space))
+        return _normalised_rows(FeaturePartition.full(self.space), self.mass)
 
     # -- serialisation -----------------------------------------------------
 
-    def _nonzero_rows(self) -> tuple:
-        """``(fields, p)`` of the non-zero entries in row-major order.
-
-        ``fields`` holds each entry's coordinates and label, ``p`` its mass.
-        """
-        cells, labels = np.nonzero(self.mass)
-        return np.column_stack([self.space.coords_of(cells), labels]), self.mass[cells, labels]
-
-    def _document(self, rows: list) -> dict:
-        out = {
-            "features": [{"name": n, "cardinality": c}
-                         for n, c in zip(self.space.feature_names, self.space.cardinalities)],
-            "num_labels": self.num_labels,
-            "mass": rows,
-        }
-        if self.domains is not None:
-            out["domains"] = [list(values) for values in self.domains]
-        return out
-
-    def to_json_dict(self) -> dict:
-        fields, p = self._nonzero_rows()
-        return self._document([row + [q] for row, q in zip(fields.tolist(), p.tolist())])
-
     def save(self, path) -> None:
-        """Write ``json.dumps(self.to_json_dict(), sort_keys=True, indent=2)`` and a newline.
+        """Write the table document as ``json.dumps(..., sort_keys=True, indent=2)`` and a newline.
 
-        The mass rows are laid out by :func:`_indented_rows` rather than
-        by the pure-Python indenting encoder, which costs most of the time.
+        The document holds ``features``, ``num_labels``, ``domains`` if set,
+        and ``mass``: one row ``[coord_1, ..., coord_d, label, p]`` per
+        non-zero entry, in row-major order, as :meth:`from_json_dict` reads
+        it.  The rows are laid out by :func:`_indented_rows` rather than by
+        the pure-Python indenting encoder, which costs most of the time.
         """
-        text = json.dumps(self._document([]), sort_keys=True, indent=2)
-        rows = _indented_rows(*self._nonzero_rows())
+        doc = {"features": [{"name": n, "cardinality": c} for n, c in
+                            zip(self.space.feature_names, self.space.cardinalities)],
+               "num_labels": self.num_labels, "mass": []}
+        if self.domains is not None:
+            doc["domains"] = [list(values) for values in self.domains]
+        text = json.dumps(doc, sort_keys=True, indent=2)
+        cells, labels = np.nonzero(self.mass)
+        rows = _indented_rows(np.column_stack([self.space.coords_of(cells), labels]),
+                              self.mass[cells, labels])
         # JSON strings hold no raw newline, so this is the top-level key.
         text = text.replace('\n  "mass": []', '\n  "mass": ' + rows, 1)
         Path(path).write_text(text + "\n")
@@ -347,6 +334,12 @@ def class_conditional(dist: FiniteJointDistribution, label: int) -> np.ndarray:
     return dist.mass[:, label] / masses[label]
 
 
+def _normalised_rows(partition: FeaturePartition, joint: np.ndarray) -> ConditionalTable:
+    """Rows of ``joint`` over their sums, undefined where a row sums to 0."""
+    denom = joint.sum(axis=1)
+    return ConditionalTable(partition, ratio(joint, denom[:, None]), denom > 0.0)
+
+
 def posterior(dist: FiniteJointDistribution, partition: FeaturePartition) -> ConditionalTable:
     """Label probabilities conditional on a partition of the features.
 
@@ -355,9 +348,7 @@ def posterior(dist: FiniteJointDistribution, partition: FeaturePartition) -> Con
     rather than being dropped, so downstream code can distinguish a
     convention-zero from a true zero posterior.
     """
-    table = dist.project(partition)
-    cell_mass = table.sum(axis=1)
-    return ConditionalTable(partition, ratio(table, cell_mass[:, None]), cell_mass > 0.0)
+    return _normalised_rows(partition, dist.project(partition))
 
 
 def marginal_density(q: FiniteJointDistribution, p: FiniteJointDistribution,

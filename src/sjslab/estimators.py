@@ -25,7 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .distribution import ConditionalTable, FiniteJointDistribution, density_ratio, ratio
+from .distribution import (ConditionalTable, FiniteJointDistribution, _normalised_rows,
+                           density_ratio, ratio)
 from .errors import DegenerateObjective, InvalidDistribution, SjslabError
 from .shifts import numerical_rank
 from .space import FeaturePartition, FeatureSpace, aggregate, group_sum, stacks
@@ -214,7 +215,8 @@ def _validate_q_marginal(p: FiniteJointDistribution, q_marginal: np.ndarray) -> 
         x = int(np.argmin(np.isfinite(q_marginal)))
         raise InvalidDistribution(f"q_marginal is {q_marginal[x]} at cell {x}, not finite")
     if np.any(q_marginal < 0):
-        raise InvalidDistribution("q_marginal must be non-negative")
+        x = int(np.argmax(q_marginal < 0))
+        raise InvalidDistribution(f"q_marginal is {q_marginal[x]} at cell {x}, negative")
     total = q_marginal.sum()
     if abs(total - 1.0) > _MARGINAL_TOL:
         raise InvalidDistribution(f"q_marginal totals {total!r}, expected 1")
@@ -280,7 +282,7 @@ def sees_d_fit(p: FiniteJointDistribution, q_marginal: np.ndarray,
         Hypothesised shift partition.
     h_prime : FeaturePartition or None
         Sub-information-set the density is matched on; must refine ``f``.
-        ``None`` means the full feature partition.
+        ``None`` means the feature cells themselves.
 
     Notes
     -----
@@ -297,12 +299,11 @@ def sees_d_fit(p: FiniteJointDistribution, q_marginal: np.ndarray,
     """
     p.require_positive_labels("source")
     q_marginal = _validate_q_marginal(p, q_marginal)
-    if h_prime is None:
-        h_prime = FeaturePartition.full(p.space)
-    if not h_prime.refines(f):
-        raise InvalidDistribution("h_prime must refine the shift partition")
-    parent = h_prime.parent_cells(f)
-    p_hp_label = aggregate(p.mass, h_prime)
+    if h_prime is None:  # the equations are the feature cells themselves
+        parent, p_hp_label, q_hp = f.cell_of, p.mass, q_marginal
+    else:
+        parent = h_prime.parent_cells(f)
+        p_hp_label, q_hp = p.project(h_prime), aggregate(q_marginal, h_prime)
     p_hp = p_hp_label.sum(axis=1)
     p_f_label = aggregate(p.mass, f)
     positive = p_f_label > 0.0
@@ -315,7 +316,7 @@ def sees_d_fit(p: FiniteJointDistribution, q_marginal: np.ndarray,
     tri = np.zeros((f.num_cells, ell + 1, ell + 1))
     scale = np.maximum(np.bincount(parent[live], minlength=f.num_cells), positive.sum(axis=1))
     with np.errstate(over="ignore", invalid="ignore"):
-        density = density_ratio(aggregate(q_marginal, h_prime), p_hp)
+        density = density_ratio(q_hp, p_hp)
         per_label = ratio(1.0, p_f_label)
         for cells, members in stacks(parent[live], f.num_cells):
             x = live[members]
@@ -566,12 +567,6 @@ def sees_c_fit(p: FiniteJointDistribution, q_marginal: np.ndarray, f: FeaturePar
 
 
 # -- posterior correction and reconstruction -----------------------------------
-
-
-def _normalised_rows(full: FeaturePartition, joint: np.ndarray) -> ConditionalTable:
-    """Rows of ``joint`` over their sums, undefined where a row sums to 0."""
-    denom = joint.sum(axis=1)
-    return ConditionalTable(full, ratio(joint, denom[:, None]), denom > 0.0)
 
 
 def _corrected_posterior(p: FiniteJointDistribution, f: FeaturePartition,

@@ -129,9 +129,9 @@ class FeaturePartition:
         if not names:
             return cls.trivial(space)
         idx = [space.feature_index(n) for n in names]
-        coords = space.all_coords()
+        coords = np.unravel_index(np.arange(space.num_cells), space.cardinalities)
         dims = tuple(space.cardinalities[i] for i in idx)
-        codes = np.ravel_multi_index(tuple(coords[:, i] for i in idx), dims)
+        codes = np.ravel_multi_index(tuple(coords[i] for i in idx), dims)
         return cls(space, codes, feature_subset=names)
 
     @classmethod
@@ -160,19 +160,23 @@ class FeaturePartition:
 
     def refines(self, other: "FeaturePartition") -> bool:
         """True iff every cell of ``self`` lies inside one cell of ``other``."""
-        if other.space is not self.space and other.space != self.space:
-            return False
-        first = np.full(self.num_cells, -1, dtype=np.int64)
-        np.maximum.at(first, self.cell_of, other.cell_of)
-        return bool(np.all(first[self.cell_of] == other.cell_of))
+        return self._parents(other) is not None
 
     def parent_cells(self, other: "FeaturePartition") -> np.ndarray:
         """For ``self`` refining ``other``: other-cell containing each self-cell."""
-        if not self.refines(other):
+        parent = self._parents(other)
+        if parent is None:
             raise InvalidDistribution("partition does not refine the coarser one")
+        return parent
+
+    def _parents(self, other: "FeaturePartition") -> np.ndarray | None:
+        """The refinement test: scatter one other-cell per self-cell, then every
+        feature cell must read its own back.  None where ``self`` does not refine."""
+        if other.space is not self.space and other.space != self.space:
+            return None
         parent = np.empty(self.num_cells, dtype=np.int64)
         parent[self.cell_of] = other.cell_of
-        return parent
+        return parent if np.array_equal(parent[self.cell_of], other.cell_of) else None
 
     def describe(self) -> dict:
         """JSON-friendly description (used in reports); :meth:`from_description` reads it."""

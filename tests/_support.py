@@ -138,8 +138,8 @@ def reference_load_dataset(path, schema):
 
 # -- table JSON reference loops -------------------------------------------------
 #
-# The row-at-a-time writer and reader that the columnar ``to_json_dict``,
-# ``save`` and ``from_json_dict`` replaced.  ``save`` must write the bytes
+# The row-at-a-time writer and reader that the columnar ``save`` and
+# ``from_json_dict`` replaced.  ``save`` must write the bytes
 # ``reference_table_json`` gives, and ``from_json_dict`` must return the mass
 # ``reference_from_json_dict`` gives, or raise as it does.
 
@@ -400,6 +400,16 @@ def awkward_planted(rng, margins=True):
     p, f = built
     return p, f, plant_sjs(p, f, rng.dirichlet(np.full(ell, 5.0)), "random",
                            seed=int(rng.integers(2 ** 31)))
+
+
+def awkward_draws():
+    """A ``hypothesis`` strategy of :func:`awkward_planted` instances, with and
+    without collinear margins."""
+    from hypothesis import strategies as st
+
+    return (st.tuples(st.integers(0, 2 ** 32 - 1), st.booleans())
+            .map(lambda draw: awkward_planted(np.random.default_rng(draw[0]), margins=draw[1]))
+            .filter(lambda built: built is not None))
 
 
 def awkward_instance(rng, margins=True):

@@ -13,6 +13,7 @@ from sjslab import (
     FiniteJointDistribution,
     InvalidDistribution,
     OptimizerOptions,
+    SjslabError,
     aggregate,
     brute_force_fit,
     check_covariate_shift,
@@ -34,6 +35,7 @@ from sjslab import (
 from sjslab import estimators
 from sjslab.synthetic import product_distribution
 from _support import (
+    awkward_draws,
     awkward_instance,
     awkward_planted,
     near_singular_cells,
@@ -102,6 +104,12 @@ class TestSeesD:
         q = np.array([0.25, np.nan, 0.25, 0.5])
         for fit in (sees_d_fit, sees_c_fit):
             with pytest.raises(InvalidDistribution, match="q_marginal is nan at cell 1"):
+                fit(source, q, x1)
+
+    def test_rejects_a_negative_target_marginal(self, source, x1):
+        q = np.array([0.25, 0.5, -0.25, 0.5])
+        for fit in (sees_d_fit, sees_c_fit):
+            with pytest.raises(InvalidDistribution, match=r"q_marginal is -0\.25 at cell 2, negative"):
                 fit(source, q, x1)
 
     def test_fit_from_cell_mass_rebuilds_a_fit(self, source, target_literal, x1):
@@ -422,6 +430,41 @@ class TestSeesCProperties:
         assert fit_c.diagnostics["converged"]
         gap = np.abs(fit_c.target_priors - sees_d_fit(p, q, f).target_priors).max()
         assert gap <= 1e-9
+
+
+def fit_outcome(p, q, f, h_prime):
+    try:
+        return sees_d_fit(p, q, f, h_prime)
+    except SjslabError as exc:
+        return exc
+
+
+class TestFeatureCellEquations:
+    @settings(max_examples=150, deadline=None)
+    @given(awkward_draws(), st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_default_equations_are_those_of_the_full_partition(self, built, seed, reweight):
+        # h_prime=None fits on the feature cells themselves, bit for bit as on
+        # FeaturePartition.full; a reweighted target leaves residuals and NNLS cells.
+        p, f, inst = built
+        q = inst.target.feature_marginal()
+        if reweight:
+            q = q * np.random.default_rng(seed).uniform(0.5, 2.0, q.size)
+            q = q / q.sum()
+        got = fit_outcome(p, q, f, None)
+        want = fit_outcome(p, q, f, FeaturePartition.full(p.space))
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+            return
+        for name in ("cell_label_mass", "target_priors", "f_ratios"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert np.float64(got.residual).tobytes() == np.float64(want.residual).tobytes()
+        assert got.diagnostics["underdetermined_cells"] == want.diagnostics["underdetermined_cells"]
+        assert np.array(got.diagnostics["per_cell_residual"]).tobytes() == \
+            np.array(want.diagnostics["per_cell_residual"]).tobytes()
+        assert got.corrected_posterior.values.tobytes() == \
+            want.corrected_posterior.values.tobytes()
+        assert got.corrected_posterior.defined.tobytes() == \
+            want.corrected_posterior.defined.tobytes()
 
 
 class TestIdentifiabilityProperty:

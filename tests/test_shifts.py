@@ -31,7 +31,7 @@ from sjslab import (
 )
 from sjslab.synthetic import cdi_not_sjs_tables, product_distribution
 from _support import (
-    awkward_planted,
+    awkward_draws,
     awkward_source,
     random_planted,
     random_source,
@@ -362,13 +362,6 @@ class TestStructuralProperties:
             by_rank = rank_matrix(dist, g, posterior_statistics(dist)).identifiable
             by_var = binary_variance_criterion(dist, g).holds
             assert by_rank == by_var
-
-
-def awkward_draws():
-    """:func:`_support.awkward_planted` instances, with and without collinear margins."""
-    return (st.tuples(st.integers(0, 2 ** 32 - 1), st.booleans())
-            .map(lambda draw: awkward_planted(np.random.default_rng(draw[0]), margins=draw[1]))
-            .filter(lambda built: built is not None))
 
 
 class TestPaperProperties:

@@ -155,6 +155,70 @@ def test_from_description_names_the_missing_key(doc, key):
         FeaturePartition.from_description(space, doc)
 
 
+# -- the refinement test and subset codes --------------------------------------
+
+
+@st.composite
+def partition_pairs(draw):
+    """``(fine, coarse)`` cell maps over a space of up to 64 cells: ``coarse``
+    merges cells of ``fine`` (so ``fine`` refines it) or is drawn on its own."""
+    cards = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    space = FeatureSpace([f"x{j}" for j in range(len(cards))], cards)
+
+    def cell_map(size, then=None):
+        labels = np.array(draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size)))
+        codes = np.unique(labels if then is None else labels[then], return_inverse=True)[1]
+        return FeaturePartition(space, codes)
+
+    fine = cell_map(space.num_cells)
+    if draw(st.booleans()):
+        return fine, cell_map(fine.num_cells, then=fine.cell_of)
+    return fine, cell_map(space.num_cells)
+
+
+@settings(max_examples=200, deadline=None)
+@given(partition_pairs())
+def test_refines_and_parent_cells_follow_the_definition(pair):
+    # a refines b iff feature cells that share an a-cell share a b-cell.
+    fine, coarse = pair
+    for a, b in ((fine, coarse), (coarse, fine)):
+        want = not np.any((a.cell_of[:, None] == a.cell_of) & (b.cell_of[:, None] != b.cell_of))
+        assert a.refines(b) is want
+        if want:
+            parent = a.parent_cells(b)
+            assert parent.shape == (a.num_cells,)
+            assert np.array_equal(parent[a.cell_of], b.cell_of)
+        else:
+            with pytest.raises(InvalidDistribution, match="does not refine"):
+                a.parent_cells(b)
+    space = fine.space
+    twin = FeaturePartition(FeatureSpace(space.feature_names, space.cardinalities),
+                            coarse.cell_of)
+    assert fine.refines(twin) is fine.refines(coarse)
+    renamed = FeatureSpace([n + "'" for n in space.feature_names], space.cardinalities)
+    longer = FeatureSpace(space.feature_names + ("extra",), space.cardinalities + (2,))
+    for other in (renamed, longer):
+        for elsewhere in (FeaturePartition.trivial(other), FeaturePartition.full(other)):
+            assert not fine.refines(elsewhere) and not elsewhere.refines(fine)
+            with pytest.raises(InvalidDistribution, match="does not refine"):
+                fine.parent_cells(elsewhere)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_from_features_codes_follow_all_coords(data):
+    cards = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    space = FeatureSpace([f"x{j}" for j in range(len(cards))], cards)
+    names = data.draw(st.lists(st.sampled_from(space.feature_names), unique=True))
+    idx = [space.feature_index(n) for n in names]
+    want = np.zeros(space.num_cells)  # the trivial partition
+    if names:
+        want = np.ravel_multi_index(tuple(space.all_coords()[:, idx].T), [cards[i] for i in idx])
+    part = FeaturePartition.from_features(space, names)
+    assert part.cell_of.tobytes() == want.astype(np.int64).tobytes()
+    assert part.feature_subset == tuple(names)
+
+
 # -- the grouping core against the per-cell loops it replaced ------------------
 
 
