@@ -14,7 +14,8 @@ from a genuine zero probability.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -86,22 +87,39 @@ class FiniteJointDistribution:
                 if len(values) != card or len(set(values)) != card:
                     raise InvalidDistribution(
                         f"domain of {name!r} must list {card} distinct values, got {list(values)}")
-        mass = mass.copy()
-        mass.setflags(write=False)
+        mass = _read_only(mass.copy())
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "num_labels", num_labels)
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "domains", domains)
 
+    def __getstate__(self) -> dict:
+        # The cached sums stay out: they are computed again on demand, and a weak dict can't pickle.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     # -- basic marginals --------------------------------------------------
+    # ``mass`` is read-only, so each sum below is computed once per table
+    # and returned read-only; a caller copies before changing one.
 
     def label_masses(self) -> np.ndarray:
         """Prior probability of each label."""
-        return self.mass.sum(axis=0)
+        return self._label_masses
 
     def feature_marginal(self) -> np.ndarray:
         """Probability of each feature cell."""
-        return self.mass.sum(axis=1)
+        return self._feature_marginal
+
+    @cached_property
+    def _label_masses(self) -> np.ndarray:
+        return _read_only(self.mass.sum(axis=0))
+
+    @cached_property
+    def _feature_marginal(self) -> np.ndarray:
+        return _read_only(self.mass.sum(axis=1))
+
+    @cached_property
+    def _projections(self) -> weakref.WeakKeyDictionary:
+        return weakref.WeakKeyDictionary()
 
     def require_positive_labels(self, where: str = "distribution") -> None:
         """Raise :class:`ZeroLabelMass` unless every label has positive mass."""
@@ -111,8 +129,15 @@ class FiniteJointDistribution:
                 raise ZeroLabelMass(i, where)
 
     def project(self, partition: FeaturePartition) -> np.ndarray:
-        """(partition cell, label) mass table."""
-        return aggregate(self.mass, partition)
+        """(partition cell, label) mass table, summed once per partition object.
+
+        The table is kept while the partition lives: partitions compare
+        by identity, and the entry goes with its partition.
+        """
+        table = self._projections.get(partition)
+        if table is None:
+            table = self._projections[partition] = _read_only(aggregate(self.mass, partition))
+        return table
 
     @cached_property
     def full_posterior(self) -> "ConditionalTable":
@@ -198,6 +223,12 @@ class FiniteJointDistribution:
         return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """``values``, its write flag cleared."""
+    values.setflags(write=False)
+    return values
+
+
 def _indented_rows(fields: np.ndarray, p: np.ndarray) -> str:
     """Rows ``[*fields[k], p[k]]`` as ``json.dumps(..., indent=2)`` lays them out one level down.
 
@@ -272,10 +303,7 @@ class ConditionalTable:
         defined = np.asarray(defined, dtype=bool)
         if defined.shape != (partition.num_cells,):
             raise InvalidDistribution("defined mask must have one entry per partition cell")
-        values = values.copy()
-        values.setflags(write=False)
-        defined = defined.copy()
-        defined.setflags(write=False)
+        values, defined = _read_only(values.copy()), _read_only(defined.copy())
         object.__setattr__(self, "partition", partition)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "defined", defined)

@@ -265,7 +265,7 @@ def fit_from_cell_mass(p: FiniteJointDistribution, f: FeaturePartition, u: np.nd
 
 def _shift_density(p: FiniteJointDistribution, f: FeaturePartition, u: np.ndarray) -> np.ndarray:
     """The fitted shift density ``dQ/dP`` per (f-cell, label): ``u`` over the source's masses."""
-    return ratio(u, aggregate(p.mass, f))
+    return ratio(u, p.project(f))
 
 
 def sees_d_fit(p: FiniteJointDistribution, q_marginal: np.ndarray,
@@ -300,12 +300,12 @@ def sees_d_fit(p: FiniteJointDistribution, q_marginal: np.ndarray,
     p.require_positive_labels("source")
     q_marginal = _validate_q_marginal(p, q_marginal)
     if h_prime is None:  # the equations are the feature cells themselves
-        parent, p_hp_label, q_hp = f.cell_of, p.mass, q_marginal
+        parent, p_hp_label, p_hp, q_hp = f.cell_of, p.mass, p.feature_marginal(), q_marginal
     else:
         parent = h_prime.parent_cells(f)
         p_hp_label, q_hp = p.project(h_prime), aggregate(q_marginal, h_prime)
-    p_hp = p_hp_label.sum(axis=1)
-    p_f_label = aggregate(p.mass, f)
+        p_hp = p_hp_label.sum(axis=1)
+    p_f_label = p.project(f)
     positive = p_f_label > 0.0
     ell = p.num_labels
     # Equations come from the positive-mass h'-cells.  One QR of [A | b] per f-cell
@@ -413,7 +413,7 @@ class SeesCProblem:
             density_ratio(q_marginal, p_h)  # raises at the first violation
         priors = p.label_masses()
         post = p.full_posterior.values
-        self.coeffs = aggregate(p.mass, f) / priors  # E_{P_i}[1_{F_n}]
+        self.coeffs = p.project(f) / priors  # E_{P_i}[1_{F_n}]
         self.free = self.coeffs > 0.0
         support = q_marginal > 0.0
         self._idx = f.cell_of[support]

@@ -1,4 +1,7 @@
+import gc
 import json
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from sjslab import (
 from sjslab.distribution import density_ratio, ratio
 from _support import (
     awkward_draws,
+    random_planted,
     random_source,
     reference_continuity_error,
     reference_from_json_dict,
@@ -566,9 +570,13 @@ def test_density_ratio_messages():
         density_ratio(np.array([[0.5, 0.0], [0.25, 0.25]]), np.array([[0.5, 0.0], [0.0, 0.5]]))
 
 
+_SOURCES_AND_TARGETS = st.one_of(
+    joint_tables(),  # and awkward sources and targets, with zero-mass cells
+    awkward_draws().flatmap(lambda built: st.sampled_from([built[0], built[2].target])))
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(joint_tables(),  # and awkward sources and targets, with zero-mass cells
-                 awkward_draws().flatmap(lambda built: st.sampled_from([built[0], built[2].target]))))
+@given(_SOURCES_AND_TARGETS)
 def test_full_posterior_is_built_once_and_equals_posterior(dist):
     cached = dist.full_posterior
     assert dist.full_posterior is cached
@@ -579,3 +587,64 @@ def test_full_posterior_is_built_once_and_equals_posterior(dist):
     assert not cached.values.flags.writeable and not cached.defined.flags.writeable
     with pytest.raises(ValueError):
         cached.values[0, 0] = 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SOURCES_AND_TARGETS, st.data())
+def test_sums_are_built_once_and_equal_the_direct_sums(dist, data):
+    space = dist.space
+    feature = data.draw(st.sampled_from(space.feature_names))
+    sums = [(dist.label_masses, dist.mass.sum(axis=0)),
+            (dist.feature_marginal, dist.mass.sum(axis=1))]
+    for f in (FeaturePartition.trivial(space), FeaturePartition.from_features(space, [feature]),
+              FeaturePartition.full(space)):
+        sums.append((lambda f=f: dist.project(f), aggregate(dist.mass, f)))
+    for get, want in sums:
+        cached = get()
+        assert get() is cached
+        assert cached.shape == want.shape and cached.tobytes() == want.tobytes()
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 1.0
+
+
+def test_a_projection_goes_with_its_partition():
+    dist = uniform_two_by_two()
+    f = FeaturePartition.full(dist.space)
+    partition, table = weakref.ref(f), weakref.ref(dist.project(f))
+    del f
+    gc.collect()
+    assert partition() is None and table() is None
+    other = FeaturePartition.full(dist.space)  # an equal partition is another key
+    assert dist.project(other) is not dist.project(FeaturePartition.full(dist.space))
+
+
+def test_a_table_pickles_after_its_sums_are_cached():
+    dist = uniform_two_by_two()
+    f = FeaturePartition.full(dist.space)
+    dist.project(f), dist.label_masses(), dist.feature_marginal(), dist.full_posterior  # fill them
+    back = pickle.loads(pickle.dumps(dist))
+    assert back.mass.tobytes() == dist.mass.tobytes() and back.space == dist.space
+    assert back.project(f).tobytes() == dist.project(f).tobytes()
+
+
+def test_one_fit_check_and_rank_report_sum_the_source_onto_f_once(monkeypatch):
+    from sjslab import distribution, estimators, shifts
+    from sjslab.estimators import posterior_correct, sees_d_fit
+    from sjslab.shifts import check_sjs, posterior_statistics, rank_matrix
+
+    inst, f = random_planted(7)
+    p = FiniteJointDistribution(inst.source.space, inst.source.num_labels, inst.source.mass)
+    calls = []
+
+    def counted(values, partition):
+        calls.append(values is p.mass and partition is f)
+        return aggregate(values, partition)
+
+    for module in (distribution, estimators, shifts):
+        monkeypatch.setattr(module, "aggregate", counted)
+    fit = sees_d_fit(p, inst.target.feature_marginal(), f)
+    posterior_correct(p, fit)
+    rank_matrix(p, f, posterior_statistics(p))
+    check_sjs(p, inst.target, f)
+    assert calls.count(True) == 1
