@@ -18,12 +18,7 @@ import numpy as np
 
 from .distribution import FiniteJointDistribution
 from .errors import SjslabError
-from .estimators import (
-    OptimizerOptions,
-    fit_from_cell_mass,
-    sparsity_search,
-    train_argmax_classifier,
-)
+from .estimators import fit_from_cell_mass, sparsity_search, train_argmax_classifier
 from .experiment import (
     EXIT_ERROR,
     EXIT_OK,
@@ -141,9 +136,9 @@ def _cmd_estimate(args) -> int:
     if args.search:
         candidates = [s.strip() for s in args.search.split(",")] if args.search != "all" \
             else list(source.space.feature_names)
-        opts = OptimizerOptions(tol=args.tol, max_iter=args.max_iter)
         ranking = sparsity_search(source, q_marginal, candidates, args.penalty,
-                                  lambda q, g: fit_method(args.method, source, q, g, opts))
+                                  lambda q, g: fit_method(args.method, source, q, g, args.tol,
+                                                          args.max_iter))
         payload = {"ranking": [
             {"features": list(r.features), "objective": r.objective,
              "penalized_objective": r.penalized_objective, "error": r.error}
@@ -154,8 +149,7 @@ def _cmd_estimate(args) -> int:
         _emit(payload, args.out)
         return EXIT_OK
 
-    fit = fit_method(args.method, source, q_marginal, f,
-                     OptimizerOptions(tol=args.tol, max_iter=args.max_iter))
+    fit = fit_method(args.method, source, q_marginal, f, args.tol, args.max_iter)
     _emit(fit.to_json_dict(), args.out)
     if args.posterior_out:
         write_posterior_csv(args.posterior_out, source, fit.corrected_posterior)

@@ -259,8 +259,10 @@ def fit_from_cell_mass(p: FiniteJointDistribution, f: FeaturePartition, u: np.nd
                                   f"pairs, the first at f-cell {n}, label {i}")
     # Class-conditional density ratios: dQ/dP over the prior ratio Q_i / P_i.
     f_ratios = w * ratio(p.label_masses(), priors)
-    return SjsFit(f, u, priors, f_ratios, _corrected_posterior(p, f, w), float(residual),
-                  method, diagnostics)
+    # The target posterior, source times w: the cached source posterior is built, if
+    # it must be, before the joint is allocated.
+    posterior = _normalised_rows(p.full_posterior.partition, p.mass * w[f.cell_of])
+    return SjsFit(f, u, priors, f_ratios, posterior, float(residual), method, diagnostics)
 
 
 def _shift_density(p: FiniteJointDistribution, f: FeaturePartition, u: np.ndarray) -> np.ndarray:
@@ -377,15 +379,6 @@ _EM_STEPS = 3  # EM warm-start steps before the Newton steps
 _MIN_STEP = 1e-14  # smallest backtracking step
 
 
-@dataclass(frozen=True)
-class OptimizerOptions:
-    """SEES-c settings: ``tol`` bounds the KKT residual, ``max_iter`` the EM and
-    Newton steps.  A fit that stops short says so in ``diagnostics["converged"]``."""
-
-    tol: float = 1e-10
-    max_iter: int = 10000
-
-
 class SeesCProblem:
     """Likelihood objective of the density-matching problem on a partition.
 
@@ -489,7 +482,7 @@ def _newton_direction(hess, border, rhs, active) -> np.ndarray:
 
 
 def sees_c_fit(p: FiniteJointDistribution, q_marginal: np.ndarray, f: FeaturePartition,
-               opts: OptimizerOptions | None = None) -> SjsFit:
+               tol: float = 1e-10, max_iter: int = 10000) -> SjsFit:
     """Fit by maximising the target likelihood of the implied density.
 
     All f-cells' problems (see :class:`SeesCProblem`) are solved at once,
@@ -499,14 +492,13 @@ def sees_c_fit(p: FiniteJointDistribution, q_marginal: np.ndarray, f: FeaturePar
     halves its step, down to ``_MIN_STEP``, until its objective does not
     fall, so the recorded objective never decreases.  Converged means a
     KKT residual (``|gradient / coeffs - 1|`` where ``phi > 0``, its
-    positive part where ``phi == 0``) of at most ``opts.tol``.  Stopping
-    after ``opts.max_iter`` steps, or after a Newton step that raised no
+    positive part where ``phi == 0``) of at most ``tol``.  Stopping after
+    ``max_iter`` EM and Newton steps, or after a Newton step that raised no
     objective and cut no residual, is reported in the diagnostics as
     ``converged`` False.  ``residual`` on the fit is the optimal KL
     divergence of the observed feature density from the fitted one (0
     for an exact fit).
     """
-    opts = opts or OptimizerOptions()
     problem = SeesCProblem(p, q_marginal, f)
     coeffs, free, target = problem.coeffs, problem.free, problem.cell_mass[:, None]
 
@@ -522,10 +514,10 @@ def sees_c_fit(p: FiniteJointDistribution, q_marginal: np.ndarray, f: FeaturePar
     objective_history, constraint_errors = [obj], [abs(problem.constraint(phi) - 1.0)]
     iterations = newton_steps = 0
     best, raised = np.inf, True
-    for iterations in range(1, opts.max_iter + 1):
+    for iterations in range(1, max_iter + 1):
         scaled, violation = kkt(phi)
         worst, cell_worst = float(violation.max(initial=0.0)), violation.max(axis=1)
-        if worst <= opts.tol or (newton_steps and not raised and worst >= best):
+        if worst <= tol or (newton_steps and not raised and worst >= best):
             break
         best, pending = min(best, worst), cell_worst > 0.0
         if iterations <= _EM_STEPS:
@@ -547,7 +539,7 @@ def sees_c_fit(p: FiniteJointDistribution, q_marginal: np.ndarray, f: FeaturePar
             take = pending & (attempt_gain >= 0.0)
             trial = np.where(take[:, None], attempt, trial)
             gain, ok = np.where(take, attempt_gain, gain), ok | take
-            pending &= ~take & (cell_worst > opts.tol)  # cells within tol: full step only
+            pending &= ~take & (cell_worst > tol)  # cells within tol: full step only
             t[pending] *= 0.5
             pending &= t >= _MIN_STEP
         new_obj = obj + float(gain[ok].sum())
@@ -559,7 +551,7 @@ def sees_c_fit(p: FiniteJointDistribution, q_marginal: np.ndarray, f: FeaturePar
     else:  # out of steps: the residual after the last one
         worst = float(kkt(phi)[1].max(initial=0.0))
 
-    diagnostics = {"converged": worst <= opts.tol, "iterations": iterations,
+    diagnostics = {"converged": worst <= tol, "iterations": iterations,
                    "polish_steps": newton_steps, "kkt_residual": worst,
                    "objective_history": objective_history, "constraint_errors": constraint_errors}
     return fit_from_cell_mass(p, f, phi * coeffs, max(0.0, problem.kl_offset - obj), "sees_c",
@@ -567,13 +559,6 @@ def sees_c_fit(p: FiniteJointDistribution, q_marginal: np.ndarray, f: FeaturePar
 
 
 # -- posterior correction and reconstruction -----------------------------------
-
-
-def _corrected_posterior(p: FiniteJointDistribution, f: FeaturePartition,
-                         w: np.ndarray) -> ConditionalTable:
-    """Target label posterior of the source times the shift density ``w``."""
-    # The cached source posterior is built, if it must be, before the joint is allocated.
-    return _normalised_rows(p.full_posterior.partition, p.mass * w[f.cell_of])
 
 
 def posterior_correct(p: FiniteJointDistribution, correction) -> ConditionalTable:
@@ -588,12 +573,12 @@ def posterior_correct(p: FiniteJointDistribution, correction) -> ConditionalTabl
 
     normalised over labels.  For a fit the per-cell factors cancel in the
     normalisation, which leaves the source joint times the fitted shift
-    density ``Q[cell n, label i] / P[cell n, label i]``: the result is the
-    fit's ``corrected_posterior``.
+    density ``Q[cell n, label i] / P[cell n, label i]``, which the fit
+    already holds: the fit's own ``corrected_posterior`` table is
+    returned, so ``p`` must be the source the fit was made from.
     """
     if isinstance(correction, SjsFit):
-        f = correction.partition
-        return _corrected_posterior(p, f, _shift_density(p, f, correction.cell_label_mass))
+        return correction.corrected_posterior
     target_table, source_table = correction
     if target_table.partition.num_cells != source_table.partition.num_cells:
         raise InvalidDistribution("conditional tables must share their partition")

@@ -32,13 +32,7 @@ from .datasets import (
 )
 from .distribution import FiniteJointDistribution
 from .errors import InvalidDistribution, SchemaViolation, SjslabError
-from .estimators import (
-    OptimizerOptions,
-    sees_c_fit,
-    sees_d_fit,
-    sees_d_fit_with_classifier,
-    train_argmax_classifier,
-)
+from .estimators import sees_c_fit, sees_d_fit, sees_d_fit_with_classifier, train_argmax_classifier
 from .shifts import posterior_statistics, rank_matrix
 from .space import FeaturePartition
 
@@ -64,6 +58,21 @@ class ExperimentConfig:
     max_iter: int = 10000
 
     def __post_init__(self):
+        def need(ok: bool, key: str, kind: str):
+            if not ok:
+                raise InvalidDistribution(
+                    f"config key {key!r} must be {kind}, got {getattr(self, key)!r}")
+
+        for key in ("source_path", "target_path", "output_dir"):
+            need(isinstance(getattr(self, key), str), key, "a string")
+        need(isinstance(self.shift_features, (list, tuple))
+             and all(isinstance(n, str) for n in self.shift_features),
+             "shift_features", "a list of strings")
+        for key, kind, types in (("smoothing_alpha", "a real number", (int, float)),
+                                 ("optimizer_tol", "a real number", (int, float)),
+                                 ("max_iter", "an integer", int)):
+            value = getattr(self, key)  # bool is an int, but not a value for these
+            need(isinstance(value, types) and not isinstance(value, bool), key, kind)
         if self.method not in METHODS:
             raise InvalidDistribution(f"method must be one of {METHODS}")
         for path in (self.source_path, self.target_path):
@@ -170,10 +179,10 @@ def load_target_marginal(path, source: FiniteJointDistribution,
 
 
 def fit_method(method: str, source: FiniteJointDistribution, q_marginal: np.ndarray,
-               f: FeaturePartition, opts: OptimizerOptions):
-    """Fit with one of :data:`METHODS`; ``opts`` is used by SEES-c only."""
+               f: FeaturePartition, tol: float, max_iter: int):
+    """Fit with one of :data:`METHODS`; ``tol`` and ``max_iter`` are used by SEES-c only."""
     if method == "sees-c":
-        return sees_c_fit(source, q_marginal, f, opts)
+        return sees_c_fit(source, q_marginal, f, tol, max_iter)
     if method == "sees-d":
         return sees_d_fit(source, q_marginal, f)
     return sees_d_fit_with_classifier(source, q_marginal, f, f, train_argmax_classifier(source))
@@ -218,8 +227,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     q_marginal = load_target_marginal(config.target_path, source, config.smoothing_alpha)
     f = FeaturePartition.from_features(source.space, config.shift_features)
 
-    fit = fit_method(config.method, source, q_marginal, f,
-                     OptimizerOptions(tol=config.optimizer_tol, max_iter=config.max_iter))
+    fit = fit_method(config.method, source, q_marginal, f, config.optimizer_tol, config.max_iter)
 
     report = rank_matrix(source, f, posterior_statistics(source))
 

@@ -199,9 +199,11 @@ def check_sufficiency(p: FiniteJointDistribution, f: FeaturePartition,
 
 
 def posterior_statistics(p: FiniteJointDistribution) -> list:
-    """The label posteriors given all features, as rank statistics."""
-    post = p.full_posterior
-    return [post.values[:, i].copy() for i in range(p.num_labels)]
+    """The label posteriors given all features, as rank statistics.
+
+    Each is a read-only view of a column of the cached ``p.full_posterior``.
+    """
+    return list(p.full_posterior.values.T)
 
 
 def classifier_statistics(assignment: np.ndarray, num_labels: int) -> list:

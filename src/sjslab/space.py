@@ -81,7 +81,8 @@ class FeatureSpace:
         try:
             return self.feature_names.index(name)
         except ValueError:
-            raise KeyError(f"unknown feature {name!r}; have {self.feature_names}") from None
+            raise InvalidDistribution(
+                f"unknown feature {name!r}; have {list(self.feature_names)}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,12 +124,16 @@ class FeaturePartition:
         """Partition generated by a subset of the features.
 
         Two feature cells share a partition cell iff they agree on every
-        feature in ``names``.  An empty subset gives the trivial partition.
+        feature in ``names``.  An empty subset gives the trivial partition;
+        an unknown or repeated name raises, naming it.
         """
         names = tuple(names)
         if not names:
             return cls.trivial(space)
         idx = [space.feature_index(n) for n in names]
+        if len(set(idx)) < len(idx):
+            repeated = next(n for k, n in enumerate(names) if idx[k] in idx[:k])
+            raise InvalidDistribution(f"feature {repeated!r} is named twice in {list(names)}")
         coords = np.unravel_index(np.arange(space.num_cells), space.cardinalities)
         dims = tuple(space.cardinalities[i] for i in idx)
         codes = np.ravel_multi_index(tuple(coords[i] for i in idx), dims)

@@ -134,6 +134,13 @@ class TestCheck:
             main(["check", "--source", str(instance_dir / "source.json"),
                   "--partition", "X1", "--hypothesis", "sjs"])
 
+    def test_repeated_partition_feature_exits_1_naming_it(self, instance_dir, capsys):
+        code = main(["check", "--source", str(instance_dir / "source.json"),
+                     "--target", str(instance_dir / "target.json"),
+                     "--partition", "X1,X1", "--hypothesis", "sjs"])
+        assert code == 1
+        assert "error: feature 'X1' is named twice" in capsys.readouterr().err
+
     def test_error_exit_code(self, tmp_path, instance_dir, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"features": [], "num_labels": 2, "mass": []}))
@@ -280,6 +287,33 @@ class TestEstimateInputErrors:
         assert "spells feature 'X1' as ['b', 'a']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["estimate", "check", "plant", "identifiability", "report",
+                                     "correct"])
+def test_unknown_feature_exits_1_naming_it(tmp_path, instance_dir, capsys, command):
+    source, target = str(instance_dir / "source.json"), str(instance_dir / "target.json")
+    (tmp_path / "config.json").write_text(json.dumps(
+        {"source_path": source, "target_path": target, "shift_features": ["X9"],
+         "output_dir": str(tmp_path / "run")}))
+    (tmp_path / "fit.json").write_text(json.dumps(
+        {"partition": {"type": "features", "features": ["X9"]},
+         "cell_label_mass": [[0.5, 0.5]]}))
+    argv = {
+        "estimate": ["estimate", "--method", "sees-d", "--source", source,
+                     "--target-features", target, "--shift-features", "X9"],
+        "check": ["check", "--source", source, "--target", target, "--partition", "X1,X9",
+                  "--hypothesis", "sjs"],
+        "plant": ["plant", "--source", source, "--shift-features", "X9", "--priors", "0.5,0.5",
+                  "--out", str(tmp_path / "planted")],
+        "identifiability": ["identifiability", "--source", source, "--partition", "X9"],
+        "report": ["report", "--config", str(tmp_path / "config.json")],
+        "correct": ["correct", "--source", source, "--fit", str(tmp_path / "fit.json"),
+                    "--out", str(tmp_path / "post.csv")],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: unknown feature 'X9'" in err and "Traceback" not in err
+
+
 class TestPlantAndCorrect:
     def test_plant_then_estimate_recovers_priors(self, tmp_path, capsys):
         example_source().save(tmp_path / "p.json")
@@ -424,10 +458,19 @@ class TestReport:
                for name in self.REPEATED_ROWS_SHA256}
         assert got == self.REPEATED_ROWS_SHA256
 
-    @pytest.mark.parametrize("change,named", [({"methd": "sees-d"}, "methd"),
-                                              ({"shift_features": None}, "shift_features"),
-                                              ({"seed": 0}, "seed"),
-                                              ({"check_tol": 1e-9}, "check_tol")])
+    @pytest.mark.parametrize("change,named", [
+        ({"methd": "sees-d"}, "methd"),
+        ({"shift_features": None}, "shift_features"),
+        ({"seed": 0}, "seed"),
+        ({"check_tol": 1e-9}, "check_tol"),
+        ({"source_path": 3}, "'source_path' must be a string, got 3"),
+        ({"target_path": ["t.json"]}, "'target_path' must be a string, got ['t.json']"),
+        ({"output_dir": 1.5}, "'output_dir' must be a string, got 1.5"),
+        ({"shift_features": "X1"}, "'shift_features' must be a list of strings, got 'X1'"),
+        ({"smoothing_alpha": "0"}, "'smoothing_alpha' must be a real number, got '0'"),
+        ({"optimizer_tol": True}, "'optimizer_tol' must be a real number, got True"),
+        ({"max_iter": "ten", "method": "sees-c"}, "'max_iter' must be an integer, got 'ten'"),
+    ])
     def test_bad_config_keys_exit_1(self, tmp_path, instance_dir, capsys, change, named):
         config = {
             "source_path": str(instance_dir / "source.json"),

@@ -12,7 +12,6 @@ from sjslab import (
     FeatureSpace,
     FiniteJointDistribution,
     InvalidDistribution,
-    OptimizerOptions,
     SjslabError,
     aggregate,
     brute_force_fit,
@@ -353,8 +352,7 @@ class TestSeesC:
 
     def test_stops_when_a_tolerance_below_rounding_cannot_be_met(self):
         inst, f = planted_on_4096_cells(4)
-        fit = sees_c_fit(inst.source, inst.target.feature_marginal(), f,
-                         OptimizerOptions(tol=0.0))
+        fit = sees_c_fit(inst.source, inst.target.feature_marginal(), f, tol=0.0)
         diag = fit.diagnostics
         assert diag["iterations"] <= 30
         assert diag["converged"] == (diag["kkt_residual"] == 0.0)
@@ -426,7 +424,7 @@ class TestSeesCProperties:
         assume(report.identifiable)
         assume(all(s[-1] >= 1e-3 * s[0]
                    for s, mass in zip(report.singular_values, report.cell_masses) if mass > 0))
-        fit_c = sees_c_fit(p, q, f, OptimizerOptions(tol=1e-12))
+        fit_c = sees_c_fit(p, q, f, tol=1e-12)
         assert fit_c.diagnostics["converged"]
         gap = np.abs(fit_c.target_priors - sees_d_fit(p, q, f).target_priors).max()
         assert gap <= 1e-9
@@ -535,6 +533,13 @@ class TestPosteriorCorrect:
             got = posterior_correct(inst.source, fit)
             assert got.values.tobytes() == fit.corrected_posterior.values.tobytes()
             assert got.defined.tobytes() == fit.corrected_posterior.defined.tobytes()
+
+    def test_fit_route_reads_the_fit_and_rebuilds_nothing(self, source, target_literal, x1):
+        q = target_literal.feature_marginal()
+        clf = train_argmax_classifier(source)
+        for fit in (sees_d_fit(source, q, x1), sees_c_fit(source, q, x1),
+                    sees_d_fit_with_classifier(source, q, x1, x1, clf)):
+            assert posterior_correct(source, fit) is fit.corrected_posterior
 
     def test_fit_route_matches_table_route(self, source, target_literal, x1):
         fit = sees_d_fit(source, target_literal.feature_marginal(), x1)

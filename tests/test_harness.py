@@ -547,19 +547,12 @@ class TestRunExperiment:
         assert result.exit_code == EXIT_UNDERDETERMINED
         assert result.status == "underdetermined"
 
-    def test_not_converged_exit_code(self, tmp_path, source, target_literal, monkeypatch):
+    def test_not_converged_exit_code(self, tmp_path, source, target_literal):
         source.save(tmp_path / "p.json")
         target_literal.save(tmp_path / "q.json")
-        import sjslab.experiment as exp
-
-        def stunted(p, q_marginal, f, opts):
-            from sjslab import OptimizerOptions, sees_c_fit
-            return sees_c_fit(p, q_marginal, f, OptimizerOptions(tol=0.0, max_iter=2))
-
-        monkeypatch.setattr(exp, "sees_c_fit", stunted)
         config = ExperimentConfig(str(tmp_path / "p.json"), str(tmp_path / "q.json"),
-                                  ("X1",), method="sees-c",
-                                  output_dir=str(tmp_path / "run"))
+                                  ("X1",), method="sees-c", output_dir=str(tmp_path / "run"),
+                                  optimizer_tol=0.0, max_iter=2)
         result = run_experiment(config)
         assert result.exit_code == EXIT_NOT_CONVERGED
 

@@ -159,6 +159,14 @@ class TestRankMatrix:
         assert report.identifiable
         assert report.per_cell_rank == [2, 2]
 
+    def test_posterior_statistics_are_read_only_views_of_the_posterior(self, source):
+        values = source.full_posterior.values
+        stats = posterior_statistics(source)
+        assert len(stats) == source.num_labels
+        for i, s in enumerate(stats):
+            assert not s.flags.writeable and np.shares_memory(s, values)
+            assert s.tobytes() == values[:, i].tobytes()
+
     def test_constant_statistics_rank_one(self, source, x1):
         ones = [np.ones(source.space.num_cells) for _ in range(2)]
         report = rank_matrix(source, x1, ones)

@@ -47,7 +47,7 @@ class TestFeatureSpace:
 
     def test_unknown_feature_name(self):
         space = FeatureSpace(["a"], [2])
-        with pytest.raises(KeyError):
+        with pytest.raises(InvalidDistribution, match=r"unknown feature 'z'; have \['a'\]"):
             space.feature_index("z")
 
 
