@@ -74,6 +74,7 @@ class RowTable:
 
 
 CHUNK_ROWS = 4096
+BLOCK_CHARS = 1 << 18  # characters per read on the plain-line path
 MISSING_ID = 0  # spelling id of the empty field; short rows are padded with it
 UNSEEN_CODE = -1
 MISSING_CODE = -2
@@ -104,9 +105,20 @@ class CsvTokens(NamedTuple):
 def read_csv_tokens(path) -> CsvTokens:
     """Read a CSV file in one streaming pass into its distinct records.
 
-    :class:`csv.reader` parses the file once.  Each parsed record is
-    numbered on first sight and ``row_of`` maps every data row to its
-    record, so the per-field work below, and in :func:`decode_tokens`,
+    Two paths give the same result, chosen by what the file holds:
+
+    - **Plain lines.**  A file with no ``"`` and no ``\\r`` is read in
+      blocks of ``BLOCK_CHARS`` characters and split on ``\\n``.  Each
+      distinct non-empty line is numbered on first sight and split on
+      ``,`` once; ``row_of`` maps every data row to its line.  Memory:
+      one block, every distinct line as a string, and ``row_of``.
+    - **csv.reader.**  Any other file, or one with a distinct line
+      longer than :func:`csv.field_size_limit` (where the reader may
+      raise), is parsed by :class:`csv.reader` from its start.  Each
+      parsed record is numbered on first sight.  Memory: every distinct
+      record as a tuple of strings, and ``row_of``.
+
+    Either way the per-field work below, and in :func:`decode_tokens`,
     is done once per distinct record, not once per row.  The distinct
     records are mapped to spelling ids ``CHUNK_ROWS`` at a time.  Each
     field maps to the id of its spelling in one table shared by all
@@ -114,31 +126,68 @@ def read_csv_tokens(path) -> CsvTokens:
     ``MISSING_ID`` is the empty field.  As with :class:`csv.DictReader`,
     blank lines are skipped, short rows are padded with empty fields and
     long rows are cut to the header's width, so ``row_of[r]`` is the
-    record of the r-th non-blank data row.
-
-    Memory: until the read ends, every distinct record is held as a
-    tuple of strings.  A sample over a finite feature space repeats few
-    records, so this is small; a file of mostly distinct rows holds
-    most of its text this way.
+    record of the r-th non-blank data row.  A sample over a finite
+    feature space repeats few records, so the distinct records are
+    small; a file of mostly distinct rows holds most of its text.
     """
-    records = _FirstSightIds()
     with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        row_of = np.fromiter(map(records.__getitem__, map(tuple, filter(None, reader))),
-                             dtype=np.intp)
+        read = _read_plain_lines(fh)
+        if read is None:
+            fh.seek(0)
+            read = _read_csv_records(fh)
+    header, records, row_of = read
     width = len(header)
-    pad = ("",) * width
+    pad = [""] * width
     ids = _FirstSightIds({"": MISSING_ID})
     blocks = []
     distinct = iter(records)
     while chunk := list(islice(distinct, CHUNK_ROWS)):
         if set(map(len, chunk)) != {width}:  # short or long records
-            chunk = [r if len(r) == width else (r + pad)[:width] for r in chunk]
+            chunk = [r if len(r) == width else ([*r] + pad)[:width] for r in chunk]
         flat = list(map(ids.__getitem__, chain.from_iterable(chunk)))
         blocks.append(np.array(flat, dtype=np.int32).reshape(len(chunk), width))
     matrix = np.concatenate(blocks) if blocks else np.zeros((0, width), dtype=np.int32)
     return CsvTokens(header, tuple(ids), matrix, row_of)
+
+
+def _read_csv_records(fh) -> tuple:
+    """``(header, distinct records, row_of)`` parsed by :class:`csv.reader`."""
+    records = _FirstSightIds()
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    row_of = np.fromiter(map(records.__getitem__, map(tuple, filter(None, reader))),
+                         dtype=np.intp)
+    return header, records, row_of
+
+
+def _read_plain_lines(fh):
+    """:func:`_read_csv_records` by splitting lines, or None where it must parse.
+
+    Without ``"`` (no quoting) and ``\\r`` (``\\n`` ends every line),
+    :class:`csv.reader` splits a line on ``,`` and nothing else, and
+    yields an empty line as the blank record it skips.
+    """
+    first = fh.readline()
+    if '"' in first or "\r" in first:
+        return None
+    first = first.removesuffix("\n")
+    records = _FirstSightIds()
+    parts = []
+    tail = ""
+    while block := fh.read(BLOCK_CHARS):
+        if '"' in block or "\r" in block:
+            return None
+        lines = (tail + block).split("\n")
+        tail = lines.pop()
+        parts.append(np.fromiter(map(records.__getitem__, filter(None, lines)),
+                                 dtype=np.intp))
+    if tail:
+        parts.append(np.array([records[tail]], dtype=np.intp))
+    limit = csv.field_size_limit()  # read at call time, as csv.reader does
+    if len(first) > limit or max(map(len, records), default=0) > limit:
+        return None  # a field may be over the limit: csv.reader raises its error
+    row_of = np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+    return (first.split(",") if first else []), (line.split(",") for line in records), row_of
 
 
 def column_positions(header) -> dict:
@@ -164,6 +213,40 @@ def decode_tokens(tokens: CsvTokens, schema: DatasetSchema) -> RowTable:
 
     Lookups and checks run once per distinct record; the codes are then
     expanded to the rows through ``tokens.row_of``.
+    """
+    codes, row_of = _record_codes(tokens, schema)
+    nf = len(schema.feature_columns)
+    feats = codes[:, :nf][row_of]
+    labs = codes[row_of, nf] if schema.label_column else None
+    return RowTable(schema, feats, labs)
+
+
+def tokens_distribution(tokens: CsvTokens, schema: DatasetSchema,
+                        smoothing_alpha: float = 0.0):
+    """The table of :func:`empirical_distribution` on the decoded rows, without expanding them.
+
+    Each distinct record is counted once, weighted by its number of
+    rows.  The weighted sums add integers, which float64 holds exactly,
+    so the table is bit for bit that of
+    ``empirical_distribution(decode_tokens(tokens, schema), smoothing_alpha)``.
+    """
+    codes, row_of = _record_codes(tokens, schema)
+    counts = np.bincount(row_of, minlength=codes.shape[0])
+    if not counts.all():  # records whose rows were all dropped
+        kept = np.flatnonzero(counts)
+        codes, counts = codes[kept], counts[kept]
+    nf = len(schema.feature_columns)
+    return _frequencies(schema, codes[:, :nf], codes[:, nf] if schema.label_column else None,
+                        counts.astype(np.float64), smoothing_alpha)
+
+
+def _record_codes(tokens: CsvTokens, schema: DatasetSchema) -> tuple:
+    """Check and code each distinct record of a read CSV.
+
+    Returns ``(codes, row_of)``: one row of codes per distinct record
+    (the feature columns, then the label column if the schema has one)
+    and the record of each data row that is kept.  Errors are those of
+    :func:`load_dataset`, naming the row, column and value.
     """
     header, spellings, ids, row_of = tokens
     for col in schema.feature_columns:
@@ -209,10 +292,7 @@ def decode_tokens(tokens: CsvTokens, schema: DatasetSchema) -> RowTable:
                               row=row, column=columns[k])
     if missing.any():  # rows left with a missing value are dropped (the error policy raised)
         row_of = row_of[~missing[row_of]]
-    nf = len(schema.feature_columns)
-    feats = codes[:, :nf][row_of]
-    labs = codes[row_of, nf] if schema.label_column else None
-    return RowTable(schema, feats, labs)
+    return codes, row_of
 
 
 def empirical_distribution(rows: RowTable, smoothing_alpha: float = 0.0):
@@ -224,19 +304,27 @@ def empirical_distribution(rows: RowTable, smoothing_alpha: float = 0.0):
     when a target dataset hits cells unseen in the source (which would
     otherwise violate absolute continuity).
     """
-    if rows.num_rows == 0:
+    return _frequencies(rows.schema, rows.feature_codes, rows.label_codes, None,
+                        smoothing_alpha)
+
+
+def _frequencies(schema: DatasetSchema, feature_codes, label_codes, weights,
+                 smoothing_alpha: float):
+    """:func:`empirical_distribution` of coded rows, each counted ``weights`` times (or once)."""
+    if feature_codes.shape[0] == 0:
         raise EmptyDataset("no rows to estimate from")
     if smoothing_alpha < 0:
         raise SchemaViolation("smoothing_alpha must be non-negative")
-    space = rows.schema.space()
-    cells = np.ravel_multi_index(rows.feature_codes.T, space.cardinalities)
-    if rows.label_codes is None:
-        counts = np.bincount(cells, minlength=space.num_cells).astype(np.float64)
+    space = schema.space()
+    cells = np.ravel_multi_index(feature_codes.T, space.cardinalities)
+    if label_codes is None:
+        counts = np.bincount(cells, weights, minlength=space.num_cells)
+        counts = counts.astype(np.float64, copy=False)
         counts += smoothing_alpha
         return counts / counts.sum()
-    ell = rows.schema.num_labels
-    counts = np.bincount(cells * ell + rows.label_codes, minlength=space.num_cells * ell)
-    counts = counts.reshape(space.num_cells, ell).astype(np.float64)
+    ell = schema.num_labels
+    counts = np.bincount(cells * ell + label_codes, weights, minlength=space.num_cells * ell)
+    counts = counts.reshape(space.num_cells, ell).astype(np.float64, copy=False)
     counts += smoothing_alpha
     return FiniteJointDistribution(space, ell, counts / counts.sum())
 

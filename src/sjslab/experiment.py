@@ -24,11 +24,9 @@ from .datasets import (
     CsvTokens,
     DatasetSchema,
     column_positions,
-    decode_tokens,
-    empirical_distribution,
-    load_dataset,
     read_csv_tokens,
     schema_for_distribution,
+    tokens_distribution,
 )
 from .distribution import FiniteJointDistribution
 from .errors import InvalidDistribution, SchemaViolation, SjslabError
@@ -147,7 +145,7 @@ def load_source(path, smoothing_alpha: float = 0.0) -> FiniteJointDistribution:
         return FiniteJointDistribution.load(path)
     tokens = read_csv_tokens(path)
     schema = _schema_of_tokens(tokens, labelled=True, path=path)
-    dist = empirical_distribution(decode_tokens(tokens, schema), smoothing_alpha)
+    dist = tokens_distribution(tokens, schema, smoothing_alpha)
     return FiniteJointDistribution(dist.space, dist.num_labels, dist.mass,
                                    [schema.feature_domains[c] for c in schema.feature_columns])
 
@@ -174,8 +172,8 @@ def load_target_marginal(path, source: FiniteJointDistribution,
                 raise SchemaViolation(f"target {path} spells feature {name!r} as "
                                       f"{list(theirs)}, source as {list(ours)}")
         return target.feature_marginal()
-    rows = load_dataset(path, schema_for_distribution(source, labelled=False))
-    return empirical_distribution(rows, smoothing_alpha)
+    schema = schema_for_distribution(source, labelled=False)
+    return tokens_distribution(read_csv_tokens(path), schema, smoothing_alpha)
 
 
 def fit_method(method: str, source: FiniteJointDistribution, q_marginal: np.ndarray,

@@ -191,15 +191,19 @@ class FeaturePartition:
 
     @classmethod
     def from_description(cls, space: FeatureSpace, doc) -> "FeaturePartition":
-        """The partition :meth:`describe` wrote; raises naming a missing key."""
-        def need(key):
+        """The partition :meth:`describe` wrote; raises naming a missing or mistyped key."""
+        def need(key, kind, element):
             if not isinstance(doc, dict) or key not in doc:
                 raise InvalidDistribution(f"partition has no {key!r}")
-            return doc[key]
+            value = doc[key]
+            if not isinstance(value, list) or not set(map(type, value)) <= {element}:
+                raise InvalidDistribution(
+                    f"partition {key!r} must be a list of {kind}, got {value!r:.60}")
+            return value
 
         if isinstance(doc, dict) and doc.get("type") == "features":
-            return cls.from_features(space, need("features"))
-        return cls(space, need("cell_of"))
+            return cls.from_features(space, need("features", "feature names", str))
+        return cls(space, need("cell_of", "integers", int))
 
 
 def group(labels: np.ndarray, num_groups: int) -> tuple:

@@ -378,6 +378,23 @@ class TestPlantAndCorrect:
         assert code == 1
         assert f"has no {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("partition,named", [
+        ({"type": "features", "features": "X1"},
+         "partition 'features' must be a list of feature names, got 'X1'"),
+        ({"type": "custom", "cell_of": "ab"},
+         "partition 'cell_of' must be a list of integers, got 'ab'")])
+    def test_correct_rejects_a_mistyped_partition(self, tmp_path, capsys, partition, named):
+        # These once exited naming the feature 'X', or with int()'s message.
+        example_source().save(tmp_path / "p.json")
+        (tmp_path / "fit.json").write_text(json.dumps(
+            {"partition": partition, "cell_label_mass": [[0.5, 0.5]]}))
+        code = main(["correct", "--source", str(tmp_path / "p.json"),
+                     "--fit", str(tmp_path / "fit.json"), "--out", str(tmp_path / "post.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {named}\n" == err
+        assert not (tmp_path / "post.csv").exists()
+
     @pytest.mark.parametrize("mass,named", [([[0.5, -0.1], [0.3, 0.3]], "negative cell mass -0.1"),
                                             ([[0.5, float("nan")], [0.3, 0.2]],
                                              "non-finite cell mass nan")])

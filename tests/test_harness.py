@@ -18,6 +18,7 @@ from sjslab import (
     FeaturePartition,
     FiniteJointDistribution,
     SchemaViolation,
+    SjslabError,
     check_cdi,
     check_covariate_shift,
     check_prior_shift,
@@ -35,7 +36,7 @@ from sjslab import (
 )
 from sjslab import datasets, experiment
 from sjslab.cli import main
-from sjslab.datasets import read_csv_tokens
+from sjslab.datasets import read_csv_tokens, tokens_distribution
 from sjslab.experiment import (
     EXIT_NOT_CONVERGED,
     EXIT_OK,
@@ -236,6 +237,38 @@ def messy_csvs(draw):
     return text, schema
 
 
+@st.composite
+def plain_csvs(draw):
+    """A CSV text with no ``"`` and no CR, which the plain-line path reads.
+
+    Lines may be blank, whitespace-only or a lone ``,``, shorter or
+    longer than the header, and repeat; the header may be blank, and the
+    text may end without a newline.  Fields may hold NUL and the ASCII
+    characters that ``str.splitlines`` (but not csv.reader) breaks on.
+    """
+    field = st.text(alphabet="ab0 \t\x00\x0b\x0c\x1c\x1e", max_size=3)
+    line = st.one_of(st.sampled_from(["", " ", "\t", ","]),
+                     st.lists(field, min_size=1, max_size=5).map(",".join))
+    records = draw(st.lists(line, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(records) - 1), max_size=30))
+    header = draw(st.one_of(st.just(""), st.lists(st.sampled_from(["c0", "c1", "label", ""]),
+                                                  min_size=1, max_size=4).map(",".join)))
+    return "\n".join([header] + [records[k] for k in picks]) + draw(
+        st.sampled_from(["", "\n", "\n\n"]))
+
+
+def token_lists(tokens):
+    header, spellings, ids, row_of = tokens
+    return (header, spellings, ids.dtype, ids.shape, ids.tolist(), row_of.dtype, row_of.tolist())
+
+
+def csv_reader_tokens(path):
+    """``read_csv_tokens`` held to its csv.reader path: the reference for the plain path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datasets, "_read_plain_lines", lambda fh: None)
+        return read_csv_tokens(path)
+
+
 class TestCsvReader:
     @settings(max_examples=60, deadline=None)
     @given(coded_rows())
@@ -321,6 +354,48 @@ class TestCsvReader:
             assert inferred(lambda p: infer_schema(p, labelled=True), path) == \
                 inferred(reference_infer_schema, path)
 
+    @settings(max_examples=150, deadline=None)
+    @given(plain_csvs(), st.integers(1, 7))
+    def test_plain_lines_match_csv_reader(self, text, block_chars):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            path.write_text(text, newline="")
+            with path.open(newline="") as fh:
+                assert datasets._read_plain_lines(fh) is not None
+            want = token_lists(csv_reader_tokens(path))
+            assert token_lists(read_csv_tokens(path)) == want
+            with pytest.MonkeyPatch.context() as mp:  # lines cross block boundaries
+                mp.setattr(datasets, "BLOCK_CHARS", block_chars)
+                assert token_lists(read_csv_tokens(path)) == want
+
+    def test_nul_in_a_field_reads_alike_on_both_paths(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "a,b\nx\x00y,1\n\x00,\nx\x00y,1\n")
+        tokens = read_csv_tokens(path)
+        assert token_lists(tokens) == token_lists(csv_reader_tokens(path))
+        assert tokens.spellings == ("", "x\x00y", "1", "\x00")
+        assert tokens.row_of.tolist() == [0, 1, 0]
+
+    @pytest.mark.parametrize("text", ["a,b\n0,{big}\n0,1\n", "{big},b\n0,1\n", "a,b\n0,{big}"])
+    def test_over_limit_field_raises_the_csv_reader_error(self, tmp_path, text):
+        limit = csv.field_size_limit()
+        path = write_csv(tmp_path / "d.csv", text.format(big="1" * (limit + 1)))
+        with pytest.raises(csv.Error, match=rf"field larger than field limit \({limit}\)"):
+            read_csv_tokens(path)
+        # A line over the limit whose fields are within it reads as csv.reader reads it.
+        path = write_csv(tmp_path / "e.csv", text.format(big="1" * (limit // 2) + ","
+                                                          + "1" * (limit // 2 + 2)))
+        assert token_lists(read_csv_tokens(path)) == token_lists(csv_reader_tokens(path))
+
+    def test_field_limit_is_read_at_call_time(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "a,b\n0,123456789\n")
+        old = csv.field_size_limit(8)
+        try:
+            with pytest.raises(csv.Error, match=r"field larger than field limit \(8\)"):
+                read_csv_tokens(path)
+        finally:
+            csv.field_size_limit(old)
+        assert read_csv_tokens(path).spellings == ("", "0", "123456789")
+
     def test_load_source_reads_the_csv_once(self, tmp_path, monkeypatch):
         calls = []
 
@@ -380,6 +455,15 @@ class TestTargetDecoding:
         assert "'1'" in str(info.value)
         assert (info.value.row, info.value.column) == (1, "X1")
 
+    def test_unseen_value_on_a_repeated_record_names_its_first_row(self, tmp_path):
+        source = load_source(write_csv(tmp_path / "s.csv", self.SOURCE))
+        target = write_csv(tmp_path / "t.csv",
+                           "X1,X2\n0,a\n2,b\n0,a\n2,c\n2,b\n2,c\n0,a\n2,c\n")
+        with pytest.raises(SchemaViolation) as info:
+            load_target_marginal(target, source)
+        assert str(info.value) == "value 'c' not in declared domain at row 3, column 'X2'"
+        assert (info.value.row, info.value.column) == (3, "X2")
+
     def test_target_decoded_by_spelling_not_position(self, tmp_path):
         source = load_source(write_csv(tmp_path / "s.csv", self.SOURCE))
         target = write_csv(tmp_path / "t.csv", "X1,X2\n2,b\n2,b\n0,a\n2,a\n")
@@ -436,6 +520,69 @@ class TestEmpiricalDistribution:
         emp = empirical_distribution(load_dataset(path, schema))
         # each cell within 3 sigma of its exact mass at n = 10^4
         assert np.abs(emp.mass - source.mass).max() < 0.02
+
+
+def table_or_error(make):
+    """What a table builder gives, as comparable values: every bit of its masses, or its error."""
+    try:
+        table = make()
+    except SjslabError as exc:
+        return ("error", type(exc).__name__, str(exc))
+    if isinstance(table, np.ndarray):
+        return ("marginal", table.dtype, table.shape, table.tobytes())
+    return ("joint", table.space.feature_names, table.space.cardinalities, table.num_labels,
+            table.mass.dtype, table.mass.tobytes())
+
+
+def counted_and_expanded(path, schema, alpha):
+    return (table_or_error(lambda: tokens_distribution(read_csv_tokens(path), schema, alpha)),
+            table_or_error(lambda: empirical_distribution(load_dataset(path, schema), alpha)))
+
+
+class TestCountedTables:
+    """Tables counted by record equal the tables of the expanded rows, bit for bit."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.375])
+    def test_random_csvs(self, tmp_path, alpha):
+        path = tmp_path / "d.csv"
+        kinds = set()
+        for seed in range(150):
+            lines, schema = random_csv(seed)
+            with path.open("w", newline="") as fh:
+                csv.writer(fh).writerows(lines)
+            for policy in ("error", "drop_row"):
+                for labelled in (True, False):
+                    case = with_policy(schema, policy) if labelled else \
+                        DatasetSchema(schema.feature_domains, missing_policy=policy)
+                    counted, expanded = counted_and_expanded(path, case, alpha)
+                    assert counted == expanded, (seed, policy, labelled)
+                    kinds.add(counted[:2] if counted[0] == "error" else counted[0])
+        assert kinds >= {"joint", "marginal", ("error", "SchemaViolation"),
+                         ("error", "EmptyDataset")}
+
+    @settings(max_examples=60, deadline=None)
+    @given(messy_csvs(), st.sampled_from([0.0, 1e-3, 2.5]))
+    def test_messy_csvs(self, case, alpha):
+        text, schema = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            path.write_text(text, newline="")
+            for policy in ("error", "drop_row"):
+                counted, expanded = counted_and_expanded(path, with_policy(schema, policy), alpha)
+                assert counted == expanded
+
+    def test_every_row_dropped_is_an_empty_dataset(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "color,size,label\nred,,0\n,s,1\nred,,0\n")
+        schema = with_policy(BASIC_SCHEMA, "drop_row")
+        counted, expanded = counted_and_expanded(path, schema, 0.5)
+        assert counted == expanded == ("error", "EmptyDataset", "no rows to estimate from")
+
+    def test_repeated_records_are_weighted_by_their_rows(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv",
+                         "color,size,label\nred,s,0\ngreen,m,1\nred,s,0\nred,s,0\n")
+        dist = tokens_distribution(read_csv_tokens(path), BASIC_SCHEMA)
+        cell = dist.space.index_of
+        assert dist.mass[cell((0, 0)), 0] == 0.75 and dist.mass[cell((1, 1)), 1] == 0.25
 
 
 class TestGenerateSynthetic:

@@ -155,6 +155,19 @@ def test_from_description_names_the_missing_key(doc, key):
         FeaturePartition.from_description(space, doc)
 
 
+@pytest.mark.parametrize("doc,key,kind", [
+    ({"type": "features", "features": "a"}, "features", "feature names"),
+    ({"type": "features", "features": [0]}, "features", "feature names"),
+    ({"type": "custom", "cell_of": "ab"}, "cell_of", "integers"),
+    ({"type": "custom", "cell_of": [0, 1.0]}, "cell_of", "integers"),
+    ({"type": "custom", "cell_of": [True, 0]}, "cell_of", "integers"),
+    ({"cell_of": {"0": 0, "1": 1}}, "cell_of", "integers")])
+def test_from_description_names_a_mistyped_key(doc, key, kind):
+    space = FeatureSpace(["a"], [2])
+    with pytest.raises(InvalidDistribution, match=f"^partition {key!r} must be a list of {kind}"):
+        FeaturePartition.from_description(space, doc)
+
+
 # -- the refinement test and subset codes --------------------------------------
 
 
