@@ -29,6 +29,7 @@ from .experiment import (
     load_source,
     load_target_marginal,
     run_experiment,
+    write_json,
     write_posterior_csv,
 )
 from .oracle import plant_sjs
@@ -68,14 +69,6 @@ def _parse_partition(space, text: str) -> FeaturePartition:
     return FeaturePartition.from_features(space, [s.strip() for s in text.split(",")])
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _cmd_plant(args) -> int:
     source = FiniteJointDistribution.load(args.source)
     f = _parse_partition(source.space, args.shift_features)
@@ -92,7 +85,7 @@ def _cmd_plant(args) -> int:
         "cell_ratios": inst.cell_ratios.tolist(),
         "seed": args.seed,
     }
-    (out / "planted_fit.json").write_text(json.dumps(planted, sort_keys=True, indent=2) + "\n")
+    write_json(out / "planted_fit.json", planted)
     return EXIT_OK
 
 
@@ -100,7 +93,7 @@ def _cmd_simulate(args) -> int:
     params = json.loads(args.params) if args.params else {}
     paths = generate_synthetic(args.kind, params, seed=args.seed, out_dir=args.out,
                                num_samples=args.samples)
-    _emit({"written": paths}, None)
+    write_json(None, {"written": paths})
     return EXIT_OK
 
 
@@ -109,7 +102,7 @@ def _cmd_check(args) -> int:
     target = FiniteJointDistribution.load(args.target) if args.target else None
     f = _parse_partition(source.space, args.partition)
     check, _ = CHECKS[args.hypothesis]
-    _emit(check(source, target, f, args.tol).to_json_dict(), args.out)
+    write_json(args.out, check(source, target, f, args.tol).to_json_dict())
     return EXIT_OK
 
 
@@ -124,7 +117,7 @@ def _cmd_identifiability(args) -> int:
     report = rank_matrix(source, g, stats)
     payload = report.to_json_dict()
     payload["statistics"] = args.stats
-    _emit(payload, args.out)
+    write_json(args.out, payload)
     return EXIT_OK
 
 
@@ -146,11 +139,11 @@ def _cmd_estimate(args) -> int:
         best = next((r for r in ranking if r.fit is not None), None)
         if best is not None:
             payload["best"] = best.fit.to_json_dict()
-        _emit(payload, args.out)
+        write_json(args.out, payload)
         return EXIT_OK
 
     fit = fit_method(args.method, source, q_marginal, f, args.tol, args.max_iter)
-    _emit(fit.to_json_dict(), args.out)
+    write_json(args.out, fit.to_json_dict())
     if args.posterior_out:
         write_posterior_csv(args.posterior_out, source, fit.corrected_posterior)
     return fit_status(fit)[1]
@@ -179,8 +172,8 @@ def _cmd_correct(args) -> int:
 def _cmd_report(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     result = run_experiment(config)
-    _emit({"status": result.status, "exit_code": result.exit_code,
-           "outputs": result.outputs}, None)
+    write_json(None, {"status": result.status, "exit_code": result.exit_code,
+                      "outputs": result.outputs})
     return result.exit_code
 
 

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distribution import FiniteJointDistribution
+from .distribution import FiniteJointDistribution, _finite_non_negative
 from .errors import EmptyDataset, SchemaViolation
 from .space import FeatureSpace
 
@@ -118,7 +118,7 @@ def read_csv_tokens(path) -> CsvTokens:
       parsed record is numbered on first sight.  Memory: every distinct
       record as a tuple of strings, and ``row_of``.
 
-    Either way the per-field work below, and in :func:`decode_tokens`,
+    Either way the per-field work below, and in :func:`load_dataset`,
     is done once per distinct record, not once per row.  The distinct
     records are mapped to spelling ids ``CHUNK_ROWS`` at a time.  Each
     field maps to the id of its spelling in one table shared by all
@@ -205,16 +205,7 @@ def load_dataset(path, schema: DatasetSchema) -> RowTable:
     file order, and within it a missing value before an unseen one;
     row numbers count dropped rows.
     """
-    return decode_tokens(read_csv_tokens(path), schema)
-
-
-def decode_tokens(tokens: CsvTokens, schema: DatasetSchema) -> RowTable:
-    """Validate and code a read CSV as :func:`load_dataset` does.
-
-    Lookups and checks run once per distinct record; the codes are then
-    expanded to the rows through ``tokens.row_of``.
-    """
-    codes, row_of = _record_codes(tokens, schema)
+    codes, row_of = _record_codes(read_csv_tokens(path), schema)
     nf = len(schema.feature_columns)
     feats = codes[:, :nf][row_of]
     labs = codes[row_of, nf] if schema.label_column else None
@@ -227,8 +218,8 @@ def tokens_distribution(tokens: CsvTokens, schema: DatasetSchema,
 
     Each distinct record is counted once, weighted by its number of
     rows.  The weighted sums add integers, which float64 holds exactly,
-    so the table is bit for bit that of
-    ``empirical_distribution(decode_tokens(tokens, schema), smoothing_alpha)``.
+    so the table is bit for bit ``empirical_distribution(load_dataset(path,
+    schema), smoothing_alpha)`` for the file ``tokens`` was read from.
     """
     codes, row_of = _record_codes(tokens, schema)
     counts = np.bincount(row_of, minlength=codes.shape[0])
@@ -300,9 +291,9 @@ def empirical_distribution(rows: RowTable, smoothing_alpha: float = 0.0):
 
     Returns a :class:`FiniteJointDistribution` when the rows carry
     labels, otherwise the feature-marginal table.  ``smoothing_alpha``
-    adds a pseudo-count to every cell before normalising; recommended
-    when a target dataset hits cells unseen in the source (which would
-    otherwise violate absolute continuity).
+    (finite, >= 0) adds a pseudo-count to every cell before normalising;
+    recommended when a target dataset hits cells unseen in the source
+    (which would otherwise violate absolute continuity).
     """
     return _frequencies(rows.schema, rows.feature_codes, rows.label_codes, None,
                         smoothing_alpha)
@@ -313,8 +304,7 @@ def _frequencies(schema: DatasetSchema, feature_codes, label_codes, weights,
     """:func:`empirical_distribution` of coded rows, each counted ``weights`` times (or once)."""
     if feature_codes.shape[0] == 0:
         raise EmptyDataset("no rows to estimate from")
-    if smoothing_alpha < 0:
-        raise SchemaViolation("smoothing_alpha must be non-negative")
+    _finite_non_negative(smoothing_alpha, "smoothing_alpha")
     space = schema.space()
     cells = np.ravel_multi_index(feature_codes.T, space.cardinalities)
     if label_codes is None:
@@ -332,12 +322,15 @@ def _frequencies(schema: DatasetSchema, feature_codes, label_codes, weights,
 def write_rows_csv(path, schema: DatasetSchema, feature_codes: np.ndarray,
                    label_codes: np.ndarray | None = None) -> None:
     """Write code-encoded rows back to CSV using the schema's value spellings."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = list(schema.feature_columns)
-        if label_codes is not None:
-            header.append(schema.label_column or "label")
+    header = list(schema.feature_columns)
+    if label_codes is not None:
+        header.append(schema.label_column or "label")
+    # "\n" ends lines, so the plain-line read applies, unless a spelling holds "\r":
+    # csv.writer quotes a "\r" in a field only when "\r" is in its line terminator.
+    spellings = chain(header, *schema.feature_domains.values(), schema.label_domain or ())
+    crlf = any("\r" in value for value in spellings)
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\r\n" if crlf else "\n")
         writer.writerow(header)
         feature_codes = np.asarray(feature_codes)
         columns = [np.asarray(schema.feature_domains[c], dtype=object)[feature_codes[:, j]].tolist()

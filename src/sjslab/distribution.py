@@ -65,16 +65,10 @@ class FiniteJointDistribution:
         num_labels = int(num_labels)
         if num_labels < 2:
             raise InvalidDistribution(f"need at least 2 labels, got {num_labels}")
-        mass = np.asarray(mass, dtype=np.float64)
+        mass = _finite_non_negative(mass, "mass", ("cell", "label"))
         if mass.shape != (space.num_cells, num_labels):
             raise InvalidDistribution(
                 f"mass must have shape ({space.num_cells}, {num_labels}), got {mass.shape}")
-        if not np.all(np.isfinite(mass)):
-            x, i = np.unravel_index(int(np.argmin(np.isfinite(mass))), mass.shape)
-            raise InvalidDistribution(f"mass {mass[x, i]} at cell {x}, label {i} is not finite")
-        if np.any(mass < 0):
-            x, i = np.unravel_index(int(np.argmin(mass)), mass.shape)
-            raise InvalidDistribution(f"negative mass {mass[x, i]:.3g} at cell {x}, label {i}")
         total = float(mass.sum())
         if abs(total - 1.0) > MASS_TOL:
             raise InvalidDistribution(f"total mass is {total!r}, expected 1 within {MASS_TOL}")
@@ -316,6 +310,22 @@ class ConditionalTable:
 # -- core operations ---------------------------------------------------------
 
 
+def _finite_non_negative(values, what: str, axes: tuple = ()) -> np.ndarray:
+    """``values`` as float64, or :class:`InvalidDistribution` naming the first bad entry.
+
+    The first negative or non-finite entry in row-major order is named as
+    ``"{what} {value:.3g} at {axes[0]} {i}, ... is negative|not finite"``,
+    a scalar without a position.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if not values.size or (values.min() >= 0.0 and values.max() < np.inf):  # NaN fails both
+        return values
+    at = np.unravel_index(int(np.argmin((values >= 0.0) & (values < np.inf))), values.shape)
+    where = " at " + ", ".join(f"{axis} {i}" for axis, i in zip(axes, at)) if axes else ""
+    kind = "negative" if np.isfinite(values[at]) else "not finite"
+    raise InvalidDistribution(f"{what} {values[at]:.3g}{where} is {kind}")
+
+
 def ratio(num, den) -> np.ndarray:
     """``num / den`` where ``den > 0`` and 0 elsewhere (0/0 as 0), broadcast."""
     num, den = np.asarray(num, dtype=np.float64), np.asarray(den, dtype=np.float64)
@@ -425,14 +435,12 @@ def kl_divergence(p_table: np.ndarray, q_table: np.ndarray) -> float:
 
     Computes ``sum p * log(p / q)`` with the conventions ``0 log 0 = 0``
     and a return value of ``inf`` whenever ``q`` is zero on an event of
-    positive ``p`` mass.
+    positive ``p`` mass.  Both must be finite and non-negative.
     """
-    p_table = np.asarray(p_table, dtype=np.float64).ravel()
-    q_table = np.asarray(q_table, dtype=np.float64).ravel()
+    p_table = _finite_non_negative(np.ravel(p_table), "p_table", ("entry",))
+    q_table = _finite_non_negative(np.ravel(q_table), "q_table", ("entry",))
     if p_table.shape != q_table.shape:
         raise InvalidDistribution("tables must share their index set")
-    if np.any(p_table < 0) or np.any(q_table < 0):
-        raise InvalidDistribution("tables must be non-negative")
     pos = p_table > 0.0
     if np.any(q_table[pos] == 0.0):
         return float("inf")

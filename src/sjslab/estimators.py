@@ -25,8 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .distribution import (ConditionalTable, FiniteJointDistribution, _normalised_rows,
-                           density_ratio, ratio)
+from .distribution import (ConditionalTable, FiniteJointDistribution, _finite_non_negative,
+                           _normalised_rows, density_ratio, ratio)
 from .errors import DegenerateObjective, InvalidDistribution, SjslabError
 from .shifts import numerical_rank
 from .space import FeaturePartition, FeatureSpace, aggregate, group_sum, stacks
@@ -207,16 +207,10 @@ def _anchored_solution(A: np.ndarray, u_hat: np.ndarray, anchor: np.ndarray,
 
 
 def _validate_q_marginal(p: FiniteJointDistribution, q_marginal: np.ndarray) -> np.ndarray:
-    q_marginal = np.asarray(q_marginal, dtype=np.float64)
+    q_marginal = _finite_non_negative(q_marginal, "q_marginal", ("cell",))
     if q_marginal.shape != (p.space.num_cells,):
         raise InvalidDistribution(
             f"q_marginal must be a table over the {p.space.num_cells} feature cells")
-    if not np.all(np.isfinite(q_marginal)):
-        x = int(np.argmin(np.isfinite(q_marginal)))
-        raise InvalidDistribution(f"q_marginal is {q_marginal[x]} at cell {x}, not finite")
-    if np.any(q_marginal < 0):
-        x = int(np.argmax(q_marginal < 0))
-        raise InvalidDistribution(f"q_marginal is {q_marginal[x]} at cell {x}, negative")
     total = q_marginal.sum()
     if abs(total - 1.0) > _MARGINAL_TOL:
         raise InvalidDistribution(f"q_marginal totals {total!r}, expected 1")
@@ -233,15 +227,10 @@ def fit_from_cell_mass(p: FiniteJointDistribution, f: FeaturePartition, u: np.nd
     source ``p``.  No more than ``1e-9`` of it may lie on (f-cell, label)
     pairs without source mass, where the correction cannot carry it.
     """
-    u = np.asarray(u, dtype=np.float64)
+    u = _finite_non_negative(u, "cell mass", ("f-cell", "label"))
     if u.shape != (f.num_cells, p.num_labels):
         raise InvalidDistribution(
             f"cell masses must have shape ({f.num_cells}, {p.num_labels}), got {u.shape}")
-    bad = ~(np.isfinite(u) & (u >= 0.0))
-    if bad.any():  # the first in row-major order
-        n, i = np.unravel_index(int(np.argmax(bad)), u.shape)
-        kind = "negative" if u[n, i] < 0.0 else "non-finite"
-        raise InvalidDistribution(f"{kind} cell mass {u[n, i]:.3g} at f-cell {n}, label {i}")
     diagnostics = {} if diagnostics is None else diagnostics
     total = u.sum()
     diagnostics["raw_total_mass"] = float(total)
@@ -492,13 +481,14 @@ def sees_c_fit(p: FiniteJointDistribution, q_marginal: np.ndarray, f: FeaturePar
     halves its step, down to ``_MIN_STEP``, until its objective does not
     fall, so the recorded objective never decreases.  Converged means a
     KKT residual (``|gradient / coeffs - 1|`` where ``phi > 0``, its
-    positive part where ``phi == 0``) of at most ``tol``.  Stopping after
-    ``max_iter`` EM and Newton steps, or after a Newton step that raised no
-    objective and cut no residual, is reported in the diagnostics as
-    ``converged`` False.  ``residual`` on the fit is the optimal KL
-    divergence of the observed feature density from the fitted one (0
-    for an exact fit).
+    positive part where ``phi == 0``) of at most ``tol`` (finite, >= 0).
+    Stopping after ``max_iter`` EM and Newton steps, or after a Newton
+    step that raised no objective and cut no residual, is reported in the
+    diagnostics as ``converged`` False.  ``residual`` on the fit is the
+    optimal KL divergence of the observed feature density from the fitted
+    one (0 for an exact fit).
     """
+    _finite_non_negative(tol, "tol")
     problem = SeesCProblem(p, q_marginal, f)
     coeffs, free, target = problem.coeffs, problem.free, problem.cell_mass[:, None]
 
@@ -582,6 +572,8 @@ def posterior_correct(p: FiniteJointDistribution, correction) -> ConditionalTabl
     target_table, source_table = correction
     if target_table.partition.num_cells != source_table.partition.num_cells:
         raise InvalidDistribution("conditional tables must share their partition")
+    _finite_non_negative(target_table.values, "target table", ("cell", "label"))
+    _finite_non_negative(source_table.values, "source table", ("cell", "label"))
     ratios = ratio(target_table.values, source_table.values)
     ratios[~(target_table.defined & source_table.defined)] = 0.0
     post = p.full_posterior
@@ -627,16 +619,18 @@ def sparsity_search(p: FiniteJointDistribution, q_marginal: np.ndarray,
     Because shift on a feature set transfers to every superset, fitting
     all (d-1)-subsets first loses nothing; the search then greedily
     shrinks the best subset while the penalised objective
-    ``residual + penalty * |subset|`` keeps improving.  The full set and
-    (via shrinking) possibly the empty set are evaluated as well.
-    Returns every evaluated subset as a :class:`SubsetResult`, sorted by
-    penalised objective with lexicographic tie-break for determinism.
+    ``residual + penalty * |subset|`` (``penalty`` finite, >= 0) keeps
+    improving.  The full set and (via shrinking) possibly the empty set
+    are evaluated as well.  Returns every evaluated subset as a
+    :class:`SubsetResult`, sorted by penalised objective with
+    lexicographic tie-break for determinism.
     """
     order = {name: k for k, name in enumerate(p.space.feature_names)}
     for name in candidate_features:
         if name not in order:
             raise InvalidDistribution(f"unknown candidate feature {name!r}")
     candidates = tuple(sorted(dict.fromkeys(candidate_features), key=order.get))
+    _finite_non_negative(penalty, "penalty")
     q_marginal = _validate_q_marginal(p, q_marginal)
 
     results: dict[tuple, SubsetResult] = {}

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import platform
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -195,6 +196,15 @@ def fit_status(fit) -> tuple:
     return "ok", EXIT_OK
 
 
+def write_json(path, doc: dict) -> None:
+    """Write ``json.dumps(doc, sort_keys=True, indent=2)`` and a newline to ``path`` or stdout."""
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if not path:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -235,10 +245,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "rank_report": out / "rank_report.json",
         "manifest": out / "manifest.json",
     }
-    outputs["fit"].write_text(json.dumps(fit.to_json_dict(), sort_keys=True, indent=2) + "\n")
+    write_json(outputs["fit"], fit.to_json_dict())
     write_posterior_csv(outputs["posterior"], source, fit.corrected_posterior)
-    outputs["rank_report"].write_text(
-        json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n")
+    write_json(outputs["rank_report"], report.to_json_dict())
 
     status, exit_code = fit_status(fit)
     manifest = {
@@ -256,6 +265,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "sjslab": __version__,
         },
     }
-    outputs["manifest"].write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_json(outputs["manifest"], manifest)
     return ExperimentResult(fit, report, exit_code, status,
                             {k: str(v) for k, v in outputs.items()})

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .distribution import FiniteJointDistribution
+from .distribution import FiniteJointDistribution, _finite_non_negative
 from .errors import InfeasibleRatios, InvalidDistribution
 from .estimators import SeesCProblem, SjsFit
 from .space import FeaturePartition, aggregate, group
@@ -42,10 +42,11 @@ def plant_sjs(source: FiniteJointDistribution, f: FeaturePartition,
     ``cell_ratios`` may be a (num_f_cells, num_labels) table or
     ``"random"`` (seeded, uniform in [0.25, 4)); either way each label's
     ratios are renormalised so their source-class-conditional expectation
-    is exactly 1, so the planted priors are exact.
+    is exactly 1, so the planted priors are exact.  The priors must be
+    finite and positive, and a ratio table finite and non-negative.
     """
     source.require_positive_labels("source")
-    new_priors = np.asarray(new_priors, dtype=np.float64)
+    new_priors = _finite_non_negative(new_priors, "target prior", ("label",))
     if new_priors.shape != (source.num_labels,):
         raise InvalidDistribution(f"need {source.num_labels} target priors")
     if np.any(new_priors <= 0.0) or abs(new_priors.sum() - 1.0) > 1e-9:
@@ -56,12 +57,10 @@ def plant_sjs(source: FiniteJointDistribution, f: FeaturePartition,
         rng = np.random.default_rng(seed)
         ratios = rng.uniform(0.25, 4.0, size=(f.num_cells, source.num_labels))
     else:
-        ratios = np.asarray(cell_ratios, dtype=np.float64).copy()
+        ratios = _finite_non_negative(cell_ratios, "cell ratio", ("f-cell", "label")).copy()
         if ratios.shape != (f.num_cells, source.num_labels):
             raise InvalidDistribution(
                 f"cell_ratios must have shape ({f.num_cells}, {source.num_labels})")
-        if np.any(ratios < 0.0):
-            raise InvalidDistribution("cell_ratios must be non-negative")
 
     p_f_label = aggregate(source.mass, f)
     priors = source.label_masses()

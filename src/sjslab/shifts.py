@@ -17,6 +17,7 @@ import numpy as np
 from .distribution import (
     ConditionalTable,
     FiniteJointDistribution,
+    _finite_non_negative,
     check_absolute_continuity,
     density_ratio,
     posterior,
@@ -114,6 +115,7 @@ def _verdict(kind: str, diff: np.ndarray, tol: float, witness, details=None) -> 
     ``witness`` maps that entry's indices to the verdict's witness;
     there is none when the maximum is 0.
     """
+    _finite_non_negative(tol, "tol")
     at = np.unravel_index(int(np.argmax(diff)), diff.shape)
     max_violation = float(diff[at])
     return ShiftVerdict(kind, max_violation <= tol, max_violation, tol,
@@ -219,8 +221,7 @@ def _conditional_class_matrix(p: FiniteJointDistribution, g: FeaturePartition,
     for k, s in enumerate(stats):
         if s.shape != (p.space.num_cells,):
             raise InvalidDistribution(f"statistic {k} must be a table over feature cells")
-        if np.any(s < 0):
-            raise InvalidDistribution(f"statistic {k} must be non-negative")
+        _finite_non_negative(s, f"statistic {k}", ("cell",))
     class_cell = p.project(g)  # (cells, labels)
     num = np.stack([aggregate(p.mass * s[:, None], g) for s in stats], axis=1)
     return ratio(num, class_cell[:, None, :]), class_cell, np.stack(stats, axis=1)
@@ -229,7 +230,7 @@ def _conditional_class_matrix(p: FiniteJointDistribution, g: FeaturePartition,
 def rank_matrix(p: FiniteJointDistribution, g: FeaturePartition, statistics: list) -> RankReport:
     """Conditional class matrix per cell of ``g`` and its identifiability verdict.
 
-    ``statistics`` must be one non-negative feature-cell table per label.
+    ``statistics``: one finite, non-negative feature-cell table per label.
     Entry ``(i, j)`` of the cell-``n`` matrix is the expectation of
     statistic ``i`` under the class-``j`` conditional distribution,
     conditioned on the cell.  A singular value counts towards the rank
@@ -278,11 +279,13 @@ def binary_variance_criterion(p: FiniteJointDistribution, g: FeaturePartition,
     positive-mass feature cell, exceeds ``tol``.  ``max_violation`` is
     the smallest such spread, and ``witness`` names that cell and the
     feature cell reaching it; with no such cell the criterion holds,
-    with spread 0 and no witness.  With posterior statistics this is
-    equivalent to the rank condition of :func:`rank_matrix`.
+    with spread 0 and no witness; ``tol`` is finite and >= 0.  With
+    posterior statistics this is equivalent to the rank condition of
+    :func:`rank_matrix`.
     """
     if p.num_labels != 2:
         raise InvalidDistribution("the variance criterion is defined for 2 labels")
+    _finite_non_negative(tol, "tol")
     p.require_positive_labels("source")
     post = p.full_posterior.values[:, 0]
     p_h = p.feature_marginal()

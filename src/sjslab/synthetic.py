@@ -18,7 +18,6 @@ sampled CSVs; outputs are byte-identical for a fixed seed.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,7 @@ import numpy as np
 from .datasets import sample_rows, schema_for_distribution, write_rows_csv
 from .distribution import FiniteJointDistribution
 from .errors import InvalidDistribution
+from .experiment import write_json
 from .oracle import plant_sjs
 from .space import FeaturePartition, FeatureSpace
 
@@ -170,5 +170,5 @@ def generate_synthetic(kind: str, params: dict | None = None, seed: int = 0,
         "shift_features": list(shift_features),
         "files": sorted(p.name for p in paths.values()),
     }
-    paths["meta.json"].write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    write_json(paths["meta.json"], meta)
     return {k: str(v) for k, v in paths.items()}

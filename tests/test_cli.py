@@ -287,6 +287,32 @@ class TestEstimateInputErrors:
         assert "spells feature 'X1' as ['b', 'a']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args,named", [
+    (["check", "--hypothesis", "sjs", "--partition", "X1", "--tol", "nan"],
+     "tol nan is not finite"),
+    (["estimate", "--method", "sees-d", "--shift-features", "X1", "--alpha", "nan"],
+     "smoothing_alpha nan is not finite"),
+    (["estimate", "--method", "sees-d", "--search", "all", "--penalty", "nan"],
+     "penalty nan is not finite"),
+    (["estimate", "--method", "sees-c", "--shift-features", "X1", "--tol", "nan"],
+     "tol nan is not finite"),
+    (["plant", "--shift-features", "X1", "--priors", "nan,0.5"],
+     "target prior nan at label 0 is not finite"),
+])
+def test_a_non_finite_setting_exits_1_naming_it(instance_dir, capsys, args, named):
+    inputs = {"check": ["--source", "source.json", "--target", "target.json"],
+              "estimate": ["--source", "source_sample.csv",
+                           "--target-features", "target_features.csv"],
+              "plant": ["--source", "source.json"]}[args[0]]
+    inputs = [a if a.startswith("--") else str(instance_dir / a) for a in inputs]
+    out = instance_dir.parent / "out"
+    capsys.readouterr()
+    code = main([args[0], *inputs, *args[1:], "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["estimate", "check", "plant", "identifiability", "report",
                                      "correct"])
 def test_unknown_feature_exits_1_naming_it(tmp_path, instance_dir, capsys, command):
@@ -395,9 +421,10 @@ class TestPlantAndCorrect:
         assert f"error: {named}\n" == err
         assert not (tmp_path / "post.csv").exists()
 
-    @pytest.mark.parametrize("mass,named", [([[0.5, -0.1], [0.3, 0.3]], "negative cell mass -0.1"),
-                                            ([[0.5, float("nan")], [0.3, 0.2]],
-                                             "non-finite cell mass nan")])
+    @pytest.mark.parametrize("mass,named", [
+        ([[0.5, -0.1], [0.3, 0.3]], "-0.1 at f-cell 0, label 1 is negative"),
+        ([[0.5, float("nan")], [0.3, 0.2]], "nan at f-cell 0, label 1 is not finite"),
+    ], ids=["mass0-negative cell mass -0.1", "mass1-non-finite cell mass nan"])
     def test_correct_rejects_impossible_masses(self, instance_dir, capsys, mass, named):
         # Such masses once gave posteriors outside [0, 1], or every row undefined.
         source = str(instance_dir / "source.json")
@@ -411,7 +438,7 @@ class TestPlantAndCorrect:
         code = main(["correct", "--source", source, "--fit", str(instance_dir / "fit.json"),
                      "--out", str(instance_dir / "post.csv")])
         assert code == 1
-        assert f"{named} at f-cell 0, label 1" in capsys.readouterr().err
+        assert f"error: cell mass {named}\n" == capsys.readouterr().err
         assert not (instance_dir / "post.csv").exists()
 
     def test_correct_rejects_mass_on_source_null_pairs(self, tmp_path, capsys):

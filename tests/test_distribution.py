@@ -7,25 +7,43 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sjslab import (
     AbsoluteContinuityViolated,
+    ConditionalTable,
     FeaturePartition,
     FeatureSpace,
     FiniteJointDistribution,
     InvalidDistribution,
+    RowTable,
     ZeroLabelMass,
     aggregate,
+    binary_variance_criterion,
+    check_sjs,
     class_conditional,
     class_conditional_density,
+    empirical_distribution,
+    fit_from_cell_mass,
     full_importance_weight,
     kl_divergence,
     marginal_density,
+    plant_sjs,
     posterior,
+    posterior_correct,
+    posterior_statistics,
+    rank_matrix,
+    sample_rows,
+    schema_for_distribution,
+    sees_c_fit,
+    sees_d_fit,
+    sparsity_search,
 )
-from sjslab.distribution import density_ratio, ratio
+from sjslab.distribution import _finite_non_negative, density_ratio, ratio
 from _support import (
     awkward_draws,
+    example_source,
+    example_target_literal,
     random_planted,
     random_source,
     reference_continuity_error,
@@ -648,3 +666,129 @@ def test_one_fit_check_and_rank_report_sum_the_source_onto_f_once(monkeypatch):
     rank_matrix(p, f, posterior_statistics(p))
     check_sjs(p, inst.target, f)
     assert calls.count(True) == 1
+
+
+# -- one finite, non-negative check for every table and setting ----------------
+
+
+def _table_sites():
+    """name -> (valid table, call with a table, (what, position) of an index).
+
+    Every table an sjslab function is handed and checks for finite,
+    non-negative entries, each on a small valid input.
+    """
+    p = example_source()
+    x1 = FeaturePartition.from_features(p.space, ["X1"])
+    q = example_target_literal().feature_marginal()
+    post = posterior(p, x1)
+
+    def cell(what):
+        return lambda at: (what, f"cell {at[0]}")
+
+    def cell_label(what, cell="cell"):
+        return lambda at: (what, f"{cell} {at[0]}, label {at[1]}")
+
+    def entry(what):
+        return lambda at: (what, f"entry {np.ravel_multi_index(at, p.mass.shape)}")
+
+    return {
+        "mass": (p.mass, lambda a: FiniteJointDistribution(p.space, 2, a), cell_label("mass")),
+        "sees_d q_marginal": (q, lambda a: sees_d_fit(p, a, x1), cell("q_marginal")),
+        "sees_c q_marginal": (q, lambda a: sees_c_fit(p, a, x1), cell("q_marginal")),
+        "search q_marginal": (q, lambda a: sparsity_search(p, a, ["X1", "X2"], 0.0),
+                              cell("q_marginal")),
+        "cell mass": (sees_d_fit(p, q, x1).cell_label_mass,
+                      lambda a: fit_from_cell_mass(p, x1, a), cell_label("cell mass", "f-cell")),
+        "statistics": (np.stack(posterior_statistics(p)), lambda a: rank_matrix(p, x1, list(a)),
+                       lambda at: (f"statistic {at[0]}", f"cell {at[1]}")),
+        "kl p_table": (p.mass, lambda a: kl_divergence(a, p.mass), entry("p_table")),
+        "kl q_table": (p.mass, lambda a: kl_divergence(p.mass, a), entry("q_table")),
+        "target prior": (np.array([0.3, 0.7]), lambda a: plant_sjs(p, x1, a, seed=0),
+                         lambda at: ("target prior", f"label {at[0]}")),
+        "cell ratio": (np.ones((x1.num_cells, 2)), lambda a: plant_sjs(p, x1, [0.3, 0.7], a),
+                       cell_label("cell ratio", "f-cell")),
+        "target table": (post.values, lambda a: posterior_correct(
+            p, (ConditionalTable(x1, a, post.defined), post)), cell_label("target table")),
+        "source table": (post.values, lambda a: posterior_correct(
+            p, (post, ConditionalTable(x1, a, post.defined))), cell_label("source table")),
+    }
+
+
+def _setting_sites():
+    """name -> (call with a scalar setting, the setting's name)."""
+    p, q = example_source(), example_target_literal()
+    x1 = FeaturePartition.from_features(p.space, ["X1"])
+    rows = RowTable(schema_for_distribution(p), *sample_rows(p, 20, seed=0))
+    return {
+        "smoothing_alpha": (lambda v: empirical_distribution(rows, v), "smoothing_alpha"),
+        "check tol": (lambda v: check_sjs(p, q, x1, v), "tol"),
+        "variance tol": (lambda v: binary_variance_criterion(p, x1, v), "tol"),
+        "sees_c tol": (lambda v: sees_c_fit(p, q.feature_marginal(), x1, v), "tol"),
+        "penalty": (lambda v: sparsity_search(p, q.feature_marginal(), ["X1"], v), "penalty"),
+    }
+
+
+TABLE_SITES, SETTING_SITES = _table_sites(), _setting_sites()
+BAD_VALUES = st.sampled_from([np.nan, np.inf, -np.inf]) | st.floats(-1e300, -1e-300)
+
+
+def named(what, value, position=None) -> str:
+    """The message naming a bad ``value``, as the tables and settings are checked."""
+    kind = "negative" if np.isfinite(value) else "not finite"
+    return f"{what} {value:.3g}{'' if position is None else ' at ' + position} is {kind}"
+
+
+class TestFiniteNonNegative:
+    @pytest.mark.parametrize("site", sorted(TABLE_SITES))
+    def test_a_valid_table_passes_every_site(self, site):
+        valid, call, _ = TABLE_SITES[site]
+        call(np.array(valid))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(TABLE_SITES)), BAD_VALUES, st.data())
+    def test_every_site_names_the_first_bad_entry(self, site, bad, data):
+        valid, call, where = TABLE_SITES[site]
+        table = np.array(valid)
+        k = data.draw(st.integers(0, table.size - 1), label="first bad entry")
+        table.flat[k] = bad
+        if k + 1 < table.size and data.draw(st.booleans(), label="a later bad entry"):
+            table.flat[data.draw(st.integers(k + 1, table.size - 1))] = data.draw(BAD_VALUES)
+        with pytest.raises(InvalidDistribution) as info:
+            call(table)
+        what, position = where(np.unravel_index(k, table.shape))
+        assert str(info.value) == named(what, bad, position)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(SETTING_SITES)), BAD_VALUES)
+    def test_every_setting_is_named_without_a_position(self, site, bad):
+        call, what = SETTING_SITES[site]
+        with pytest.raises(InvalidDistribution) as info:
+            call(bad)
+        assert str(info.value) == named(what, bad)
+
+    @settings(max_examples=150, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0),
+                      elements=st.floats(0.0, 1e300) | st.just(-0.0)))
+    def test_a_valid_table_comes_back_bit_for_bit(self, table):
+        out = _finite_non_negative(table, "values", ("cell", "label"))
+        assert out.shape == table.shape and out.tobytes() == table.tobytes()
+
+    def test_a_table_keeps_its_valid_masses_bit_for_bit(self):
+        mass = np.array([[0.1, 0.2], [0.3, 0.4]])
+        dist = FiniteJointDistribution(FeatureSpace(["a"], [2]), 2, mass)
+        assert dist.mass.tobytes() == mass.tobytes()
+
+    def test_the_first_bad_entry_is_named_not_the_most_negative(self):
+        space = FeatureSpace(["a"], [2])
+        with pytest.raises(InvalidDistribution,
+                           match=r"^mass -0\.1 at cell 0, label 1 is negative$"):
+            FiniteJointDistribution(space, 2, [[0.5, -0.1], [-0.4, 1.0]])
+        with pytest.raises(InvalidDistribution,
+                           match="^mass -inf at cell 1, label 0 is not finite$"):
+            FiniteJointDistribution(space, 2, [[0.5, 0.5], [-np.inf, np.nan]])
+
+    def test_kl_divergence_rejects_nan_and_inf(self):
+        with pytest.raises(InvalidDistribution, match="^p_table nan at entry 0 is not finite$"):
+            kl_divergence([np.nan, 1.0], [0.5, 0.5])
+        with pytest.raises(InvalidDistribution, match="^q_table inf at entry 1 is not finite$"):
+            kl_divergence([0.5, 0.5], [0.5, np.inf])

@@ -102,13 +102,13 @@ class TestSeesD:
     def test_rejects_a_non_finite_target_marginal(self, source, x1):
         q = np.array([0.25, np.nan, 0.25, 0.5])
         for fit in (sees_d_fit, sees_c_fit):
-            with pytest.raises(InvalidDistribution, match="q_marginal is nan at cell 1"):
+            with pytest.raises(InvalidDistribution, match="q_marginal nan at cell 1 is not finite"):
                 fit(source, q, x1)
 
     def test_rejects_a_negative_target_marginal(self, source, x1):
         q = np.array([0.25, 0.5, -0.25, 0.5])
         for fit in (sees_d_fit, sees_c_fit):
-            with pytest.raises(InvalidDistribution, match=r"q_marginal is -0\.25 at cell 2, negative"):
+            with pytest.raises(InvalidDistribution, match=r"q_marginal -0\.25 at cell 2 is negative"):
                 fit(source, q, x1)
 
     def test_fit_from_cell_mass_rebuilds_a_fit(self, source, target_literal, x1):

@@ -411,13 +411,41 @@ class TestCsvReader:
         assert source.domains == (("a", "b"),)
         np.testing.assert_array_equal(source.mass, [[0.5, 0.25], [0.0, 0.25]])
 
+    def test_samples_are_read_by_plain_lines(self, tmp_path, monkeypatch):
+        paths = generate_synthetic("sjs", {"num_features": 3}, seed=2, out_dir=tmp_path,
+                                   num_samples=300)
+        exact = FiniteJointDistribution.load(paths["source.json"])
+        cases = [(paths["source_sample.csv"], schema_for_distribution(exact)),
+                 (paths["target_features.csv"], schema_for_distribution(exact, labelled=False))]
+        expected = [decoded(reference_load_dataset, path, schema) for path, schema in cases]
+
+        def refused(fh):
+            raise AssertionError("a sample was read by csv.reader")
+
+        monkeypatch.setattr(datasets, "_read_csv_records", refused)
+        for (path, schema), want in zip(cases, expected):
+            assert b"\r" not in Path(path).read_bytes()
+            assert decoded(load_codes, path, schema) == want
+
+    @pytest.mark.parametrize("spelling", ["a\rb", "\r", "a\r\nb", "a\nb", "a,b"])
+    def test_a_spelling_with_a_line_break_round_trips(self, tmp_path, spelling):
+        schema = DatasetSchema({"X1": ["x", spelling], "X2": ["0", "1"]},
+                               label_column="label", label_domain=["n", spelling])
+        feats, labels = np.array([[1, 0], [0, 1], [1, 1], [0, 0]]), np.array([1, 0, 1, 1])
+        write_rows_csv(tmp_path / "rows.csv", schema, feats, labels)
+        text = (tmp_path / "rows.csv").read_bytes()
+        assert text.endswith(b"\r\n") == ("\r" in spelling)
+        rows = load_dataset(tmp_path / "rows.csv", schema)
+        np.testing.assert_array_equal(rows.feature_codes, feats)
+        np.testing.assert_array_equal(rows.label_codes, labels)
+
     def test_writers_match_row_loops(self, tmp_path, source):
         schema = DatasetSchema({"X1": ["a", "b,c"], "X2": ["0", "2"]},
                                label_column="label", label_domain=["n", "y"])
         feats, labels = sample_rows(source, 50, seed=4)
         write_rows_csv(tmp_path / "rows.csv", schema, feats, labels)
         with (tmp_path / "ref.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")  # no spelling holds "\r"
             writer.writerow(["X1", "X2", "label"])
             for k in range(feats.shape[0]):
                 writer.writerow([schema.feature_domains["X1"][feats[k, 0]],
