@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .distribution import FiniteJointDistribution
+from .datasets import load_source, load_target_marginal, write_posterior_csv
+from .distribution import FiniteJointDistribution, _finite_non_negative
 from .errors import SjslabError
 from .estimators import fit_from_cell_mass, sparsity_search, train_argmax_classifier
 from .experiment import (
@@ -26,11 +27,8 @@ from .experiment import (
     ExperimentConfig,
     fit_method,
     fit_status,
-    load_source,
-    load_target_marginal,
     run_experiment,
     write_json,
-    write_posterior_csv,
 )
 from .oracle import plant_sjs
 from .shifts import (
@@ -122,6 +120,8 @@ def _cmd_identifiability(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    _finite_non_negative(args.tol, "tol")  # for every method and every searched subset
+    _finite_non_negative(args.max_iter, "max_iter")
     source = load_source(args.source, args.alpha)
     q_marginal = load_target_marginal(args.target_features, source, args.alpha)
     f = _parse_partition(source.space, args.shift_features)
@@ -248,7 +248,7 @@ def main(argv=None) -> int:
         parser.error(f"--target is required for hypothesis {args.hypothesis!r}")
     try:
         return args.func(args)
-    except (SjslabError, OSError, ValueError, csv.Error) as exc:
+    except (SjslabError, OSError, ValueError, OverflowError, csv.Error) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

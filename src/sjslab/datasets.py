@@ -1,4 +1,4 @@
-"""CSV ingestion and empirical distribution estimation."""
+"""Every CSV rule: reading, schemas, the source and target loaders, empirical tables and writers."""
 
 from __future__ import annotations
 
@@ -195,6 +195,29 @@ def column_positions(header) -> dict:
     return {name: j for j, name in enumerate(header)}
 
 
+def infer_schema(path) -> DatasetSchema:
+    """Labelled schema of the values a CSV holds, shortest first, then lexicographically."""
+    return _schema_of_tokens(read_csv_tokens(path), path)
+
+
+def _schema_of_tokens(tokens: CsvTokens, path) -> DatasetSchema:
+    """:func:`infer_schema` of a read CSV; ``path`` only names it in errors."""
+    header, spellings, ids, _ = tokens
+    if not header:
+        raise SchemaViolation(f"{Path(path)} has no header")
+    if "label" not in header:
+        raise SchemaViolation("labelled CSV must have a 'label' column")
+    position = column_positions(header)
+
+    def observed(col):  # every distinct record occurs in some row
+        used = np.unique(ids[:, position[col]])
+        return sorted((spellings[k] for k in used if k != MISSING_ID),
+                      key=lambda s: (len(s), s))
+
+    return DatasetSchema({c: observed(c) for c in header if c != "label"},
+                         label_column="label", label_domain=observed("label"))
+
+
 def load_dataset(path, schema: DatasetSchema) -> RowTable:
     """Read and validate a CSV file against a schema.
 
@@ -218,8 +241,10 @@ def tokens_distribution(tokens: CsvTokens, schema: DatasetSchema,
 
     Each distinct record is counted once, weighted by its number of
     rows.  The weighted sums add integers, which float64 holds exactly,
-    so the table is bit for bit ``empirical_distribution(load_dataset(path,
-    schema), smoothing_alpha)`` for the file ``tokens`` was read from.
+    so the masses are bit for bit those of ``empirical_distribution(
+    load_dataset(path, schema), smoothing_alpha)`` for the file ``tokens``
+    was read from.  A joint table also keeps the schema's feature
+    spellings as its ``domains``.
     """
     codes, row_of = _record_codes(tokens, schema)
     counts = np.bincount(row_of, minlength=codes.shape[0])
@@ -228,7 +253,49 @@ def tokens_distribution(tokens: CsvTokens, schema: DatasetSchema,
         codes, counts = codes[kept], counts[kept]
     nf = len(schema.feature_columns)
     return _frequencies(schema, codes[:, :nf], codes[:, nf] if schema.label_column else None,
-                        counts.astype(np.float64), smoothing_alpha)
+                        counts.astype(np.float64), smoothing_alpha,
+                        [schema.feature_domains[c] for c in schema.feature_columns])
+
+
+def load_source(path, smoothing_alpha: float = 0.0) -> FiniteJointDistribution:
+    """Source joint from exact JSON or a labelled CSV sample.
+
+    A CSV is read once; its schema is inferred from the same tokens that
+    are then counted.  A table read from CSV keeps the feature values it
+    saw as its ``domains``, so that a target sample is decoded with the
+    same spellings.
+    """
+    path = Path(path)
+    if path.suffix == ".json":
+        return FiniteJointDistribution.load(path)
+    tokens = read_csv_tokens(path)
+    return tokens_distribution(tokens, _schema_of_tokens(tokens, path), smoothing_alpha)
+
+
+def load_target_marginal(path, source: FiniteJointDistribution,
+                         smoothing_alpha: float = 0.0) -> np.ndarray:
+    """Target feature marginal from exact JSON or a feature-only CSV sample.
+
+    CSV columns are decoded with the source's value spellings (its
+    ``domains``, or the codes ``0..card-1`` when it has none); values
+    outside them are schema violations.
+    """
+    path = Path(path)
+    if path.suffix == ".json":
+        target = FiniteJointDistribution.load(path)
+        want, got = source.space, target.space
+        if (got.feature_names, got.cardinalities) != (want.feature_names, want.cardinalities):
+            raise SchemaViolation(
+                f"target {path} has features {dict(zip(got.feature_names, got.cardinalities))}, "
+                f"source has {dict(zip(want.feature_names, want.cardinalities))}")
+        for name, ours, theirs in zip(want.feature_names, source.domains or (),
+                                      target.domains or ()):
+            if ours != theirs:
+                raise SchemaViolation(f"target {path} spells feature {name!r} as "
+                                      f"{list(theirs)}, source as {list(ours)}")
+        return target.feature_marginal()
+    schema = schema_for_distribution(source, labelled=False)
+    return tokens_distribution(read_csv_tokens(path), schema, smoothing_alpha)
 
 
 def _record_codes(tokens: CsvTokens, schema: DatasetSchema) -> tuple:
@@ -300,8 +367,11 @@ def empirical_distribution(rows: RowTable, smoothing_alpha: float = 0.0):
 
 
 def _frequencies(schema: DatasetSchema, feature_codes, label_codes, weights,
-                 smoothing_alpha: float):
-    """:func:`empirical_distribution` of coded rows, each counted ``weights`` times (or once)."""
+                 smoothing_alpha: float, domains=None):
+    """:func:`empirical_distribution` of coded rows, each counted ``weights`` times (or once).
+
+    A joint table carries ``domains`` as its value spellings.
+    """
     if feature_codes.shape[0] == 0:
         raise EmptyDataset("no rows to estimate from")
     _finite_non_negative(smoothing_alpha, "smoothing_alpha")
@@ -316,7 +386,7 @@ def _frequencies(schema: DatasetSchema, feature_codes, label_codes, weights,
     counts = np.bincount(cells * ell + label_codes, weights, minlength=space.num_cells * ell)
     counts = counts.reshape(space.num_cells, ell).astype(np.float64, copy=False)
     counts += smoothing_alpha
-    return FiniteJointDistribution(space, ell, counts / counts.sum())
+    return FiniteJointDistribution(space, ell, counts / counts.sum(), domains)
 
 
 def write_rows_csv(path, schema: DatasetSchema, feature_codes: np.ndarray,
@@ -341,6 +411,19 @@ def write_rows_csv(path, schema: DatasetSchema, feature_codes: np.ndarray,
                            if schema.label_domain
                            else [str(int(v)) for v in label_codes.tolist()])
         writer.writerows(zip(*columns))
+
+
+def write_posterior_csv(path, source: FiniteJointDistribution, table) -> None:
+    """Write a posterior table: the feature codes, one column per label and ``defined``."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(source.space.feature_names)
+                        + [f"posterior_{i}" for i in range(table.num_labels)]
+                        + ["defined"])
+        writer.writerows(coords + [repr(v) for v in values] + [int(defined)]
+                         for coords, values, defined in zip(source.space.all_coords().tolist(),
+                                                            table.values.tolist(),
+                                                            table.defined.tolist()))
 
 
 def schema_for_distribution(dist: FiniteJointDistribution,

@@ -482,13 +482,14 @@ def sees_c_fit(p: FiniteJointDistribution, q_marginal: np.ndarray, f: FeaturePar
     fall, so the recorded objective never decreases.  Converged means a
     KKT residual (``|gradient / coeffs - 1|`` where ``phi > 0``, its
     positive part where ``phi == 0``) of at most ``tol`` (finite, >= 0).
-    Stopping after ``max_iter`` EM and Newton steps, or after a Newton
+    Stopping after ``max_iter`` (>= 0) EM and Newton steps, or after a Newton
     step that raised no objective and cut no residual, is reported in the
     diagnostics as ``converged`` False.  ``residual`` on the fit is the
     optimal KL divergence of the observed feature density from the fitted
     one (0 for an exact fit).
     """
     _finite_non_negative(tol, "tol")
+    _finite_non_negative(max_iter, "max_iter")
     problem = SeesCProblem(p, q_marginal, f)
     coeffs, free, target = problem.coeffs, problem.free, problem.cell_mass[:, None]
 

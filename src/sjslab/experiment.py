@@ -9,7 +9,6 @@ for bit-exact reproduction.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import platform
@@ -20,17 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .datasets import (
-    MISSING_ID,
-    CsvTokens,
-    DatasetSchema,
-    column_positions,
-    read_csv_tokens,
-    schema_for_distribution,
-    tokens_distribution,
-)
-from .distribution import FiniteJointDistribution
-from .errors import InvalidDistribution, SchemaViolation, SjslabError
+# infer_schema is not called here: benchmarks/tracing.py looks it up in this module by name.
+from .datasets import (infer_schema, load_source, load_target_marginal,  # noqa: F401
+                       write_posterior_csv)
+from .distribution import FiniteJointDistribution, _finite_non_negative
+from .errors import InvalidDistribution, SjslabError
 from .estimators import sees_c_fit, sees_d_fit, sees_d_fit_with_classifier, train_argmax_classifier
 from .shifts import posterior_statistics, rank_matrix
 from .space import FeaturePartition
@@ -72,6 +65,8 @@ class ExperimentConfig:
                                  ("max_iter", "an integer", int)):
             value = getattr(self, key)  # bool is an int, but not a value for these
             need(isinstance(value, types) and not isinstance(value, bool), key, kind)
+        _finite_non_negative(self.optimizer_tol, "optimizer_tol")
+        _finite_non_negative(self.max_iter, "max_iter")
         if self.method not in METHODS:
             raise InvalidDistribution(f"method must be one of {METHODS}")
         for path in (self.source_path, self.target_path):
@@ -107,76 +102,6 @@ class ExperimentResult:
     outputs: dict = field(default_factory=dict)
 
 
-def infer_schema(path, labelled: bool) -> DatasetSchema:
-    """Schema from a CSV's observed values, ordered shortest first, then lexicographically."""
-    return _schema_of_tokens(read_csv_tokens(path), labelled, path)
-
-
-def _schema_of_tokens(tokens: CsvTokens, labelled: bool, path) -> DatasetSchema:
-    """:func:`infer_schema` of a read CSV; ``path`` only names it in errors."""
-    header, spellings, ids, _ = tokens
-    if not header:
-        raise SchemaViolation(f"{Path(path)} has no header")
-    label_col = "label" if labelled and "label" in header else None
-    if labelled and label_col is None:
-        raise SchemaViolation("labelled CSV must have a 'label' column")
-    position = column_positions(header)
-
-    def observed(col):  # every distinct record occurs in some row
-        used = np.unique(ids[:, position[col]])
-        return sorted((spellings[k] for k in used if k != MISSING_ID),
-                      key=lambda s: (len(s), s))
-
-    domains = {c: observed(c) for c in header if c != label_col}
-    if label_col:
-        return DatasetSchema(domains, label_column=label_col, label_domain=observed(label_col))
-    return DatasetSchema(domains)
-
-
-def load_source(path, smoothing_alpha: float = 0.0) -> FiniteJointDistribution:
-    """Source joint from exact JSON or a labelled CSV sample.
-
-    A CSV is read once; its schema is inferred from the same tokens that
-    are then decoded.  A table read from CSV keeps the feature values it
-    saw as its ``domains``, so that a target sample is decoded with the
-    same spellings.
-    """
-    path = Path(path)
-    if path.suffix == ".json":
-        return FiniteJointDistribution.load(path)
-    tokens = read_csv_tokens(path)
-    schema = _schema_of_tokens(tokens, labelled=True, path=path)
-    dist = tokens_distribution(tokens, schema, smoothing_alpha)
-    return FiniteJointDistribution(dist.space, dist.num_labels, dist.mass,
-                                   [schema.feature_domains[c] for c in schema.feature_columns])
-
-
-def load_target_marginal(path, source: FiniteJointDistribution,
-                         smoothing_alpha: float = 0.0) -> np.ndarray:
-    """Target feature marginal from exact JSON or a feature-only CSV sample.
-
-    CSV columns are decoded with the source's value spellings (its
-    ``domains``, or the codes ``0..card-1`` when it has none); values
-    outside them are schema violations.
-    """
-    path = Path(path)
-    if path.suffix == ".json":
-        target = FiniteJointDistribution.load(path)
-        want, got = source.space, target.space
-        if (got.feature_names, got.cardinalities) != (want.feature_names, want.cardinalities):
-            raise SchemaViolation(
-                f"target {path} has features {dict(zip(got.feature_names, got.cardinalities))}, "
-                f"source has {dict(zip(want.feature_names, want.cardinalities))}")
-        for name, ours, theirs in zip(want.feature_names, source.domains or (),
-                                      target.domains or ()):
-            if ours != theirs:
-                raise SchemaViolation(f"target {path} spells feature {name!r} as "
-                                      f"{list(theirs)}, source as {list(ours)}")
-        return target.feature_marginal()
-    schema = schema_for_distribution(source, labelled=False)
-    return tokens_distribution(read_csv_tokens(path), schema, smoothing_alpha)
-
-
 def fit_method(method: str, source: FiniteJointDistribution, q_marginal: np.ndarray,
                f: FeaturePartition, tol: float, max_iter: int):
     """Fit with one of :data:`METHODS`; ``tol`` and ``max_iter`` are used by SEES-c only."""
@@ -207,18 +132,6 @@ def write_json(path, doc: dict) -> None:
 
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def write_posterior_csv(path, source: FiniteJointDistribution, table) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(source.space.feature_names)
-                        + [f"posterior_{i}" for i in range(table.num_labels)]
-                        + ["defined"])
-        writer.writerows(coords + [repr(v) for v in values] + [int(defined)]
-                         for coords, values, defined in zip(source.space.all_coords().tolist(),
-                                                            table.values.tolist(),
-                                                            table.defined.tolist()))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

@@ -298,6 +298,16 @@ class TestEstimateInputErrors:
      "tol nan is not finite"),
     (["plant", "--shift-features", "X1", "--priors", "nan,0.5"],
      "target prior nan at label 0 is not finite"),
+    (["estimate", "--method", "sees-c", "--search", "all", "--tol", "nan"],
+     "tol nan is not finite"),
+    (["estimate", "--method", "sees-c", "--shift-features", "X1", "--max-iter", "-3"],
+     "max_iter -3 is negative"),
+    (["estimate", "--method", "sees-d", "--shift-features", "X1", "--tol", "nan",
+      "--max-iter", "-3"], "tol nan is not finite"),
+    (["estimate", "--method", "sees-d", "--shift-features", "X1", "--max-iter", "-3"],
+     "max_iter -3 is negative"),
+    (["estimate", "--method", "sees-c", "--shift-features", "X1", "--max-iter", "9" * 400],
+     "int too large to convert to float"),
 ])
 def test_a_non_finite_setting_exits_1_naming_it(instance_dir, capsys, args, named):
     inputs = {"check": ["--source", "source.json", "--target", "target.json"],
@@ -338,6 +348,48 @@ def test_unknown_feature_exits_1_naming_it(tmp_path, instance_dir, capsys, comma
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "error: unknown feature 'X9'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case,named", [
+    ("empty source", "empty.csv has no header"),
+    ("source without labels", "labelled CSV must have a 'label' column"),
+    ("config list", "list.json must be a JSON object"),
+    ("unknown candidate", "unknown candidate feature 'X9'"),
+    ("feature without cardinality", "malformed distribution document: 'cardinality'"),
+])
+def test_a_malformed_input_exits_1_naming_it(tmp_path, instance_dir, capsys, case, named):
+    (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "unlabelled.csv").write_text("X1,X2\n0,1\n")
+    (tmp_path / "list.json").write_text("[]")
+    (tmp_path / "table.json").write_text(json.dumps(
+        {"features": [{"name": "X1"}], "num_labels": 2, "mass": []}))
+    out = tmp_path / "out.json"
+
+    def report(source):
+        (tmp_path / "config.json").write_text(json.dumps(
+            {"source_path": str(tmp_path / source),
+             "target_path": str(instance_dir / "target_features.csv"),
+             "shift_features": [], "output_dir": str(tmp_path / "run")}))
+        return ["report", "--config", str(tmp_path / "config.json")]
+
+    argv = {
+        "empty source": lambda: report("empty.csv"),
+        "source without labels": lambda: report("unlabelled.csv"),
+        "config list": lambda: ["report", "--config", str(tmp_path / "list.json")],
+        "unknown candidate": lambda: [
+            "estimate", "--method", "sees-d", "--source", str(instance_dir / "source.json"),
+            "--target-features", str(instance_dir / "target.json"), "--search", "X1,X9",
+            "--out", str(out)],
+        "feature without cardinality": lambda: [
+            "check", "--source", str(tmp_path / "table.json"), "--hypothesis", "sufficiency",
+            "--out", str(out)],
+    }[case]()
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{named}\n")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "run" / "fit.json").exists()
 
 
 class TestPlantAndCorrect:
@@ -514,6 +566,8 @@ class TestReport:
         ({"smoothing_alpha": "0"}, "'smoothing_alpha' must be a real number, got '0'"),
         ({"optimizer_tol": True}, "'optimizer_tol' must be a real number, got True"),
         ({"max_iter": "ten", "method": "sees-c"}, "'max_iter' must be an integer, got 'ten'"),
+        ({"max_iter": -1}, "max_iter -1 is negative"),
+        ({"optimizer_tol": float("nan"), "method": "sees-d"}, "optimizer_tol nan is not finite"),
     ])
     def test_bad_config_keys_exit_1(self, tmp_path, instance_dir, capsys, change, named):
         config = {
@@ -527,3 +581,4 @@ class TestReport:
         cfg_path.write_text(json.dumps({k: v for k, v in config.items() if v is not None}))
         assert main(["report", "--config", str(cfg_path)]) == 1
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()

@@ -724,6 +724,8 @@ def _setting_sites():
         "check tol": (lambda v: check_sjs(p, q, x1, v), "tol"),
         "variance tol": (lambda v: binary_variance_criterion(p, x1, v), "tol"),
         "sees_c tol": (lambda v: sees_c_fit(p, q.feature_marginal(), x1, v), "tol"),
+        "sees_c max_iter": (lambda v: sees_c_fit(p, q.feature_marginal(), x1, max_iter=v),
+                            "max_iter"),
         "penalty": (lambda v: sparsity_search(p, q.feature_marginal(), ["X1"], v), "penalty"),
     }
 

@@ -343,6 +343,13 @@ class TestSeesC:
         candidate = reconstruct_target(source, fit_d).feature_marginal()
         assert fit.residual <= kl_divergence(q_marg, candidate) + 1e-9
 
+    def test_zero_phi_has_no_objective_and_no_gradient(self, source, target_literal, x1):
+        problem = estimators.SeesCProblem(source, target_literal.feature_marginal(), x1)
+        zero = np.zeros_like(problem.initial_phi())
+        assert problem.objective(zero) == -np.inf
+        with pytest.raises(DegenerateObjective, match="implied density vanishes"):
+            problem.gradient(zero)
+
     @pytest.mark.parametrize("shifted", [4, 5])
     def test_newton_steps_converge_quadratically_on_4096_cells(self, shifted):
         inst, f = planted_on_4096_cells(shifted)

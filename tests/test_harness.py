@@ -34,18 +34,17 @@ from sjslab import (
     schema_for_distribution,
     write_rows_csv,
 )
-from sjslab import datasets, experiment
+from sjslab import datasets
 from sjslab.cli import main
-from sjslab.datasets import read_csv_tokens, tokens_distribution
-from sjslab.experiment import (
-    EXIT_NOT_CONVERGED,
-    EXIT_OK,
-    EXIT_UNDERDETERMINED,
+from sjslab.datasets import (
     infer_schema,
     load_source,
     load_target_marginal,
+    read_csv_tokens,
+    tokens_distribution,
     write_posterior_csv,
 )
+from sjslab.experiment import EXIT_NOT_CONVERGED, EXIT_OK, EXIT_UNDERDETERMINED
 from _support import reference_load_dataset, random_source
 
 
@@ -312,8 +311,7 @@ class TestCsvReader:
                 csv.writer(fh).writerows(lines)
             assert decoded(load_codes, path, schema) == \
                 decoded(reference_load_dataset, path, schema), seed
-            assert inferred(lambda p: infer_schema(p, labelled=True), path) == \
-                inferred(reference_infer_schema, path), seed
+            assert inferred(infer_schema, path) == inferred(reference_infer_schema, path), seed
 
     def test_chunk_boundaries_do_not_change_results(self, tmp_path, monkeypatch):
         text = ("color,size,label\nred,s,0\n\nred,m,1\n\"dark,red\",l\n\n\n"
@@ -324,7 +322,7 @@ class TestCsvReader:
         def results():
             header, spellings, ids, row_of = read_csv_tokens(path)
             return (header, spellings, ids.tolist(), row_of.tolist(),
-                    infer_schema(path, labelled=True),
+                    infer_schema(path),
                     [decoded(load_codes, path, with_policy(EDGE_SCHEMA, policy))
                      for policy in ("error", "drop_row")])
 
@@ -351,8 +349,7 @@ class TestCsvReader:
                 schema = with_policy(schema, policy)
                 assert decoded(load_codes, path, schema) == \
                     decoded(reference_load_dataset, path, schema)
-            assert inferred(lambda p: infer_schema(p, labelled=True), path) == \
-                inferred(reference_infer_schema, path)
+            assert inferred(infer_schema, path) == inferred(reference_infer_schema, path)
 
     @settings(max_examples=150, deadline=None)
     @given(plain_csvs(), st.integers(1, 7))
@@ -397,17 +394,22 @@ class TestCsvReader:
         assert read_csv_tokens(path).spellings == ("", "0", "123456789")
 
     def test_load_source_reads_the_csv_once(self, tmp_path, monkeypatch):
-        calls = []
+        calls, built = [], []
+        init = FiniteJointDistribution.__init__
 
         def counted(path):
             calls.append(path)
             return read_csv_tokens(path)
 
+        def counted_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
         monkeypatch.setattr(datasets, "read_csv_tokens", counted)
-        monkeypatch.setattr(experiment, "read_csv_tokens", counted)
+        monkeypatch.setattr(FiniteJointDistribution, "__init__", counted_init)
         path = write_csv(tmp_path / "s.csv", "X1,label\na,0\nb,1\na,0\na,1\n")
         source = load_source(path)
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(built) == 1  # one read, one table
         assert source.domains == (("a", "b"),)
         np.testing.assert_array_equal(source.mass, [[0.5, 0.25], [0.0, 0.25]])
 
