@@ -19,7 +19,8 @@ import numpy as np
 from .datasets import load_source, load_target_marginal, write_posterior_csv
 from .distribution import FiniteJointDistribution, _finite_non_negative
 from .errors import SjslabError
-from .estimators import fit_from_cell_mass, sparsity_search, train_argmax_classifier
+from .estimators import (SEES_C_MAX_ITER, SEES_C_TOL, fit_from_cell_mass, sparsity_search,
+                         train_argmax_classifier)
 from .experiment import (
     EXIT_ERROR,
     EXIT_OK,
@@ -32,6 +33,7 @@ from .experiment import (
 )
 from .oracle import plant_sjs
 from .shifts import (
+    DEFAULT_TOL,
     binary_variance_criterion,
     check_cdi,
     check_covariate_shift,
@@ -203,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=False, default=None)
     p.add_argument("--partition", default="", help="comma-separated features, 'trivial' or 'full'")
     p.add_argument("--hypothesis", required=True, choices=HYPOTHESES)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_check)
 
@@ -223,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--search", default=None,
                    help="comma-separated candidate features or 'all'; ranks subsets")
     p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=10000)
+    p.add_argument("--tol", type=float, default=SEES_C_TOL)
+    p.add_argument("--max-iter", type=int, default=SEES_C_MAX_ITER)
     p.add_argument("--out", default=None)
     p.add_argument("--posterior-out", default=None)
     p.set_defaults(func=_cmd_estimate)

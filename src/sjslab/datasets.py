@@ -14,6 +14,8 @@ from .distribution import FiniteJointDistribution, _finite_non_negative
 from .errors import EmptyDataset, SchemaViolation
 from .space import FeatureSpace
 
+LABEL = "label"  # the label column of every labelled CSV
+
 
 @dataclass(frozen=True)
 class DatasetSchema:
@@ -22,33 +24,25 @@ class DatasetSchema:
     ``feature_domains`` maps each feature column to the ordered list of
     admissible categorical values (strings compare after str() so integer
     and string spellings of the same code agree).  ``label_domain`` is
-    the ordered list of label values, or None for unlabelled data.
-    Missing values are empty fields; ``missing_policy`` decides between
-    rejecting the file and dropping the row.
+    the ordered list of label values, read from the column ``LABEL``, or
+    None for unlabelled data.  Every domain is non-empty and
+    duplicate-free.  Missing values are empty fields; ``missing_policy``
+    decides between rejecting the file and dropping the row.
     """
 
     feature_columns: tuple
     feature_domains: dict
-    label_column: str | None = None
     label_domain: tuple | None = None
     missing_policy: str = "error"
 
-    def __init__(self, feature_domains: dict, label_column: str | None = None,
-                 label_domain=None, missing_policy: str = "error"):
+    def __init__(self, feature_domains: dict, label_domain=None, missing_policy: str = "error"):
         if missing_policy not in ("error", "drop_row"):
             raise SchemaViolation(f"unknown missing_policy {missing_policy!r}")
-        if label_column is not None and label_domain is None:
-            raise SchemaViolation("label_domain required when label_column is set")
-        domains = {str(col): tuple(str(v) for v in values)
-                   for col, values in feature_domains.items()}
-        for col, values in domains.items():
-            if len(set(values)) != len(values) or not values:
-                raise SchemaViolation(f"domain of {col!r} must be non-empty and duplicate-free")
+        domains = {str(col): _domain(str(col), values) for col, values in feature_domains.items()}
         object.__setattr__(self, "feature_columns", tuple(domains))
         object.__setattr__(self, "feature_domains", domains)
-        object.__setattr__(self, "label_column", label_column)
         object.__setattr__(self, "label_domain",
-                           tuple(str(v) for v in label_domain) if label_domain else None)
+                           None if label_domain is None else _domain(LABEL, label_domain))
         object.__setattr__(self, "missing_policy", missing_policy)
 
     def space(self) -> FeatureSpace:
@@ -58,6 +52,14 @@ class DatasetSchema:
     @property
     def num_labels(self) -> int | None:
         return len(self.label_domain) if self.label_domain else None
+
+
+def _domain(column, values) -> tuple:
+    """A column's values as strings, or :class:`SchemaViolation` unless non-empty and distinct."""
+    values = tuple(str(v) for v in values)
+    if len(set(values)) != len(values) or not values:
+        raise SchemaViolation(f"domain of {column!r} must be non-empty and duplicate-free")
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,8 +207,11 @@ def _schema_of_tokens(tokens: CsvTokens, path) -> DatasetSchema:
     header, spellings, ids, _ = tokens
     if not header:
         raise SchemaViolation(f"{Path(path)} has no header")
-    if "label" not in header:
-        raise SchemaViolation("labelled CSV must have a 'label' column")
+    if LABEL not in header:
+        raise SchemaViolation(f"labelled CSV must have a {LABEL!r} column")
+    features = [c for c in header if c != LABEL]
+    if not features:
+        raise SchemaViolation(f"{Path(path)} has no feature column")
     position = column_positions(header)
 
     def observed(col):  # every distinct record occurs in some row
@@ -214,8 +219,7 @@ def _schema_of_tokens(tokens: CsvTokens, path) -> DatasetSchema:
         return sorted((spellings[k] for k in used if k != MISSING_ID),
                       key=lambda s: (len(s), s))
 
-    return DatasetSchema({c: observed(c) for c in header if c != "label"},
-                         label_column="label", label_domain=observed("label"))
+    return DatasetSchema({c: observed(c) for c in features}, observed(LABEL))
 
 
 def load_dataset(path, schema: DatasetSchema) -> RowTable:
@@ -231,7 +235,7 @@ def load_dataset(path, schema: DatasetSchema) -> RowTable:
     codes, row_of = _record_codes(read_csv_tokens(path), schema)
     nf = len(schema.feature_columns)
     feats = codes[:, :nf][row_of]
-    labs = codes[row_of, nf] if schema.label_column else None
+    labs = None if schema.label_domain is None else codes[row_of, nf]
     return RowTable(schema, feats, labs)
 
 
@@ -252,8 +256,8 @@ def tokens_distribution(tokens: CsvTokens, schema: DatasetSchema,
         kept = np.flatnonzero(counts)
         codes, counts = codes[kept], counts[kept]
     nf = len(schema.feature_columns)
-    return _frequencies(schema, codes[:, :nf], codes[:, nf] if schema.label_column else None,
-                        counts.astype(np.float64), smoothing_alpha,
+    labels = None if schema.label_domain is None else codes[:, nf]
+    return _frequencies(schema, codes[:, :nf], labels, counts.astype(np.float64), smoothing_alpha,
                         [schema.feature_domains[c] for c in schema.feature_columns])
 
 
@@ -307,17 +311,16 @@ def _record_codes(tokens: CsvTokens, schema: DatasetSchema) -> tuple:
     :func:`load_dataset`, naming the row, column and value.
     """
     header, spellings, ids, row_of = tokens
-    for col in schema.feature_columns:
-        if col not in header:
-            raise SchemaViolation(f"missing feature column {col!r} in header")
-    if schema.label_column is not None and schema.label_column not in header:
-        raise SchemaViolation(f"missing label column {schema.label_column!r} in header")
-
+    nf = len(schema.feature_columns)
     columns = list(schema.feature_columns)
     domains = [schema.feature_domains[c] for c in columns]
-    if schema.label_column:
-        columns.append(schema.label_column)
+    if schema.label_domain is not None:
+        columns.append(LABEL)
         domains.append(schema.label_domain)
+    for k, col in enumerate(columns):
+        if col not in header:
+            kind = "feature" if k < nf else "label"
+            raise SchemaViolation(f"missing {kind} column {col!r} in header")
     position = column_positions(header)
     spelling_id = {s: k for k, s in enumerate(spellings)}
     codes = np.empty((ids.shape[0], len(columns)), dtype=np.int64)
@@ -345,7 +348,7 @@ def _record_codes(tokens: CsvTokens, schema: DatasetSchema) -> tuple:
             raise SchemaViolation("missing value", row=row, column=columns[k])
         k = int(np.argmax(codes[record] == UNSEEN_CODE))
         value = spellings[ids[record, position[columns[k]]]]
-        kind = "value" if k < len(schema.feature_columns) else "label"
+        kind = "value" if k < nf else "label"
         raise SchemaViolation(f"{kind} {value!r} not in declared domain",
                               row=row, column=columns[k])
     if missing.any():  # rows left with a missing value are dropped (the error policy raised)
@@ -394,7 +397,7 @@ def write_rows_csv(path, schema: DatasetSchema, feature_codes: np.ndarray,
     """Write code-encoded rows back to CSV using the schema's value spellings."""
     header = list(schema.feature_columns)
     if label_codes is not None:
-        header.append(schema.label_column or "label")
+        header.append(LABEL)
     # "\n" ends lines, so the plain-line read applies, unless a spelling holds "\r":
     # csv.writer quotes a "\r" in a field only when "\r" is in its line terminator.
     spellings = chain(header, *schema.feature_domains.values(), schema.label_domain or ())
@@ -436,10 +439,7 @@ def schema_for_distribution(dist: FiniteJointDistribution,
     spellings = dist.domains or [[str(v) for v in range(card)]
                                  for card in dist.space.cardinalities]
     domains = dict(zip(dist.space.feature_names, spellings))
-    if labelled:
-        return DatasetSchema(domains, label_column="label",
-                             label_domain=[str(v) for v in range(dist.num_labels)])
-    return DatasetSchema(domains)
+    return DatasetSchema(domains, [str(v) for v in range(dist.num_labels)] if labelled else None)
 
 
 def sample_rows(dist: FiniteJointDistribution, n: int, seed,

@@ -206,7 +206,7 @@ class FiniteJointDistribution:
         flat = cells * num_labels + table[:, d].astype(np.int64)
         mass = np.bincount(flat, weights=table[:, d + 1], minlength=space.num_cells * num_labels)
         mass = mass.reshape(space.num_cells, num_labels)
-        total = mass.sum()
+        total = float(mass.sum())
         if abs(total - 1.0) > LOAD_TOL:
             raise InvalidDistribution(
                 f"mass totals {total!r}; only totals within {LOAD_TOL} of 1 are renormalised")
@@ -228,9 +228,8 @@ def _indented_rows(fields: np.ndarray, p: np.ndarray) -> str:
 
     ``fields`` holds non-negative integers, written from a table of the
     distinct values; ``p`` is written with ``repr``, as the encoder does.
+    ``p`` is not empty: a table's mass has a non-zero entry.
     """
-    if not p.size:
-        return "[]"
     values = np.flatnonzero(np.bincount(fields.ravel()))
     text = np.array([f"{v},\n      " for v in values.tolist()], dtype=object)
     columns = text[np.searchsorted(values, fields)].T.tolist()

@@ -207,13 +207,18 @@ def _anchored_solution(A: np.ndarray, u_hat: np.ndarray, anchor: np.ndarray,
 
 
 def _validate_q_marginal(p: FiniteJointDistribution, q_marginal: np.ndarray) -> np.ndarray:
+    """``q_marginal`` normalised, after the one check of every fit's source and target."""
+    p.require_positive_labels("source")
     q_marginal = _finite_non_negative(q_marginal, "q_marginal", ("cell",))
     if q_marginal.shape != (p.space.num_cells,):
         raise InvalidDistribution(
             f"q_marginal must be a table over the {p.space.num_cells} feature cells")
-    total = q_marginal.sum()
+    total = float(q_marginal.sum())
     if abs(total - 1.0) > _MARGINAL_TOL:
         raise InvalidDistribution(f"q_marginal totals {total!r}, expected 1")
+    p_h = p.feature_marginal()
+    if np.any(q_marginal[p_h == 0.0] > 0.0):
+        density_ratio(q_marginal, p_h)  # raises at the first violation
     return q_marginal / total
 
 
@@ -288,7 +293,6 @@ def sees_d_fit(p: FiniteJointDistribution, q_marginal: np.ndarray,
     closest to the source cell proportions scaled by the fitted overall
     prior ratios.
     """
-    p.require_positive_labels("source")
     q_marginal = _validate_q_marginal(p, q_marginal)
     if h_prime is None:  # the equations are the feature cells themselves
         parent, p_hp_label, p_hp, q_hp = f.cell_of, p.mass, p.feature_marginal(), q_marginal
@@ -307,7 +311,7 @@ def sees_d_fit(p: FiniteJointDistribution, q_marginal: np.ndarray,
     tri = np.zeros((f.num_cells, ell + 1, ell + 1))
     scale = np.maximum(np.bincount(parent[live], minlength=f.num_cells), positive.sum(axis=1))
     with np.errstate(over="ignore", invalid="ignore"):
-        density = density_ratio(q_hp, p_hp)
+        density = ratio(q_hp, p_hp)
         per_label = ratio(1.0, p_f_label)
         for cells, members in stacks(parent[live], f.num_cells):
             x = live[members]
@@ -366,6 +370,8 @@ def sees_d_fit_with_classifier(p: FiniteJointDistribution, q_marginal: np.ndarra
 
 _EM_STEPS = 3  # EM warm-start steps before the Newton steps
 _MIN_STEP = 1e-14  # smallest backtracking step
+SEES_C_TOL = 1e-10  # default KKT residual at which SEES-c has converged
+SEES_C_MAX_ITER = 10000  # default cap on SEES-c's EM and Newton steps
 
 
 class SeesCProblem:
@@ -385,14 +391,11 @@ class SeesCProblem:
 
     def __init__(self, p: FiniteJointDistribution, q_marginal: np.ndarray,
                  f: FeaturePartition):
-        p.require_positive_labels("source")
         q_marginal = _validate_q_marginal(p, q_marginal)
         self.p = p
         self.f = f
         self.num_labels = p.num_labels
         p_h = p.feature_marginal()
-        if np.any(q_marginal[p_h == 0.0] > 0.0):
-            density_ratio(q_marginal, p_h)  # raises at the first violation
         priors = p.label_masses()
         post = p.full_posterior.values
         self.coeffs = p.project(f) / priors  # E_{P_i}[1_{F_n}]
@@ -471,7 +474,7 @@ def _newton_direction(hess, border, rhs, active) -> np.ndarray:
 
 
 def sees_c_fit(p: FiniteJointDistribution, q_marginal: np.ndarray, f: FeaturePartition,
-               tol: float = 1e-10, max_iter: int = 10000) -> SjsFit:
+               tol: float = SEES_C_TOL, max_iter: int = SEES_C_MAX_ITER) -> SjsFit:
     """Fit by maximising the target likelihood of the implied density.
 
     All f-cells' problems (see :class:`SeesCProblem`) are solved at once,
@@ -589,7 +592,7 @@ def reconstruct_target(p: FiniteJointDistribution, fit: SjsFit) -> FiniteJointDi
     """
     f = fit.partition
     mass = p.mass * _shift_density(p, f, fit.cell_label_mass)[f.cell_of]
-    total = mass.sum()
+    total = float(mass.sum())
     if abs(total - 1.0) > 1e-9:
         raise InvalidDistribution(f"reconstructed table totals {total!r}")
     return FiniteJointDistribution(p.space, p.num_labels, mass / total)

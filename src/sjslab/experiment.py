@@ -24,7 +24,8 @@ from .datasets import (infer_schema, load_source, load_target_marginal,  # noqa:
                        write_posterior_csv)
 from .distribution import FiniteJointDistribution, _finite_non_negative
 from .errors import InvalidDistribution, SjslabError
-from .estimators import sees_c_fit, sees_d_fit, sees_d_fit_with_classifier, train_argmax_classifier
+from .estimators import (SEES_C_MAX_ITER, SEES_C_TOL, sees_c_fit, sees_d_fit,
+                         sees_d_fit_with_classifier, train_argmax_classifier)
 from .shifts import posterior_statistics, rank_matrix
 from .space import FeaturePartition
 
@@ -46,8 +47,8 @@ class ExperimentConfig:
     method: str = "sees-d"
     smoothing_alpha: float = 0.0
     output_dir: str = "run"
-    optimizer_tol: float = 1e-10
-    max_iter: int = 10000
+    optimizer_tol: float = SEES_C_TOL
+    max_iter: int = SEES_C_MAX_ITER
 
     def __post_init__(self):
         def need(ok: bool, key: str, kind: str):
@@ -142,8 +143,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     the inner modules (absolute continuity, schema, degenerate labels)
     propagate to the caller with their context intact.
     """
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     source = load_source(config.source_path, config.smoothing_alpha)
     q_marginal = load_target_marginal(config.target_path, source, config.smoothing_alpha)
     f = FeaturePartition.from_features(source.space, config.shift_features)
@@ -152,6 +151,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     report = rank_matrix(source, f, posterior_statistics(source))
 
+    out = Path(config.output_dir)  # only now: a run whose inputs or fit fail leaves none
+    out.mkdir(parents=True, exist_ok=True)
     outputs = {
         "fit": out / "fit.json",
         "posterior": out / "corrected_posterior.csv",

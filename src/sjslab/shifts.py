@@ -339,7 +339,7 @@ def check_triangle(p: FiniteJointDistribution, q: FiniteJointDistribution,
     csh = check_covariate_shift(p, q, FeaturePartition.full(p.space), tol)
 
     post = p.full_posterior
-    positive = bool(np.all(post.values[post.defined] > 0.0)) if post.defined.any() else True
+    positive = bool(np.all(post.values[post.defined] > 0.0))  # a table has a defined row
 
     rank_full = None
     if statistics is not None:

@@ -101,23 +101,23 @@ def reference_load_dataset(path, schema):
         for col in schema.feature_columns:
             if col not in header:
                 raise SchemaViolation(f"missing feature column {col!r} in header")
-        if schema.label_column is not None and schema.label_column not in header:
-            raise SchemaViolation(f"missing label column {schema.label_column!r} in header")
+        labelled = schema.label_domain is not None
+        if labelled and "label" not in header:
+            raise SchemaViolation("missing label column 'label' in header")
         codes = {col: {v: k for k, v in enumerate(schema.feature_domains[col])}
                  for col in schema.feature_columns}
-        label_codes = ({v: k for k, v in enumerate(schema.label_domain)}
-                       if schema.label_domain else None)
+        label_codes = {v: k for k, v in enumerate(schema.label_domain)} if labelled else None
         feat_rows, lab_rows = [], []
         for rownum, row in enumerate(reader):
             values = [row.get(col, "") for col in schema.feature_columns]
-            label_value = row.get(schema.label_column, "") if schema.label_column else None
-            cells = values + ([label_value] if schema.label_column else [])
+            label_value = row.get("label", "") if labelled else None
+            cells = values + ([label_value] if labelled else [])
             if any(v is None or v == "" for v in cells):
                 if schema.missing_policy == "drop_row":
                     continue
                 missing = [v in (None, "") for v in values]
                 col = schema.feature_columns[missing.index(True)] if any(missing) \
-                    else schema.label_column
+                    else "label"
                 raise SchemaViolation("missing value", row=rownum, column=col)
             encoded = []
             for col, v in zip(schema.feature_columns, values):
@@ -127,13 +127,13 @@ def reference_load_dataset(path, schema):
                                           row=rownum, column=col)
                 encoded.append(code)
             feat_rows.append(encoded)
-            if schema.label_column:
+            if labelled:
                 code = label_codes.get(str(label_value))
                 if code is None:
                     raise SchemaViolation(f"label {label_value!r} not in declared domain",
-                                          row=rownum, column=schema.label_column)
+                                          row=rownum, column="label")
                 lab_rows.append(code)
-    return feat_rows, (lab_rows if schema.label_column else None)
+    return feat_rows, (lab_rows if labelled else None)
 
 
 # -- table JSON reference loops -------------------------------------------------
@@ -189,7 +189,7 @@ def reference_from_json_dict(data: dict) -> np.ndarray:
         if p < 0:
             raise InvalidDistribution(f"mass row {k}: negative probability {p}")
         mass[space.index_of(coords), label] += p
-    total = mass.sum()
+    total = float(mass.sum())
     if abs(total - 1.0) > 1e-9:
         raise InvalidDistribution(
             f"mass totals {total!r}; only totals within 1e-09 of 1 are renormalised")

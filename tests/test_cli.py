@@ -1,14 +1,19 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import platform
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sjslab
 from sjslab import FeatureSpace, FiniteJointDistribution
@@ -356,21 +361,39 @@ def test_unknown_feature_exits_1_naming_it(tmp_path, instance_dir, capsys, comma
     ("config list", "list.json must be a JSON object"),
     ("unknown candidate", "unknown candidate feature 'X9'"),
     ("feature without cardinality", "malformed distribution document: 'cardinality'"),
+    ("empty label column", "domain of 'label' must be non-empty and duplicate-free"),
+    ("empty label column report", "domain of 'label' must be non-empty and duplicate-free"),
+    ("label-only source", "label_only.csv has no feature column"),
+    ("source-null target sees-d", "target mass 0.25 on source-null event at cell 3"),
+    ("source-null target sees-c", "target mass 0.25 on source-null event at cell 3"),
+    ("source-null target confusion", "target mass 0.25 on source-null event at cell 3"),
+    ("source-null target search", "target mass 0.25 on source-null event at cell 3"),
 ])
 def test_a_malformed_input_exits_1_naming_it(tmp_path, instance_dir, capsys, case, named):
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "unlabelled.csv").write_text("X1,X2\n0,1\n")
+    (tmp_path / "no_labels.csv").write_text("X1,label\n0,\n1,\n")
+    (tmp_path / "label_only.csv").write_text("label\na\nb\n")
+    (tmp_path / "features.csv").write_text("X1\n0\n1\n")
+    # The source has no mass on feature cell 3 (X1 = X2 = 1); the target is uniform.
+    space = FeatureSpace(["X1", "X2"], [2, 2])
+    FiniteJointDistribution(space, 2, [[0.2, 0.1], [0.1, 0.2], [0.2, 0.2], [0.0, 0.0]]).save(
+        tmp_path / "source.json")
+    FiniteJointDistribution(space, 2, np.full((4, 2), 0.125)).save(tmp_path / "target.json")
     (tmp_path / "list.json").write_text("[]")
     (tmp_path / "table.json").write_text(json.dumps(
         {"features": [{"name": "X1"}], "num_labels": 2, "mass": []}))
     out = tmp_path / "out.json"
 
-    def report(source):
+    def report(source, target=instance_dir / "target_features.csv"):
         (tmp_path / "config.json").write_text(json.dumps(
-            {"source_path": str(tmp_path / source),
-             "target_path": str(instance_dir / "target_features.csv"),
+            {"source_path": str(tmp_path / source), "target_path": str(target),
              "shift_features": [], "output_dir": str(tmp_path / "run")}))
         return ["report", "--config", str(tmp_path / "config.json")]
+
+    def estimate(method, source, target, *flags):
+        return ["estimate", "--method", method, "--source", str(tmp_path / source),
+                "--target-features", str(tmp_path / target), *flags, "--out", str(out)]
 
     argv = {
         "empty source": lambda: report("empty.csv"),
@@ -383,13 +406,71 @@ def test_a_malformed_input_exits_1_naming_it(tmp_path, instance_dir, capsys, cas
         "feature without cardinality": lambda: [
             "check", "--source", str(tmp_path / "table.json"), "--hypothesis", "sufficiency",
             "--out", str(out)],
+        "empty label column": lambda: estimate("sees-d", "no_labels.csv", "features.csv",
+                                               "--shift-features", "X1"),
+        "empty label column report": lambda: report("no_labels.csv", tmp_path / "features.csv"),
+        "label-only source": lambda: estimate("sees-d", "label_only.csv", "features.csv"),
+        "source-null target sees-d": lambda: estimate("sees-d", "source.json", "target.json",
+                                                      "--shift-features", "X1"),
+        "source-null target sees-c": lambda: estimate("sees-c", "source.json", "target.json",
+                                                      "--shift-features", "X1"),
+        "source-null target confusion": lambda: estimate("confusion", "source.json",
+                                                         "target.json", "--shift-features", "X1"),
+        "source-null target search": lambda: estimate("sees-d", "source.json", "target.json",
+                                                      "--search", "all"),
     }[case]()
     capsys.readouterr()
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith(f"{named}\n")
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert not out.exists() and not (tmp_path / "run" / "fit.json").exists()
+    assert not out.exists() and not (tmp_path / "run").exists()
+
+
+@st.composite
+def small_csv_texts(draw, labelled: bool):
+    """A small CSV text, half of the time a clean sample over features X1 and X2.
+
+    The other half may be blank, header-only or label-only, or have blank,
+    repeated or missing headers, all-empty columns, short and long rows,
+    missing values and quoted fields.  Lines end in LF or CRLF.
+    """
+    clean = draw(st.booleans())
+    names = draw(st.sampled_from([["X1"], ["X1", "X2"]]) if clean else
+                 st.lists(st.sampled_from(["X1", "X2", "", "x y"]), max_size=3))
+    if labelled and (clean or draw(st.booleans())):
+        names.insert(draw(st.integers(0, len(names))), "label")
+    values = st.sampled_from(["0", "1"] if clean else ["0", "1", "a", "", '"b"', "c,d", " "])
+    empty_column = -1 if clean else draw(st.integers(-1, len(names)))  # -1: none is emptied
+    rows = [[("" if j == empty_column else draw(values))
+             for j in range(len(names) + (0 if clean else draw(st.integers(-1, 1))))]
+            for _ in range(draw(st.integers(4 if clean else 0, 8)))]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    if names or draw(st.booleans()):
+        writer.writerow(names)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_csv_texts(labelled=True), small_csv_texts(labelled=False),
+       st.sampled_from(["", "X1", "X1,X2", "label"]))
+def test_estimate_on_any_small_csv_exits_with_a_code_or_one_error_line(source, target, shift):
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "source.csv").write_text(source, newline="")
+        Path(tmp, "target.csv").write_text(target, newline="")
+        for method in ("sees-d", "sees-c", "confusion"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["estimate", "--method", method,
+                             "--source", str(Path(tmp, "source.csv")),
+                             "--target-features", str(Path(tmp, "target.csv")),
+                             "--shift-features", shift, "--out", str(Path(tmp, "fit.json"))])
+            assert code in (0, 1, 3, 4)
+            if code == 1:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestPlantAndCorrect:
@@ -491,6 +572,17 @@ class TestPlantAndCorrect:
                      "--out", str(instance_dir / "post.csv")])
         assert code == 1
         assert f"error: cell mass {named}\n" == capsys.readouterr().err
+        assert not (instance_dir / "post.csv").exists()
+
+    def test_correct_rejects_a_fit_of_zero_mass(self, instance_dir, capsys):
+        (instance_dir / "fit.json").write_text(json.dumps(
+            {"partition": {"type": "features", "features": ["X1"]},
+             "cell_label_mass": [[0.0, 0.0], [0.0, 0.0]]}))
+        code = main(["correct", "--source", str(instance_dir / "source.json"),
+                     "--fit", str(instance_dir / "fit.json"),
+                     "--out", str(instance_dir / "post.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: fit produced zero total mass\n"
         assert not (instance_dir / "post.csv").exists()
 
     def test_correct_rejects_mass_on_source_null_pairs(self, tmp_path, capsys):

@@ -10,16 +10,21 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sjslab import (
+    PRESET_KINDS,
     AbsoluteContinuityViolated,
     ConditionalTable,
+    DatasetSchema,
     FeaturePartition,
     FeatureSpace,
     FiniteJointDistribution,
+    HardClassifier,
     InvalidDistribution,
     RowTable,
+    SchemaViolation,
     ZeroLabelMass,
     aggregate,
     binary_variance_criterion,
+    check_absolute_continuity,
     check_sjs,
     class_conditional,
     class_conditional_density,
@@ -27,6 +32,7 @@ from sjslab import (
     fit_from_cell_mass,
     full_importance_weight,
     kl_divergence,
+    make_preset,
     marginal_density,
     plant_sjs,
     posterior,
@@ -794,3 +800,75 @@ class TestFiniteNonNegative:
             kl_divergence([np.nan, 1.0], [0.5, 0.5])
         with pytest.raises(InvalidDistribution, match="^q_table inf at entry 1 is not finite$"):
             kl_divergence([0.5, 0.5], [0.5, np.inf])
+
+
+# -- every rejecting branch ------------------------------------------------------
+
+def _rejecting_cases():
+    space = FeatureSpace(["X1", "X2"], [2, 2])
+    p = FiniteJointDistribution(space, 2, np.full((4, 2), 0.125))
+    f = FeaturePartition.from_features(space, ["X1"])
+    other = FeaturePartition.trivial(FeatureSpace(["X1"], [3]))
+    wider = FiniteJointDistribution(FeatureSpace(["X1"], [3]), 2, np.full((3, 2), 1 / 6))
+    trivial, full = FeaturePartition.trivial(space), FeaturePartition.full(space)
+    return {
+        "q_marginal shape": (lambda: sees_d_fit(p, np.full(3, 1 / 3), f), InvalidDistribution,
+                             "q_marginal must be a table over the 4 feature cells"),
+        "q_marginal total": (lambda: sees_c_fit(p, np.full(4, 0.125), f), InvalidDistribution,
+                             "q_marginal totals 0.5, expected 1"),
+        "zero fitted mass": (lambda: fit_from_cell_mass(p, f, np.zeros((2, 2))),
+                             InvalidDistribution, "fit produced zero total mass"),
+        "posterior tables": (lambda: posterior_correct(p, (posterior(p, trivial),
+                                                           posterior(p, full))),
+                             InvalidDistribution, "conditional tables must share their partition"),
+        "classifier shape": (lambda: HardClassifier(space, 2, [0, 1]), InvalidDistribution,
+                             "assignment must cover all 4 feature cells"),
+        "classifier labels": (lambda: HardClassifier(space, 2, [0, 1, 2, 0]),
+                              InvalidDistribution, "assignment labels out of range"),
+        "missing policy": (lambda: DatasetSchema({"X1": ["a"]}, missing_policy="skip"),
+                           SchemaViolation, "unknown missing_policy 'skip'"),
+        "partition shape": (lambda: FeaturePartition(space, [0]), InvalidDistribution,
+                            "cell_of must have shape (4,), got (1,)"),
+        "partition negative": (lambda: FeaturePartition(space, [0, -1, 0, 0]),
+                               InvalidDistribution, "partition cell indices must be non-negative"),
+        "join spaces": (lambda: f.join(other), InvalidDistribution,
+                        "cannot join partitions over different spaces"),
+        "aggregate rows": (lambda: aggregate(np.zeros(3), f), InvalidDistribution,
+                           "table has 3 rows, space has 4 cells"),
+        "mass shape": (lambda: FiniteJointDistribution(space, 2, np.full((2, 2), 0.25)),
+                       InvalidDistribution, "mass must have shape (4, 2), got (2, 2)"),
+        "conditional rows": (lambda: ConditionalTable(f, np.zeros((3, 2)), [True] * 2),
+                             InvalidDistribution, "values must have 2 rows, got shape (3, 2)"),
+        "conditional mask": (lambda: ConditionalTable(f, np.zeros((2, 2)), [True] * 3),
+                             InvalidDistribution,
+                             "defined mask must have one entry per partition cell"),
+        "class label": (lambda: class_conditional(p, 2), InvalidDistribution,
+                        "label 2 out of range 0..1"),
+        "importance spaces": (lambda: full_importance_weight(wider, p), InvalidDistribution,
+                              "source and target must share space and labels"),
+        "kl index sets": (lambda: kl_divergence([0.5, 0.5], [1.0]), InvalidDistribution,
+                          "tables must share their index set"),
+        "continuity spaces": (lambda: check_absolute_continuity(wider, p), InvalidDistribution,
+                              "source and target must share space and labels"),
+        "statistic shape": (lambda: rank_matrix(p, f, [np.zeros(3)] * 2), InvalidDistribution,
+                            "statistic 0 must be a table over feature cells"),
+        "preset kind": (lambda: make_preset("nope"), InvalidDistribution,
+                        f"unknown preset kind 'nope'; have {PRESET_KINDS}"),
+        "preset cardinalities": (lambda: make_preset("sjs", {"num_features": 2,
+                                                             "cardinalities": [2]}),
+                                 InvalidDistribution, "cardinalities must match num_features"),
+        "planted prior count": (lambda: plant_sjs(p, f, [1.0]), InvalidDistribution,
+                                "need 2 target priors"),
+        "planted prior total": (lambda: plant_sjs(p, f, [0.5, 0.6]), InvalidDistribution,
+                                "target priors must be positive and sum to 1"),
+        "planted ratio shape": (lambda: plant_sjs(p, f, [0.5, 0.5], np.ones((3, 2))),
+                                InvalidDistribution, "cell_ratios must have shape (2, 2)"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_rejecting_cases()))
+def test_each_rejecting_branch_raises_naming_its_input(case):
+    call, error, message = _rejecting_cases()[case]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

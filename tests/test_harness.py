@@ -54,7 +54,7 @@ def write_csv(path, text):
 
 
 BASIC_SCHEMA = DatasetSchema({"color": ["red", "green"], "size": ["s", "m", "l"]},
-                             label_column="label", label_domain=["0", "1"])
+                             label_domain=["0", "1"])
 
 
 class TestLoadDataset:
@@ -84,8 +84,8 @@ class TestLoadDataset:
         with pytest.raises(SchemaViolation) as info:
             load_dataset(path, BASIC_SCHEMA)
         assert info.value.column == "size"
-        lenient = DatasetSchema(BASIC_SCHEMA.feature_domains, label_column="label",
-                                label_domain=["0", "1"], missing_policy="drop_row")
+        lenient = DatasetSchema(BASIC_SCHEMA.feature_domains, label_domain=["0", "1"],
+                                missing_policy="drop_row")
         rows = load_dataset(path, lenient)
         assert rows.num_rows == 1
 
@@ -124,7 +124,7 @@ def reference_infer_schema(path):
                     seen[c].add(row[c])
     order = {c: sorted(seen[c], key=lambda s: (len(s), s)) for c in header}
     label = order.pop("label")
-    return DatasetSchema(order, label_column="label", label_domain=label)
+    return DatasetSchema(order, label_domain=label)
 
 
 def inferred(infer, path):
@@ -136,12 +136,12 @@ def inferred(infer, path):
 
 
 def with_policy(schema, policy):
-    return DatasetSchema(schema.feature_domains, label_column=schema.label_column,
-                         label_domain=schema.label_domain, missing_policy=policy)
+    return DatasetSchema(schema.feature_domains, label_domain=schema.label_domain,
+                         missing_policy=policy)
 
 
 EDGE_SCHEMA = DatasetSchema({"color": ["red", "dark,red"], "size": ["s", "m", "l"]},
-                            label_column="label", label_domain=["0", "1"])
+                            label_domain=["0", "1"])
 
 EDGE_CSVS = {
     "blank_lines": "color,size,label\n\nred,s,0\n\n\ngreen,l,1\n",
@@ -178,8 +178,7 @@ def random_csv(seed):
         if rng.random() < 0.05:
             row = row + ["extra"]
         lines.append(row if rng.random() > 0.05 else [])
-    schema = DatasetSchema(dict(zip(names, pools)), label_column="label",
-                           label_domain=pools[-1],
+    schema = DatasetSchema(dict(zip(names, pools)), label_domain=pools[-1],
                            missing_policy=rng.choice(["error", "drop_row"]))
     return lines, schema
 
@@ -199,7 +198,6 @@ def coded_rows(draw):
     feats = np.column_stack([rng.integers(0, len(d), n) for d in domains])
     labels = None if label_domain is None else rng.integers(0, len(label_domain), n)
     schema = DatasetSchema({f"f{j}": d for j, d in enumerate(domains)},
-                           label_column=None if labels is None else "label",
                            label_domain=label_domain)
     return schema, feats, labels
 
@@ -232,7 +230,7 @@ def messy_csvs(draw):
     if draw(st.booleans()):
         text = text.removesuffix("\n").removesuffix("\r")
     schema = DatasetSchema({f"c{j}": pools[j] for j in range(width)},
-                           label_column="label", label_domain=pools[-1])
+                           label_domain=pools[-1])
     return text, schema
 
 
@@ -432,7 +430,7 @@ class TestCsvReader:
     @pytest.mark.parametrize("spelling", ["a\rb", "\r", "a\r\nb", "a\nb", "a,b"])
     def test_a_spelling_with_a_line_break_round_trips(self, tmp_path, spelling):
         schema = DatasetSchema({"X1": ["x", spelling], "X2": ["0", "1"]},
-                               label_column="label", label_domain=["n", spelling])
+                               label_domain=["n", spelling])
         feats, labels = np.array([[1, 0], [0, 1], [1, 1], [0, 0]]), np.array([1, 0, 1, 1])
         write_rows_csv(tmp_path / "rows.csv", schema, feats, labels)
         text = (tmp_path / "rows.csv").read_bytes()
@@ -443,7 +441,7 @@ class TestCsvReader:
 
     def test_writers_match_row_loops(self, tmp_path, source):
         schema = DatasetSchema({"X1": ["a", "b,c"], "X2": ["0", "2"]},
-                               label_column="label", label_domain=["n", "y"])
+                               label_domain=["n", "y"])
         feats, labels = sample_rows(source, 50, seed=4)
         write_rows_csv(tmp_path / "rows.csv", schema, feats, labels)
         with (tmp_path / "ref.csv").open("w", newline="") as fh:
