@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import load_source, load_target_marginal, write_posterior_csv
-from .distribution import FiniteJointDistribution, _finite_non_negative
-from .errors import SjslabError
+from .distribution import _finite_non_negative
+from .errors import SjslabError, naming_file
 from .estimators import (SEES_C_MAX_ITER, SEES_C_TOL, fit_from_cell_mass, sparsity_search,
                          train_argmax_classifier)
 from .experiment import (
@@ -70,7 +70,7 @@ def _parse_partition(space, text: str) -> FeaturePartition:
 
 
 def _cmd_plant(args) -> int:
-    source = FiniteJointDistribution.load(args.source)
+    source = load_source(args.source)
     f = _parse_partition(source.space, args.shift_features)
     priors = [float(v) for v in args.priors.split(",")]
     inst = plant_sjs(source, f, priors, seed=args.seed)
@@ -91,6 +91,8 @@ def _cmd_plant(args) -> int:
 
 def _cmd_simulate(args) -> int:
     params = json.loads(args.params) if args.params else {}
+    if not isinstance(params, dict):
+        raise SjslabError(f"params must be a JSON object, got {args.params}")
     paths = generate_synthetic(args.kind, params, seed=args.seed, out_dir=args.out,
                                num_samples=args.samples)
     write_json(None, {"written": paths})
@@ -98,8 +100,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    source = FiniteJointDistribution.load(args.source)
-    target = FiniteJointDistribution.load(args.target) if args.target else None
+    source = load_source(args.source)
+    target = load_source(args.target) if args.target else None
     f = _parse_partition(source.space, args.partition)
     check, _ = CHECKS[args.hypothesis]
     write_json(args.out, check(source, target, f, args.tol).to_json_dict())
@@ -107,7 +109,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_identifiability(args) -> int:
-    source = FiniteJointDistribution.load(args.source)
+    source = load_source(args.source)
     g = _parse_partition(source.space, args.partition)
     if args.stats == "classifier":
         clf = train_argmax_classifier(source)
@@ -124,6 +126,7 @@ def _cmd_identifiability(args) -> int:
 def _cmd_estimate(args) -> int:
     _finite_non_negative(args.tol, "tol")  # for every method and every searched subset
     _finite_non_negative(args.max_iter, "max_iter")
+    _finite_non_negative(args.alpha, "smoothing_alpha")
     source = load_source(args.source, args.alpha)
     q_marginal = load_target_marginal(args.target_features, source, args.alpha)
     f = _parse_partition(source.space, args.shift_features)
@@ -151,19 +154,20 @@ def _cmd_estimate(args) -> int:
     return fit_status(fit)[1]
 
 
-def _fit_field(doc, key: str, path: str):
+def _fit_field(doc, key: str):
     if not isinstance(doc, dict) or key not in doc:
-        raise SjslabError(f"fit file {path} has no {key!r}")
+        raise SjslabError(f"fit has no {key!r}")
     return doc[key]
 
 
 def _cmd_correct(args) -> int:
-    source = FiniteJointDistribution.load(args.source)
-    fit_doc = json.loads(Path(args.fit).read_text())
-    if isinstance(fit_doc, dict) and "ranking" in fit_doc:
-        fit_doc = fit_doc.get("best", {})  # a search file: its best fit
-    part = _fit_field(fit_doc, "partition", args.fit)
-    u = np.asarray(_fit_field(fit_doc, "cell_label_mass", args.fit), dtype=np.float64)
+    source = load_source(args.source)
+    with naming_file(args.fit):
+        fit_doc = json.loads(Path(args.fit).read_text())
+        if isinstance(fit_doc, dict) and "ranking" in fit_doc:
+            fit_doc = fit_doc.get("best", {})  # a search file: its best fit
+        part = _fit_field(fit_doc, "partition")
+        u = np.asarray(_fit_field(fit_doc, "cell_label_mass"), dtype=np.float64)
     f = FeaturePartition.from_description(source.space, part)
     fit = fit_from_cell_mass(source, f, u, fit_doc.get("residual", 0.0),
                              fit_doc.get("method", "sees_d"))
@@ -251,7 +255,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (SjslabError, OSError, ValueError, OverflowError, csv.Error) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        files = "".join(f"{note}: " for note in getattr(exc, "__notes__", ()))
+        sys.stderr.write(f"error: {files}{exc}\n")
         return EXIT_ERROR
 
 

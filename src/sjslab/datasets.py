@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .distribution import FiniteJointDistribution, _finite_non_negative
-from .errors import EmptyDataset, SchemaViolation
+from .errors import EmptyDataset, SchemaViolation, naming_file
 from .space import FeatureSpace
 
 LABEL = "label"  # the label column of every labelled CSV
@@ -75,7 +75,6 @@ class RowTable:
         return self.feature_codes.shape[0]
 
 
-CHUNK_ROWS = 4096
 BLOCK_CHARS = 1 << 18  # characters per read on the plain-line path
 MISSING_ID = 0  # spelling id of the empty field; short rows are padded with it
 UNSEEN_CODE = -1
@@ -122,15 +121,15 @@ def read_csv_tokens(path) -> CsvTokens:
 
     Either way the per-field work below, and in :func:`load_dataset`,
     is done once per distinct record, not once per row.  The distinct
-    records are mapped to spelling ids ``CHUNK_ROWS`` at a time.  Each
-    field maps to the id of its spelling in one table shared by all
-    columns, numbered in order of first appearance in the file; id
-    ``MISSING_ID`` is the empty field.  As with :class:`csv.DictReader`,
-    blank lines are skipped, short rows are padded with empty fields and
-    long rows are cut to the header's width, so ``row_of[r]`` is the
-    record of the r-th non-blank data row.  A sample over a finite
-    feature space repeats few records, so the distinct records are
-    small; a file of mostly distinct rows holds most of its text.
+    records are mapped to spelling ids in one pass: each field maps to
+    the id of its spelling in one table shared by all columns, numbered
+    in order of first appearance in the file; id ``MISSING_ID`` is the
+    empty field.  As with :class:`csv.DictReader`, blank lines are
+    skipped, short rows are padded with empty fields and long rows are
+    cut to the header's width, so ``row_of[r]`` is the record of the
+    r-th non-blank data row.  A sample over a finite feature space
+    repeats few records, so the distinct records are small; a file of
+    mostly distinct rows holds most of its text.
     """
     with Path(path).open(newline="") as fh:
         read = _read_plain_lines(fh)
@@ -140,16 +139,11 @@ def read_csv_tokens(path) -> CsvTokens:
     header, records, row_of = read
     width = len(header)
     pad = [""] * width
+    fields = chain.from_iterable(r if len(r) == width else ([*r] + pad)[:width] for r in records)
     ids = _FirstSightIds({"": MISSING_ID})
-    blocks = []
-    distinct = iter(records)
-    while chunk := list(islice(distinct, CHUNK_ROWS)):
-        if set(map(len, chunk)) != {width}:  # short or long records
-            chunk = [r if len(r) == width else ([*r] + pad)[:width] for r in chunk]
-        flat = list(map(ids.__getitem__, chain.from_iterable(chunk)))
-        blocks.append(np.array(flat, dtype=np.int32).reshape(len(chunk), width))
-    matrix = np.concatenate(blocks) if blocks else np.zeros((0, width), dtype=np.int32)
-    return CsvTokens(header, tuple(ids), matrix, row_of)
+    num_records = int(row_of.max(initial=-1)) + 1  # every distinct record has a row
+    matrix = np.fromiter(map(ids.__getitem__, fields), np.int32, num_records * width)
+    return CsvTokens(header, tuple(ids), matrix.reshape(num_records, width), row_of)
 
 
 def _read_csv_records(fh) -> tuple:
@@ -199,19 +193,20 @@ def column_positions(header) -> dict:
 
 def infer_schema(path) -> DatasetSchema:
     """Labelled schema of the values a CSV holds, shortest first, then lexicographically."""
-    return _schema_of_tokens(read_csv_tokens(path), path)
+    with naming_file(path):
+        return _schema_of_tokens(read_csv_tokens(path))
 
 
-def _schema_of_tokens(tokens: CsvTokens, path) -> DatasetSchema:
-    """:func:`infer_schema` of a read CSV; ``path`` only names it in errors."""
+def _schema_of_tokens(tokens: CsvTokens) -> DatasetSchema:
+    """:func:`infer_schema` of a read CSV."""
     header, spellings, ids, _ = tokens
     if not header:
-        raise SchemaViolation(f"{Path(path)} has no header")
+        raise SchemaViolation("no header")
     if LABEL not in header:
         raise SchemaViolation(f"labelled CSV must have a {LABEL!r} column")
     features = [c for c in header if c != LABEL]
     if not features:
-        raise SchemaViolation(f"{Path(path)} has no feature column")
+        raise SchemaViolation("no feature column")
     position = column_positions(header)
 
     def observed(col):  # every distinct record occurs in some row
@@ -264,16 +259,18 @@ def tokens_distribution(tokens: CsvTokens, schema: DatasetSchema,
 def load_source(path, smoothing_alpha: float = 0.0) -> FiniteJointDistribution:
     """Source joint from exact JSON or a labelled CSV sample.
 
-    A CSV is read once; its schema is inferred from the same tokens that
-    are then counted.  A table read from CSV keeps the feature values it
-    saw as its ``domains``, so that a target sample is decoded with the
-    same spellings.
+    A path ending in ``.json`` is a table; any other is a CSV.  A CSV is
+    read once; its schema is inferred from the same tokens that are then
+    counted.  A table read from CSV keeps the feature values it saw as
+    its ``domains``, so that a target sample is decoded with the same
+    spellings.  An error names the file.
     """
     path = Path(path)
-    if path.suffix == ".json":
-        return FiniteJointDistribution.load(path)
-    tokens = read_csv_tokens(path)
-    return tokens_distribution(tokens, _schema_of_tokens(tokens, path), smoothing_alpha)
+    with naming_file(path):
+        if path.suffix == ".json":
+            return FiniteJointDistribution.load(path)
+        tokens = read_csv_tokens(path)
+        return tokens_distribution(tokens, _schema_of_tokens(tokens), smoothing_alpha)
 
 
 def load_target_marginal(path, source: FiniteJointDistribution,
@@ -282,24 +279,25 @@ def load_target_marginal(path, source: FiniteJointDistribution,
 
     CSV columns are decoded with the source's value spellings (its
     ``domains``, or the codes ``0..card-1`` when it has none); values
-    outside them are schema violations.
+    outside them are schema violations.  An error names the file.
     """
     path = Path(path)
-    if path.suffix == ".json":
-        target = FiniteJointDistribution.load(path)
-        want, got = source.space, target.space
-        if (got.feature_names, got.cardinalities) != (want.feature_names, want.cardinalities):
-            raise SchemaViolation(
-                f"target {path} has features {dict(zip(got.feature_names, got.cardinalities))}, "
-                f"source has {dict(zip(want.feature_names, want.cardinalities))}")
-        for name, ours, theirs in zip(want.feature_names, source.domains or (),
-                                      target.domains or ()):
-            if ours != theirs:
-                raise SchemaViolation(f"target {path} spells feature {name!r} as "
-                                      f"{list(theirs)}, source as {list(ours)}")
-        return target.feature_marginal()
-    schema = schema_for_distribution(source, labelled=False)
-    return tokens_distribution(read_csv_tokens(path), schema, smoothing_alpha)
+    with naming_file(path):
+        if path.suffix == ".json":
+            target = FiniteJointDistribution.load(path)
+            want, got = source.space, target.space
+            if (got.feature_names, got.cardinalities) != (want.feature_names, want.cardinalities):
+                raise SchemaViolation(
+                    f"target has features {dict(zip(got.feature_names, got.cardinalities))}, "
+                    f"source has {dict(zip(want.feature_names, want.cardinalities))}")
+            for name, ours, theirs in zip(want.feature_names, source.domains or (),
+                                          target.domains or ()):
+                if ours != theirs:
+                    raise SchemaViolation(f"target spells feature {name!r} as "
+                                          f"{list(theirs)}, source as {list(ours)}")
+            return target.feature_marginal()
+        schema = schema_for_distribution(source, labelled=False)
+        return tokens_distribution(read_csv_tokens(path), schema, smoothing_alpha)
 
 
 def _record_codes(tokens: CsvTokens, schema: DatasetSchema) -> tuple:
@@ -380,16 +378,14 @@ def _frequencies(schema: DatasetSchema, feature_codes, label_codes, weights,
     _finite_non_negative(smoothing_alpha, "smoothing_alpha")
     space = schema.space()
     cells = np.ravel_multi_index(feature_codes.T, space.cardinalities)
-    if label_codes is None:
-        counts = np.bincount(cells, weights, minlength=space.num_cells)
-        counts = counts.astype(np.float64, copy=False)
-        counts += smoothing_alpha
-        return counts / counts.sum()
-    ell = schema.num_labels
-    counts = np.bincount(cells * ell + label_codes, weights, minlength=space.num_cells * ell)
-    counts = counts.reshape(space.num_cells, ell).astype(np.float64, copy=False)
+    labels, ell = (0, 1) if label_codes is None else (label_codes, schema.num_labels)
+    counts = np.bincount(cells * ell + labels, weights, minlength=space.num_cells * ell)
+    counts = counts.astype(np.float64, copy=False)
     counts += smoothing_alpha
-    return FiniteJointDistribution(space, ell, counts / counts.sum(), domains)
+    mass = counts / counts.sum()
+    if label_codes is None:  # a feature-only table: the one-label case, as a marginal
+        return mass
+    return FiniteJointDistribution(space, ell, mass.reshape(space.num_cells, ell), domains)
 
 
 def write_rows_csv(path, schema: DatasetSchema, feature_codes: np.ndarray,

@@ -7,6 +7,23 @@ from plain misuse.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
+
+@contextmanager
+def naming_file(path):
+    """Note ``path`` on an error raised while reading it; the CLI prints the note first.
+
+    An :class:`OSError` names its file already and passes as it is.
+    """
+    try:
+        yield
+    except OSError:
+        raise
+    except Exception as exc:
+        exc.__notes__ = [*getattr(exc, "__notes__", ()), str(path)]  # add_note, from 3.11 on
+        raise
+
 
 class SjslabError(Exception):
     """Base class for all sjslab errors."""

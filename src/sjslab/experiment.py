@@ -23,7 +23,7 @@ from . import __version__
 from .datasets import (infer_schema, load_source, load_target_marginal,  # noqa: F401
                        write_posterior_csv)
 from .distribution import FiniteJointDistribution, _finite_non_negative
-from .errors import InvalidDistribution, SjslabError
+from .errors import InvalidDistribution, SjslabError, naming_file
 from .estimators import (SEES_C_MAX_ITER, SEES_C_TOL, sees_c_fit, sees_d_fit,
                          sees_d_fit_with_classifier, train_argmax_classifier)
 from .shifts import posterior_statistics, rank_matrix
@@ -66,8 +66,8 @@ class ExperimentConfig:
                                  ("max_iter", "an integer", int)):
             value = getattr(self, key)  # bool is an int, but not a value for these
             need(isinstance(value, types) and not isinstance(value, bool), key, kind)
-        _finite_non_negative(self.optimizer_tol, "optimizer_tol")
-        _finite_non_negative(self.max_iter, "max_iter")
+        for key in ("smoothing_alpha", "optimizer_tol", "max_iter"):
+            _finite_non_negative(getattr(self, key), key)
         if self.method not in METHODS:
             raise InvalidDistribution(f"method must be one of {METHODS}")
         for path in (self.source_path, self.target_path):
@@ -77,18 +77,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        data = json.loads(Path(path).read_text())
-        if not isinstance(data, dict):
-            raise SjslabError(f"config {path} must be a JSON object")
-        known = {f.name: f for f in fields(cls)}
-        unknown = sorted(set(data) - set(known))
-        if unknown:
-            raise SjslabError(f"unknown config keys in {path}: {', '.join(unknown)}")
-        missing = [name for name, f in known.items()
-                   if f.default is MISSING and name not in data]
-        if missing:
-            raise SjslabError(f"missing config keys in {path}: {', '.join(missing)}")
-        return cls(**data)
+        """The config a JSON file holds; an error names the file."""
+        with naming_file(path):
+            data = json.loads(Path(path).read_text())
+            if not isinstance(data, dict):
+                raise SjslabError("config must be a JSON object")
+            known = {f.name: f for f in fields(cls)}
+            unknown = sorted(set(data) - set(known))
+            if unknown:
+                raise SjslabError(f"unknown config keys: {', '.join(unknown)}")
+            missing = [name for name, f in known.items()
+                       if f.default is MISSING and name not in data]
+            if missing:
+                raise SjslabError(f"missing config keys: {', '.join(missing)}")
+            return cls(**data)
 
     def to_json_dict(self) -> dict:
         return asdict(self)

@@ -29,7 +29,15 @@ from .experiment import write_json
 from .oracle import plant_sjs
 from .space import FeaturePartition, FeatureSpace
 
-PRESET_KINDS = ("sjs", "prior_shift", "covariate_shift", "cdi_not_sjs", "paper_example")
+# The params each preset kind reads; any other key is an error.
+_PRESET_PARAMS = {
+    "sjs": ("num_features", "cardinalities", "num_labels", "priors", "shift_features"),
+    "prior_shift": ("num_features", "cardinalities", "num_labels", "priors"),
+    "covariate_shift": ("num_features", "cardinalities", "num_labels"),
+    "cdi_not_sjs": (),
+    "paper_example": (),
+}
+PRESET_KINDS = tuple(_PRESET_PARAMS)
 
 
 def product_distribution(priors, conditionals, feature_names=None) -> FiniteJointDistribution:
@@ -100,6 +108,9 @@ def make_preset(kind: str, params: dict | None = None, seed: int = 0) -> tuple:
     params = dict(params or {})
     if kind not in PRESET_KINDS:
         raise InvalidDistribution(f"unknown preset kind {kind!r}; have {PRESET_KINDS}")
+    unknown = [str(key) for key in params if key not in _PRESET_PARAMS[kind]]
+    if unknown:
+        raise InvalidDistribution(f"unknown params for kind {kind!r}: {', '.join(unknown)}")
     if kind == "paper_example":
         source, target = paper_example_tables()
         return source, target, ("X1",)
@@ -144,6 +155,8 @@ def generate_synthetic(kind: str, params: dict | None = None, seed: int = 0,
     ``source_sample.csv`` (labelled rows), ``target_features.csv``
     (feature-only rows) and ``meta.json``.  Returns the path map.
     """
+    if num_samples < 1:
+        raise InvalidDistribution(f"num_samples must be at least 1, got {num_samples}")
     source, target, shift_features = make_preset(kind, params, seed)
     out_dir = Path(out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import sjslab
 from sjslab import FeatureSpace, FiniteJointDistribution
 from sjslab.cli import main
+from sjslab.datasets import load_source
 from _support import example_source, example_target_literal
 
 
@@ -108,6 +109,30 @@ class TestSimulate:
                      "target_features.csv", "meta.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--params", "[1]"], "params must be a JSON object, got [1]"),
+        (["--params", "3"], "params must be a JSON object, got 3"),
+        (["--params", '{"bogus": 1, "num_labels": 3}'], "unknown params for kind 'sjs': bogus"),
+        (["--kind", "paper_example", "--params", '{"num_labels": 3}'],
+         "unknown params for kind 'paper_example': num_labels"),
+        (["--samples", "-5"], "num_samples must be at least 1, got -5"),
+        (["--samples", "0"], "num_samples must be at least 1, got 0"),
+    ])
+    def test_bad_settings_exit_1_naming_them(self, tmp_path, capsys, flags, named):
+        # These once raised a TypeError traceback, were ignored, or wrote header-only CSVs.
+        out = tmp_path / "inst"
+        assert main(["simulate", "--kind", "sjs", *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not out.exists()
+
+    def test_params_the_kind_reads_are_taken(self, tmp_path):
+        params = {"num_features": 2, "cardinalities": [3, 2], "num_labels": 3,
+                  "shift_features": ["X2"], "priors": [0.2, 0.3, 0.5]}
+        assert main(["simulate", "--kind", "sjs", "--params", json.dumps(params),
+                     "--samples", "1", "--out", str(tmp_path / "inst")]) == 0
+        meta = json.loads((tmp_path / "inst" / "meta.json").read_text())
+        assert (meta["params"], meta["num_samples"]) == (params, 1)
 
 
 class TestCheck:
@@ -356,20 +381,33 @@ def test_unknown_feature_exits_1_naming_it(tmp_path, instance_dir, capsys, comma
 
 
 @pytest.mark.parametrize("case,named", [
-    ("empty source", "empty.csv has no header"),
+    ("empty source", "empty.csv: no header"),
     ("source without labels", "labelled CSV must have a 'label' column"),
-    ("config list", "list.json must be a JSON object"),
+    ("config list", "list.json: config must be a JSON object"),
     ("unknown candidate", "unknown candidate feature 'X9'"),
     ("feature without cardinality", "malformed distribution document: 'cardinality'"),
     ("empty label column", "domain of 'label' must be non-empty and duplicate-free"),
     ("empty label column report", "domain of 'label' must be non-empty and duplicate-free"),
-    ("label-only source", "label_only.csv has no feature column"),
+    ("label-only source", "label_only.csv: no feature column"),
     ("source-null target sees-d", "target mass 0.25 on source-null event at cell 3"),
     ("source-null target sees-c", "target mass 0.25 on source-null event at cell 3"),
     ("source-null target confusion", "target mass 0.25 on source-null event at cell 3"),
     ("source-null target search", "target mass 0.25 on source-null event at cell 3"),
+    ("header-only target", "header_only.csv: no rows to estimate from"),
+    ("target value the source never had",
+     "five.csv: value '5' not in declared domain at row 0, column 'X1'"),
+    ("truncated table as source", "truncated.json: Expecting value: line 1 column 15 (char 14)"),
+    ("truncated table as target", "truncated.json: Expecting value: line 1 column 15 (char 14)"),
+    ("truncated table to check", "truncated.json: Expecting value: line 1 column 15 (char 14)"),
+    ("fit that is not JSON",
+     "not_json.json: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("fit without a partition", "list.json: fit has no 'partition'"),
+    ("config that is not JSON",
+     "not_json.json: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("config input that does not exist", "config.json: input file does not exist: nowhere.csv"),
 ])
 def test_a_malformed_input_exits_1_naming_it(tmp_path, instance_dir, capsys, case, named):
+    # The cases from "header-only target" on once exited 1 without naming the file at fault.
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "unlabelled.csv").write_text("X1,X2\n0,1\n")
     (tmp_path / "no_labels.csv").write_text("X1,label\n0,\n1,\n")
@@ -383,6 +421,11 @@ def test_a_malformed_input_exits_1_naming_it(tmp_path, instance_dir, capsys, cas
     (tmp_path / "list.json").write_text("[]")
     (tmp_path / "table.json").write_text(json.dumps(
         {"features": [{"name": "X1"}], "num_labels": 2, "mass": []}))
+    (tmp_path / "header_only.csv").write_text("X1,X2\n")
+    (tmp_path / "five.csv").write_text("X1,X2\n5,0\n")
+    (tmp_path / "truncated.json").write_text('{"features": [')
+    (tmp_path / "not_json.json").write_text("{bad")
+    sample = instance_dir / "source_sample.csv"
     out = tmp_path / "out.json"
 
     def report(source, target=instance_dir / "target_features.csv"):
@@ -418,6 +461,21 @@ def test_a_malformed_input_exits_1_naming_it(tmp_path, instance_dir, capsys, cas
                                                          "target.json", "--shift-features", "X1"),
         "source-null target search": lambda: estimate("sees-d", "source.json", "target.json",
                                                       "--search", "all"),
+        "header-only target": lambda: estimate("sees-d", sample, "header_only.csv"),
+        "target value the source never had": lambda: estimate("sees-d", sample, "five.csv"),
+        "truncated table as source": lambda: estimate("sees-d", "truncated.json", sample),
+        "truncated table as target": lambda: estimate("sees-d", sample, "truncated.json"),
+        "truncated table to check": lambda: [
+            "check", "--source", str(sample), "--target", str(tmp_path / "truncated.json"),
+            "--hypothesis", "sjs", "--out", str(out)],
+        "fit that is not JSON": lambda: [
+            "correct", "--source", str(sample), "--fit", str(tmp_path / "not_json.json"),
+            "--out", str(out)],
+        "fit without a partition": lambda: [
+            "correct", "--source", str(sample), "--fit", str(tmp_path / "list.json"),
+            "--out", str(out)],
+        "config that is not JSON": lambda: ["report", "--config", str(tmp_path / "not_json.json")],
+        "config input that does not exist": lambda: report("source.json", "nowhere.csv"),
     }[case]()
     capsys.readouterr()
     assert main(argv) == 1
@@ -471,6 +529,31 @@ def test_estimate_on_any_small_csv_exits_with_a_code_or_one_error_line(source, t
             if code == 1:
                 lines = err.getvalue().splitlines()
                 assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_every_table_argument_reads_a_labelled_csv(tmp_path, instance_dir, capsys):
+    """plant, check, identifiability and correct read a sampled CSV source as estimate does."""
+    source = str(instance_dir / "source_sample.csv")
+    target = str(instance_dir / "target_features.csv")
+    assert main(["estimate", "--method", "sees-d", "--source", source, "--target-features",
+                 target, "--shift-features", "X1", "--out", str(tmp_path / "fit.json"),
+                 "--posterior-out", str(tmp_path / "estimated.csv")]) == 0
+    assert main(["correct", "--source", source, "--fit", str(tmp_path / "fit.json"),
+                 "--out", str(tmp_path / "corrected.csv")]) == 0
+    assert (tmp_path / "corrected.csv").read_bytes() == (tmp_path / "estimated.csv").read_bytes()
+
+    assert main(["plant", "--source", source, "--shift-features", "X1", "--priors", "0.3,0.7",
+                 "--out", str(tmp_path / "planted")]) == 0
+    capsys.readouterr()
+    assert main(["check", "--source", source, "--target", source, "--partition", "X1",
+                 "--hypothesis", "sjs"]) == 0
+    assert read_json(capsys)["holds"] is True  # a table is SJS to itself on any partition
+    assert main(["identifiability", "--source", source, "--partition", "X1"]) == 0
+    assert len(read_json(capsys)["cells"]) == 2
+    # The planted source is the CSV's table, spellings and all.
+    planted = FiniteJointDistribution.load(tmp_path / "planted" / "source.json")
+    table = load_source(source)
+    assert planted.mass.tolist() == table.mass.tolist() and planted.domains == table.domains
 
 
 class TestPlantAndCorrect:
@@ -660,6 +743,7 @@ class TestReport:
         ({"max_iter": "ten", "method": "sees-c"}, "'max_iter' must be an integer, got 'ten'"),
         ({"max_iter": -1}, "max_iter -1 is negative"),
         ({"optimizer_tol": float("nan"), "method": "sees-d"}, "optimizer_tol nan is not finite"),
+        ({"smoothing_alpha": float("nan")}, "config.json: smoothing_alpha nan is not finite"),
     ])
     def test_bad_config_keys_exit_1(self, tmp_path, instance_dir, capsys, change, named):
         config = {

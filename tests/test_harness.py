@@ -301,6 +301,14 @@ class TestCsvReader:
         assert "'xl'" in str(info.value)
         assert (info.value.row, info.value.column) == (2, "size")
 
+    def test_a_loader_error_keeps_its_row_and_column_and_notes_its_file(self, tmp_path):
+        source = load_source(write_csv(tmp_path / "s.csv", "X1,label\n0,a\n1,b\n"))
+        path = write_csv(tmp_path / "t.csv", "X1\n0\n5\n")
+        with pytest.raises(SchemaViolation) as info:
+            load_target_marginal(path, source)
+        assert (str(info.value), info.value.row, info.value.column, info.value.__notes__) == \
+            ("value '5' not in declared domain at row 1, column 'X1'", 1, "X1", [path])
+
     def test_random_csvs_match_row_reader(self, tmp_path):
         path = tmp_path / "d.csv"
         for seed in range(150):
@@ -311,7 +319,7 @@ class TestCsvReader:
                 decoded(reference_load_dataset, path, schema), seed
             assert inferred(infer_schema, path) == inferred(reference_infer_schema, path), seed
 
-    def test_chunk_boundaries_do_not_change_results(self, tmp_path, monkeypatch):
+    def test_chunk_boundaries_do_not_change_results(self, tmp_path):
         text = ("color,size,label\nred,s,0\n\nred,m,1\n\"dark,red\",l\n\n\n"
                 "red,s,1,extra\nred,m,0\nred,s,0\ndark,s,0\nred,m,1\nred,,1\nred,l,0\n"
                 "red,s,0\nred,m,0,more\n")
@@ -325,7 +333,6 @@ class TestCsvReader:
                      for policy in ("error", "drop_row")])
 
         default = results()
-        monkeypatch.setattr(datasets, "CHUNK_ROWS", 2)
         assert results() == default
         header, spellings, ids, row_of = default[:4]
         assert (len(ids), len(row_of)) == (9, 12)  # distinct records, non-blank rows
