@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import numbers
 import sys
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .datasets import load_source, load_target_marginal, write_posterior_csv
 from .distribution import _finite_non_negative
-from .errors import SjslabError, naming_file
+from .errors import SjslabError, _has_type, naming_file
 from .estimators import (SEES_C_MAX_ITER, SEES_C_TOL, fit_from_cell_mass, sparsity_search,
                          train_argmax_classifier)
 from .experiment import (
@@ -154,10 +155,15 @@ def _cmd_estimate(args) -> int:
     return fit_status(fit)[1]
 
 
-def _fit_field(doc, key: str):
-    if not isinstance(doc, dict) or key not in doc:
+def _fit_field(doc, key: str, what: str, kind, default=None):
+    """Field ``key`` of a fit document, of ``kind`` as ``_has_type`` reads it; absent,
+    ``default`` unless that is None."""
+    if not isinstance(doc, dict) or (key not in doc and default is None):
         raise SjslabError(f"fit has no {key!r}")
-    return doc[key]
+    value = doc.get(key, default)
+    if not _has_type(value, kind):
+        raise SjslabError(f"fit {key!r} must be {what}, got {value!r:.60}")
+    return value
 
 
 def _cmd_correct(args) -> int:
@@ -166,11 +172,13 @@ def _cmd_correct(args) -> int:
         fit_doc = json.loads(Path(args.fit).read_text())
         if isinstance(fit_doc, dict) and "ranking" in fit_doc:
             fit_doc = fit_doc.get("best", {})  # a search file: its best fit
-        part = _fit_field(fit_doc, "partition")
-        u = np.asarray(_fit_field(fit_doc, "cell_label_mass"), dtype=np.float64)
+        part = _fit_field(fit_doc, "partition", "an object", dict)
+        u = np.asarray(_fit_field(fit_doc, "cell_label_mass", "a table of real numbers",
+                                  [[numbers.Real]]), dtype=np.float64)
+        residual = _fit_field(fit_doc, "residual", "a real number", numbers.Real, 0.0)
+        method = _fit_field(fit_doc, "method", "a string", str, "sees_d")
     f = FeaturePartition.from_description(source.space, part)
-    fit = fit_from_cell_mass(source, f, u, fit_doc.get("residual", 0.0),
-                             fit_doc.get("method", "sees_d"))
+    fit = fit_from_cell_mass(source, f, u, residual, method)
     write_posterior_csv(args.out, source, fit.corrected_posterior)
     return EXIT_OK
 

@@ -2,12 +2,15 @@
 
 Public functions raise these instead of bare ValueError so callers can
 distinguish modelling violations (absolute continuity, degenerate labels)
-from plain misuse.
+from plain misuse.  Every value read from JSON (a config, ``--params``, a
+fit, a partition description) is type-checked by one rule, ``_has_type``.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+
+import numpy as np
 
 
 @contextmanager
@@ -23,6 +26,19 @@ def naming_file(path):
     except Exception as exc:
         exc.__notes__ = [*getattr(exc, "__notes__", ()), str(path)]  # add_note, from 3.11 on
         raise
+
+
+def _has_type(value, kind) -> bool:
+    """Is ``value`` of ``kind``: a type, or ``[kind]`` for a list of such values?
+
+    The lists of a ``[[kind]]`` value, a table's rows, must have one length.
+    A bool is no number here, though Python counts it as an int.
+    """
+    if isinstance(kind, list):
+        return (isinstance(value, (list, tuple, np.ndarray))
+                and all(_has_type(v, kind[0]) for v in value)
+                and len({len(v) for v in value if isinstance(kind[0], list)}) <= 1)
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 class SjslabError(Exception):

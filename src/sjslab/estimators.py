@@ -255,7 +255,7 @@ def fit_from_cell_mass(p: FiniteJointDistribution, f: FeaturePartition, u: np.nd
     f_ratios = w * ratio(p.label_masses(), priors)
     # The target posterior, source times w: the cached source posterior is built, if
     # it must be, before the joint is allocated.
-    posterior = _normalised_rows(p.full_posterior.partition, p.mass * w[f.cell_of])
+    posterior = _normalised_rows(p.full_posterior.partition, p.mass * f.broadcast(w))
     return SjsFit(f, u, priors, f_ratios, posterior, float(residual), method, diagnostics)
 
 
@@ -415,7 +415,7 @@ class SeesCProblem:
         return phi / self.constraint(phi)
 
     def density(self, phi: np.ndarray) -> np.ndarray:
-        return np.einsum("xi,xi->x", phi[self._idx], self._bq)
+        return np.einsum("xi,xi->x", np.take(phi, self._idx, axis=0), self._bq)
 
     def objective(self, phi: np.ndarray) -> float:
         s = self.density(phi)
@@ -581,7 +581,8 @@ def posterior_correct(p: FiniteJointDistribution, correction) -> ConditionalTabl
     ratios = ratio(target_table.values, source_table.values)
     ratios[~(target_table.defined & source_table.defined)] = 0.0
     post = p.full_posterior
-    return _normalised_rows(post.partition, ratios[source_table.partition.cell_of] * post.values)
+    return _normalised_rows(post.partition,
+                            source_table.partition.broadcast(ratios) * post.values)
 
 
 def reconstruct_target(p: FiniteJointDistribution, fit: SjsFit) -> FiniteJointDistribution:
@@ -591,7 +592,7 @@ def reconstruct_target(p: FiniteJointDistribution, fit: SjsFit) -> FiniteJointDi
     for ``n`` the f-cell of ``x``.
     """
     f = fit.partition
-    mass = p.mass * _shift_density(p, f, fit.cell_label_mass)[f.cell_of]
+    mass = p.mass * f.broadcast(_shift_density(p, f, fit.cell_label_mass))
     total = float(mass.sum())
     if abs(total - 1.0) > 1e-9:
         raise InvalidDistribution(f"reconstructed table totals {total!r}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import platform
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -23,7 +24,7 @@ from . import __version__
 from .datasets import (infer_schema, load_source, load_target_marginal,  # noqa: F401
                        write_posterior_csv)
 from .distribution import FiniteJointDistribution, _finite_non_negative
-from .errors import InvalidDistribution, SjslabError, naming_file
+from .errors import InvalidDistribution, SjslabError, _has_type, naming_file
 from .estimators import (SEES_C_MAX_ITER, SEES_C_TOL, sees_c_fit, sees_d_fit,
                          sees_d_fit_with_classifier, train_argmax_classifier)
 from .shifts import posterior_statistics, rank_matrix
@@ -56,16 +57,14 @@ class ExperimentConfig:
                 raise InvalidDistribution(
                     f"config key {key!r} must be {kind}, got {getattr(self, key)!r}")
 
-        for key in ("source_path", "target_path", "output_dir"):
-            need(isinstance(getattr(self, key), str), key, "a string")
-        need(isinstance(self.shift_features, (list, tuple))
-             and all(isinstance(n, str) for n in self.shift_features),
-             "shift_features", "a list of strings")
-        for key, kind, types in (("smoothing_alpha", "a real number", (int, float)),
-                                 ("optimizer_tol", "a real number", (int, float)),
-                                 ("max_iter", "an integer", int)):
-            value = getattr(self, key)  # bool is an int, but not a value for these
-            need(isinstance(value, types) and not isinstance(value, bool), key, kind)
+        for key, kind, expected in (("source_path", "a string", str),
+                                    ("target_path", "a string", str),
+                                    ("output_dir", "a string", str),
+                                    ("shift_features", "a list of strings", [str]),
+                                    ("smoothing_alpha", "a real number", numbers.Real),
+                                    ("optimizer_tol", "a real number", numbers.Real),
+                                    ("max_iter", "an integer", numbers.Integral)):
+            need(_has_type(getattr(self, key), expected), key, kind)
         for key in ("smoothing_alpha", "optimizer_tol", "max_iter"):
             _finite_non_negative(getattr(self, key), key)
         if self.method not in METHODS:

@@ -72,7 +72,7 @@ def plant_sjs(source: FiniteJointDistribution, f: FeaturePartition,
                 f"label {i}: ratios are supported on source-null cells only")
         ratios[:, i] /= expect
 
-    density = ratios[f.cell_of] * (new_priors / priors)[None, :]
+    density = f.broadcast(ratios) * (new_priors / priors)[None, :]
     target = FiniteJointDistribution(source.space, source.num_labels,
                                      source.mass * density)
     planted_cell_mass = p_f_label / priors * ratios * new_priors[None, :]

@@ -135,10 +135,9 @@ def check_sjs(p: FiniteJointDistribution, q: FiniteJointDistribution,
     check_absolute_continuity(q, p)
     p.require_positive_labels("source")
     q.require_positive_labels("target")
-    cells = f.cell_of
-    diff = _within(q.mass, q.project(f)[cells], p.mass, p.project(f)[cells])
+    diff = _within(q.mass, f.broadcast(q.project(f)), p.mass, f.broadcast(p.project(f)))
     # Transposed, so the witness is the first maximum in label-major order.
-    return _verdict("sjs", diff.T, tol, lambda i, x: (int(cells[x]), x, i))
+    return _verdict("sjs", diff.T, tol, lambda i, x: (int(f.cell_of[x]), x, i))
 
 
 def check_prior_shift(p: FiniteJointDistribution, q: FiniteJointDistribution,
@@ -173,12 +172,11 @@ def check_cdi(p: FiniteJointDistribution, q: FiniteJointDistribution,
     check_absolute_continuity(q, p)
     p_h, q_h = p.feature_marginal(), q.feature_marginal()
     p_f, q_f = aggregate(p_h, f), aggregate(q_h, f)
-    cells = f.cell_of
-    diff = _within(q_h, q_f[cells], p_h, p_f[cells])
+    diff = _within(q_h, f.broadcast(q_f), p_h, f.broadcast(p_f))
     # Density form: the per-feature-cell density must be constant on f-cells.
-    dens_dev = np.abs(density_ratio(q_h, p_h) - ratio(q_f, p_f)[cells])
+    dens_dev = np.abs(density_ratio(q_h, p_h) - f.broadcast(ratio(q_f, p_f)))
     dens_dev[p_h == 0.0] = 0.0
-    return _verdict("cdi", diff, tol, lambda x: (int(cells[x]), x, None),
+    return _verdict("cdi", diff, tol, lambda x: (int(f.cell_of[x]), x, None),
                     {"density_form_max_deviation": float(dens_dev.max(initial=0.0))})
 
 
@@ -191,10 +189,9 @@ def check_sufficiency(p: FiniteJointDistribution, f: FeaturePartition,
     information.
     """
     post_h = p.full_posterior
-    cells = f.cell_of
     diff = np.where(post_h.defined[:, None],
-                    np.abs(post_h.values - posterior(p, f).values[cells]), 0.0)
-    return _verdict("sufficiency", diff, tol, lambda x, i: (int(cells[x]), x, i))
+                    np.abs(post_h.values - f.broadcast(posterior(p, f).values)), 0.0)
+    return _verdict("sufficiency", diff, tol, lambda x, i: (int(f.cell_of[x]), x, i))
 
 
 # -- conditional class matrix -------------------------------------------------
@@ -216,15 +213,18 @@ def classifier_statistics(assignment: np.ndarray, num_labels: int) -> list:
 
 def _conditional_class_matrix(p: FiniteJointDistribution, g: FeaturePartition,
                               statistics: list) -> tuple:
-    """Matrices M[n, i, j] = E[stat_i | cell n, label j] (0/0 = 0), class masses, stats."""
+    """Matrices M[n, i, j] = E[stat_i | cell n, label j] (0/0 = 0), class masses, and
+    the statistics as rows of one (statistic, feature cell) array."""
     stats = [np.asarray(s, dtype=np.float64) for s in statistics]
     for k, s in enumerate(stats):
         if s.shape != (p.space.num_cells,):
             raise InvalidDistribution(f"statistic {k} must be a table over feature cells")
         _finite_non_negative(s, f"statistic {k}", ("cell",))
+    stats = np.array(stats)
     class_cell = p.project(g)  # (cells, labels)
-    num = np.stack([aggregate(p.mass * s[:, None], g) for s in stats], axis=1)
-    return ratio(num, class_cell[:, None, :]), class_cell, np.stack(stats, axis=1)
+    # Row j of each product is stat_i * mass_j, contiguous, as aggregate sums columns.
+    num = np.stack([aggregate(np.multiply(s, p.mass.T, order="C").T, g) for s in stats], axis=1)
+    return ratio(num, class_cell[:, None, :]), class_cell, stats
 
 
 def rank_matrix(p: FiniteJointDistribution, g: FeaturePartition, statistics: list) -> RankReport:
@@ -264,7 +264,7 @@ def verify_total_expectation(p: FiniteJointDistribution, g: FeaturePartition,
     """
     matrices, class_cell, stats = _conditional_class_matrix(p, g, statistics)
     cell_mass = class_cell.sum(axis=1)[:, None]
-    lhs = ratio(aggregate(p.feature_marginal()[:, None] * stats, g), cell_mass)
+    lhs = ratio(aggregate((stats * p.feature_marginal()).T, g), cell_mass)
     rhs = np.einsum("nij,nj->ni", matrices, ratio(class_cell, cell_mass))
     return float(np.abs(lhs - rhs).max(initial=0.0))
 
@@ -290,7 +290,7 @@ def binary_variance_criterion(p: FiniteJointDistribution, g: FeaturePartition,
     post = p.full_posterior.values[:, 0]
     p_h = p.feature_marginal()
     cell_avg = ratio(aggregate(p_h * post, g), aggregate(p_h, g))
-    dev = np.abs(post - cell_avg[g.cell_of])
+    dev = np.abs(post - g.broadcast(cell_avg))
     dev[p_h == 0.0] = 0.0
     spread = np.zeros(g.num_cells)
     np.maximum.at(spread, g.cell_of, dev)

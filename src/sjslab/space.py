@@ -14,12 +14,13 @@ classifier) as well.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidDistribution
+from .errors import InvalidDistribution, _has_type
 
 MAX_CELLS = 10_000_000  # upper bound on the feature cells of a space
 
@@ -128,15 +129,16 @@ class FeaturePartition:
         an unknown or repeated name raises, naming it.
         """
         names = tuple(names)
-        if not names:
-            return cls.trivial(space)
         idx = [space.feature_index(n) for n in names]
         if len(set(idx)) < len(idx):
             repeated = next(n for k, n in enumerate(names) if idx[k] in idx[:k])
             raise InvalidDistribution(f"feature {repeated!r} is named twice in {list(names)}")
-        coords = np.unravel_index(np.arange(space.num_cells), space.cardinalities)
-        dims = tuple(space.cardinalities[i] for i in idx)
-        codes = np.ravel_multi_index(tuple(coords[i] for i in idx), dims)
+        # The codes of the named features' sub-space, as a grid with one axis per
+        # feature in space order, broadcast over the rest: no per-cell coordinates.
+        dims = [space.cardinalities[i] for i in idx]
+        grid = np.arange(np.prod(dims, dtype=np.int64)).reshape(dims).transpose(np.argsort(idx))
+        shape = [c if i in idx else 1 for i, c in enumerate(space.cardinalities)]
+        codes = np.broadcast_to(grid.reshape(shape), space.cardinalities).ravel()
         return cls(space, codes, feature_subset=names)
 
     @classmethod
@@ -149,6 +151,14 @@ class FeaturePartition:
         """Finest partition: one cell per feature cell."""
         return cls(space, np.arange(space.num_cells, dtype=np.int64),
                    feature_subset=tuple(space.feature_names))
+
+    def broadcast(self, table: np.ndarray) -> np.ndarray:
+        """The per-feature-cell table whose row ``x`` is row ``cell_of[x]`` of ``table``.
+
+        ``np.take(..., axis=0)`` copies whole rows: on a 2-D table it is about
+        three times as fast as ``table[cell_of]`` (1e5 rows, 3 columns).
+        """
+        return np.take(table, self.cell_of, axis=0)
 
     # -- algebra ---------------------------------------------------------
 
@@ -196,23 +206,25 @@ class FeaturePartition:
             if not isinstance(doc, dict) or key not in doc:
                 raise InvalidDistribution(f"partition has no {key!r}")
             value = doc[key]
-            if not isinstance(value, list) or not set(map(type, value)) <= {element}:
+            if not _has_type(value, [element]):
                 raise InvalidDistribution(
                     f"partition {key!r} must be a list of {kind}, got {value!r:.60}")
             return value
 
         if isinstance(doc, dict) and doc.get("type") == "features":
             return cls.from_features(space, need("features", "feature names", str))
-        return cls(space, need("cell_of", "integers", int))
+        return cls(space, need("cell_of", "integers", numbers.Integral))
 
 
 def group(labels: np.ndarray, num_groups: int) -> tuple:
     """Group items by ``labels`` (in ``0..num_groups-1``) with one stable sort.
 
     Returns ``(order, bounds)``: group ``n`` is ``order[bounds[n]:bounds[n + 1]]``, ascending.
+    The sort runs on the smallest unsigned type that holds every label: numpy
+    radix-sorts 8- and 16-bit keys in linear time, where wider keys take timsort.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    order = np.argsort(labels, kind="stable")
+    order = np.argsort(labels.astype(np.min_scalar_type(max(num_groups - 1, 0))), kind="stable")
     bounds = np.zeros(num_groups + 1, dtype=np.int64)
     np.cumsum(np.bincount(labels, minlength=num_groups), out=bounds[1:])
     return order, bounds

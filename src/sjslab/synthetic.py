@@ -18,13 +18,14 @@ sampled CSVs; outputs are byte-identical for a fixed seed.
 
 from __future__ import annotations
 
+import numbers
 from pathlib import Path
 
 import numpy as np
 
 from .datasets import sample_rows, schema_for_distribution, write_rows_csv
 from .distribution import FiniteJointDistribution
-from .errors import InvalidDistribution
+from .errors import InvalidDistribution, _has_type
 from .experiment import write_json
 from .oracle import plant_sjs
 from .space import FeaturePartition, FeatureSpace
@@ -38,6 +39,16 @@ _PRESET_PARAMS = {
     "paper_example": (),
 }
 PRESET_KINDS = tuple(_PRESET_PARAMS)
+
+
+# What each param must be, and its kind as ``errors._has_type`` reads it.
+_PARAM_TYPES = {
+    "num_features": ("an integer", numbers.Integral),
+    "cardinalities": ("a list of integers", [numbers.Integral]),
+    "num_labels": ("an integer", numbers.Integral),
+    "priors": ("a list of real numbers", [numbers.Real]),
+    "shift_features": ("a list of feature names", [str]),
+}
 
 
 def product_distribution(priors, conditionals, feature_names=None) -> FiniteJointDistribution:
@@ -111,6 +122,10 @@ def make_preset(kind: str, params: dict | None = None, seed: int = 0) -> tuple:
     unknown = [str(key) for key in params if key not in _PRESET_PARAMS[kind]]
     if unknown:
         raise InvalidDistribution(f"unknown params for kind {kind!r}: {', '.join(unknown)}")
+    for key, value in params.items():
+        what, expected = _PARAM_TYPES[key]
+        if not _has_type(value, expected):
+            raise InvalidDistribution(f"params {key!r} must be {what}, got {value!r:.60}")
     if kind == "paper_example":
         source, target = paper_example_tables()
         return source, target, ("X1",)

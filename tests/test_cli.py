@@ -118,6 +118,15 @@ class TestSimulate:
          "unknown params for kind 'paper_example': num_labels"),
         (["--samples", "-5"], "num_samples must be at least 1, got -5"),
         (["--samples", "0"], "num_samples must be at least 1, got 0"),
+        (["--params", '{"cardinalities": 5}'],
+         "params 'cardinalities' must be a list of integers, got 5"),
+        (["--params", '{"num_features": 2.5}'],
+         "params 'num_features' must be an integer, got 2.5"),
+        (["--params", '{"num_labels": true}'], "params 'num_labels' must be an integer, got True"),
+        (["--params", '{"priors": ["a", 1]}'],
+         "params 'priors' must be a list of real numbers, got ['a', 1]"),
+        (["--params", '{"shift_features": "X1"}'],
+         "params 'shift_features' must be a list of feature names, got 'X1'"),
     ])
     def test_bad_settings_exit_1_naming_them(self, tmp_path, capsys, flags, named):
         # These once raised a TypeError traceback, were ignored, or wrote header-only CSVs.
@@ -635,6 +644,29 @@ class TestPlantAndCorrect:
         assert code == 1
         err = capsys.readouterr().err
         assert f"error: {named}\n" == err
+        assert not (tmp_path / "post.csv").exists()
+
+    @pytest.mark.parametrize("field,value,named", [
+        ("cell_label_mass", {"a": 1}, "a table of real numbers, got {'a': 1}"),
+        ("cell_label_mass", [[0.5, "x"], [0.5, 0.5]],
+         "a table of real numbers, got [[0.5, 'x'], [0.5, 0.5]]"),
+        ("cell_label_mass", [[0.5, 0.5], [0.5]],
+         "a table of real numbers, got [[0.5, 0.5], [0.5]]"),
+        ("cell_label_mass", [0.5, 0.5], "a table of real numbers, got [0.5, 0.5]"),
+        ("partition", "X1", "an object, got 'X1'"),
+        ("residual", [1], "a real number, got [1]"),
+        ("method", 3, "a string, got 3")])
+    def test_correct_rejects_a_mistyped_field(self, tmp_path, capsys, field, value, named):
+        # A mistyped cell_label_mass or residual once escaped main as a TypeError traceback.
+        example_source().save(tmp_path / "p.json")
+        doc = {"partition": {"type": "features", "features": ["X1"]},
+               "cell_label_mass": [[0.25, 0.25], [0.25, 0.25]], field: value}
+        (tmp_path / "fit.json").write_text(json.dumps(doc))
+        code = main(["correct", "--source", str(tmp_path / "p.json"),
+                     "--fit", str(tmp_path / "fit.json"), "--out", str(tmp_path / "post.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'fit.json'}: fit {field!r} must be {named}\n"
         assert not (tmp_path / "post.csv").exists()
 
     @pytest.mark.parametrize("mass,named", [

@@ -660,6 +660,16 @@ class TestGenerateSynthetic:
         p, q, _ = make_preset("covariate_shift", seed=5)
         assert check_covariate_shift(p, q, FeaturePartition.full(p.space)).holds
 
+    def test_presets_with_params_keep_their_kind(self):
+        # Checking the params' types once replaced the kind, so these planted SJS on X1.
+        p, q, shift = make_preset("prior_shift", {"num_labels": 3}, seed=3)
+        assert p.num_labels == 3 and shift == ()
+        assert check_prior_shift(p, q).holds
+        p, q, shift = make_preset("covariate_shift", {"num_features": 2}, seed=5)
+        assert shift == ("X1", "X2")
+        assert check_covariate_shift(p, q, FeaturePartition.full(p.space)).holds
+        assert not check_prior_shift(p, q).holds
+
     def test_round_trip_total_variation(self, tmp_path):
         paths = generate_synthetic("sjs", {"num_features": 2,
                                            "cardinalities": [3, 2]},

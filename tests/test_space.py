@@ -1,4 +1,5 @@
 import json
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sjslab import FeaturePartition, FeatureSpace, InvalidDistribution, aggregate
+from sjslab import (FeaturePartition, FeatureSpace, FiniteJointDistribution, InvalidDistribution,
+                    aggregate)
 from sjslab.estimators import SeesCProblem, sees_d_fit
 from sjslab.shifts import (
     _conditional_class_matrix,
@@ -220,13 +222,15 @@ def test_refines_and_parent_cells_follow_the_definition(pair):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_from_features_codes_follow_all_coords(data):
+    # Any subset in any order: the empty one (trivial), all features (full), and between.
     cards = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
     space = FeatureSpace([f"x{j}" for j in range(len(cards))], cards)
-    names = data.draw(st.lists(st.sampled_from(space.feature_names), unique=True))
+    names = data.draw(st.permutations(space.feature_names))[:data.draw(st.integers(0, len(cards)))]
     idx = [space.feature_index(n) for n in names]
     want = np.zeros(space.num_cells)  # the trivial partition
     if names:
-        want = np.ravel_multi_index(tuple(space.all_coords()[:, idx].T), [cards[i] for i in idx])
+        coords = np.unravel_index(np.arange(space.num_cells), cards)
+        want = np.ravel_multi_index(tuple(coords[i] for i in idx), [cards[i] for i in idx])
     part = FeaturePartition.from_features(space, names)
     assert part.cell_of.tobytes() == want.astype(np.int64).tobytes()
     assert part.feature_subset == tuple(names)
@@ -237,13 +241,24 @@ def test_from_features_codes_follow_all_coords(data):
 
 @st.composite
 def tables_on_partitions(draw):
+    """A 1-D or 2-D table, with +0.0 rows and -0.0 entries, on a partition with one
+    group (trivial, or a feature of one value), one per cell (full), groups of unequal
+    sizes (a join, a random cell map), or equal ones (a feature subset)."""
     cards = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     space = FeatureSpace([f"x{j}" for j in range(len(cards))], cards)
-    kind = draw(st.sampled_from(["trivial", "full", "random"]))
+    subset = st.lists(st.sampled_from(space.feature_names), unique=True)
+    kind = draw(st.sampled_from(["trivial", "full", "features", "join", "random"]))
     if kind == "trivial":
         part = FeaturePartition.trivial(space)
     elif kind == "full":
         part = FeaturePartition.full(space)
+    elif kind == "features":
+        part = FeaturePartition.from_features(space, draw(subset))
+    elif kind == "join":
+        labels = draw(st.lists(st.integers(0, 2), min_size=space.num_cells,
+                               max_size=space.num_cells))
+        part = FeaturePartition.from_features(space, draw(subset)).join(
+            FeaturePartition(space, np.unique(labels, return_inverse=True)[1]))
     else:
         k = draw(st.integers(1, space.num_cells))
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -252,9 +267,9 @@ def tables_on_partitions(draw):
     width = draw(st.sampled_from([None, 0, 1, 2, 3]))  # None: a 1-D table
     shape = (space.num_cells,) if width is None else (space.num_cells, width)
     values = draw(arrays(np.float64, shape, elements=st.floats(-1e6, 1e6)))
-    zero_rows = draw(st.lists(st.booleans(), min_size=space.num_cells,
-                              max_size=space.num_cells))
-    values[np.array(zero_rows, dtype=bool)] = 0.0
+    for zero in (0.0, -0.0):
+        rows = draw(st.lists(st.booleans(), min_size=space.num_cells, max_size=space.num_cells))
+        values[np.array(rows, dtype=bool)] = zero
     return values, part
 
 
@@ -295,6 +310,28 @@ def sparse_instances(count):
         yield rng, sparse_instance(rng, cards, int(rng.integers(2, 4)), num_cells)
 
 
+def dense_instances(count):
+    """Sources with mass on every (cell, label) pair, on random cell maps and feature
+    subsets, so that SEES-d's equations are every feature cell of every f-cell."""
+    rng = np.random.default_rng(2025)
+    for k in range(count):
+        cards = rng.integers(2, 5, size=int(rng.integers(2, 4))).tolist()
+        space = FeatureSpace([f"X{j + 1}" for j in range(len(cards))], cards)
+        if k % 2:
+            names = rng.permutation(space.feature_names)[:int(rng.integers(0, len(cards) + 1))]
+            f = FeaturePartition.from_features(space, names.tolist())
+        else:
+            num_cells = int(rng.integers(1, min(space.num_cells, 9) + 1))
+            f = FeaturePartition(space, np.concatenate(
+                [rng.permutation(num_cells),
+                 rng.integers(0, num_cells, space.num_cells - num_cells)]))
+        num_labels = int(rng.integers(2, 4))
+        mass = rng.uniform(0.05, 1.0, size=(space.num_cells, num_labels))
+        source = FiniteJointDistribution(space, num_labels, mass / mass.sum())
+        q = source.feature_marginal() * rng.uniform(0.5, 2.0, space.num_cells)
+        yield rng, (source, f, q / q.sum())
+
+
 class TestPerCellLoopsReplaced:
     def test_conditional_class_matrix_and_total_expectation(self):
         for rng, (p, f, _) in sparse_instances(40):
@@ -317,11 +354,14 @@ class TestPerCellLoopsReplaced:
             assert problem.gradient(phi).tobytes() == reference_gradient(problem, phi).tobytes()
 
     def test_sees_d_fit(self):
-        for rng, (p, f, q) in sparse_instances(40):
+        # Dense sources: every feature cell of every f-cell is an equation.
+        for rng, (p, f, q) in chain(sparse_instances(40), dense_instances(20)):
+            full = FeaturePartition.full(p.space)  # the equations h_prime=None means
             finer = f.join(FeaturePartition(p.space, rng.integers(0, 2, p.space.num_cells)))
-            for h_prime in (FeaturePartition.full(p.space), finer):
+            for h_prime in (None, full, finer):
                 fit = sees_d_fit(p, q, f, h_prime)
-                mass, per_cell, deficient = reference_sees_d_cells(p, q, f, h_prime)
+                mass, per_cell, deficient = reference_sees_d_cells(
+                    p, q, f, full if h_prime is None else h_prime)
                 # Triangle solves and scipy's nnls round differently (worst seen 3.2e-14).
                 assert fit.diagnostics["underdetermined_cells"] == deficient
                 np.testing.assert_allclose(fit.cell_label_mass, mass, rtol=0, atol=1e-12)
