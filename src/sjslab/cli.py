@@ -19,7 +19,7 @@ import numpy as np
 
 from .datasets import load_source, load_target_marginal, write_posterior_csv
 from .distribution import _finite_non_negative
-from .errors import SjslabError, _has_type, naming_file
+from .errors import SjslabError, _checked, naming_file
 from .estimators import (SEES_C_MAX_ITER, SEES_C_TOL, fit_from_cell_mass, sparsity_search,
                          train_argmax_classifier)
 from .experiment import (
@@ -156,14 +156,11 @@ def _cmd_estimate(args) -> int:
 
 
 def _fit_field(doc, key: str, what: str, kind, default=None):
-    """Field ``key`` of a fit document, of ``kind`` as ``_has_type`` reads it; absent,
+    """Field ``key`` of a fit document, of ``kind`` as ``_checked`` reads it; absent,
     ``default`` unless that is None."""
     if not isinstance(doc, dict) or (key not in doc and default is None):
         raise SjslabError(f"fit has no {key!r}")
-    value = doc.get(key, default)
-    if not _has_type(value, kind):
-        raise SjslabError(f"fit {key!r} must be {what}, got {value!r:.60}")
-    return value
+    return _checked("fit", key, doc.get(key, default), kind, what)
 
 
 def _cmd_correct(args) -> int:

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distribution import FiniteJointDistribution, _finite_non_negative
+from .distribution import FiniteJointDistribution, _finite_non_negative, _same_spellings
 from .errors import EmptyDataset, SchemaViolation, naming_file
 from .space import FeatureSpace
 
@@ -26,24 +26,20 @@ class DatasetSchema:
     and string spellings of the same code agree).  ``label_domain`` is
     the ordered list of label values, read from the column ``LABEL``, or
     None for unlabelled data.  Every domain is non-empty and
-    duplicate-free.  Missing values are empty fields; ``missing_policy``
-    decides between rejecting the file and dropping the row.
+    duplicate-free.  An empty field is a missing value, which every
+    loader rejects with its row and column.
     """
 
     feature_columns: tuple
     feature_domains: dict
     label_domain: tuple | None = None
-    missing_policy: str = "error"
 
-    def __init__(self, feature_domains: dict, label_domain=None, missing_policy: str = "error"):
-        if missing_policy not in ("error", "drop_row"):
-            raise SchemaViolation(f"unknown missing_policy {missing_policy!r}")
+    def __init__(self, feature_domains: dict, label_domain=None):
         domains = {str(col): _domain(str(col), values) for col, values in feature_domains.items()}
         object.__setattr__(self, "feature_columns", tuple(domains))
         object.__setattr__(self, "feature_domains", domains)
         object.__setattr__(self, "label_domain",
                            None if label_domain is None else _domain(LABEL, label_domain))
-        object.__setattr__(self, "missing_policy", missing_policy)
 
     def space(self) -> FeatureSpace:
         return FeatureSpace(self.feature_columns,
@@ -222,15 +218,15 @@ def load_dataset(path, schema: DatasetSchema) -> RowTable:
 
     The header must contain every declared column; unseen categorical
     values raise :class:`SchemaViolation` with the offending row and
-    column, and missing (empty) values follow the schema's policy.
-    Row order is preserved.  The error names the first offending row in
-    file order, and within it a missing value before an unseen one;
-    row numbers count dropped rows.
+    column, and so do missing (empty) values.  Row order is preserved.
+    The error names the first offending row in file order, and within
+    it a missing value before an unseen one.
     """
-    codes, row_of = _record_codes(read_csv_tokens(path), schema)
+    tokens = read_csv_tokens(path)
+    codes = _record_codes(tokens, schema)
     nf = len(schema.feature_columns)
-    feats = codes[:, :nf][row_of]
-    labs = None if schema.label_domain is None else codes[row_of, nf]
+    feats = codes[:, :nf][tokens.row_of]
+    labs = None if schema.label_domain is None else codes[tokens.row_of, nf]
     return RowTable(schema, feats, labs)
 
 
@@ -245,11 +241,8 @@ def tokens_distribution(tokens: CsvTokens, schema: DatasetSchema,
     was read from.  A joint table also keeps the schema's feature
     spellings as its ``domains``.
     """
-    codes, row_of = _record_codes(tokens, schema)
-    counts = np.bincount(row_of, minlength=codes.shape[0])
-    if not counts.all():  # records whose rows were all dropped
-        kept = np.flatnonzero(counts)
-        codes, counts = codes[kept], counts[kept]
+    codes = _record_codes(tokens, schema)
+    counts = np.bincount(tokens.row_of, minlength=codes.shape[0])
     nf = len(schema.feature_columns)
     labels = None if schema.label_domain is None else codes[:, nf]
     return _frequencies(schema, codes[:, :nf], labels, counts.astype(np.float64), smoothing_alpha,
@@ -270,6 +263,8 @@ def load_source(path, smoothing_alpha: float = 0.0) -> FiniteJointDistribution:
         if path.suffix == ".json":
             return FiniteJointDistribution.load(path)
         tokens = read_csv_tokens(path)
+        if tokens.header and not tokens.row_of.size:
+            raise EmptyDataset("no rows to estimate from")
         return tokens_distribution(tokens, _schema_of_tokens(tokens), smoothing_alpha)
 
 
@@ -290,22 +285,17 @@ def load_target_marginal(path, source: FiniteJointDistribution,
                 raise SchemaViolation(
                     f"target has features {dict(zip(got.feature_names, got.cardinalities))}, "
                     f"source has {dict(zip(want.feature_names, want.cardinalities))}")
-            for name, ours, theirs in zip(want.feature_names, source.domains or (),
-                                          target.domains or ()):
-                if ours != theirs:
-                    raise SchemaViolation(f"target spells feature {name!r} as "
-                                          f"{list(theirs)}, source as {list(ours)}")
+            _same_spellings(source, target)
             return target.feature_marginal()
         schema = schema_for_distribution(source, labelled=False)
         return tokens_distribution(read_csv_tokens(path), schema, smoothing_alpha)
 
 
-def _record_codes(tokens: CsvTokens, schema: DatasetSchema) -> tuple:
+def _record_codes(tokens: CsvTokens, schema: DatasetSchema) -> np.ndarray:
     """Check and code each distinct record of a read CSV.
 
-    Returns ``(codes, row_of)``: one row of codes per distinct record
-    (the feature columns, then the label column if the schema has one)
-    and the record of each data row that is kept.  Errors are those of
+    Returns one row of codes per distinct record: the feature columns,
+    then the label column if the schema has one.  Errors are those of
     :func:`load_dataset`, naming the row, column and value.
     """
     header, spellings, ids, row_of = tokens
@@ -332,10 +322,7 @@ def _record_codes(tokens: CsvTokens, schema: DatasetSchema) -> tuple:
 
     missing = (codes == MISSING_CODE).any(axis=1)
     unseen = (codes == UNSEEN_CODE).any(axis=1)
-    if schema.missing_policy == "drop_row":
-        bad = unseen & ~missing
-    else:
-        bad = missing | unseen
+    bad = missing | unseen
     if bad.any():
         # Records are numbered in file order, so the first bad row is the
         # first occurrence of the lowest-numbered bad record.
@@ -349,9 +336,7 @@ def _record_codes(tokens: CsvTokens, schema: DatasetSchema) -> tuple:
         kind = "value" if k < nf else "label"
         raise SchemaViolation(f"{kind} {value!r} not in declared domain",
                               row=row, column=columns[k])
-    if missing.any():  # rows left with a missing value are dropped (the error policy raised)
-        row_of = row_of[~missing[row_of]]
-    return codes, row_of
+    return codes
 
 
 def empirical_distribution(rows: RowTable, smoothing_alpha: float = 0.0):

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AbsoluteContinuityViolated, InvalidDistribution, ZeroLabelMass
+from .errors import AbsoluteContinuityViolated, InvalidDistribution, SchemaViolation, ZeroLabelMass
 from .space import FeaturePartition, FeatureSpace, aggregate
 
 MASS_TOL = 1e-12
@@ -448,10 +448,24 @@ def kl_divergence(p_table: np.ndarray, q_table: np.ndarray) -> float:
     return float(np.sum(p_pos * (np.log(p_pos) - np.log(q_pos))))
 
 
+def _same_spellings(p: FiniteJointDistribution, q: FiniteJointDistribution) -> None:
+    """Raise at the first feature that source ``p`` and target ``q`` both spell, differently.
+
+    Equal codes then stand for different values: each table was decoded
+    from its own CSV.
+    """
+    for name, ours, theirs in zip(p.space.feature_names, p.domains or (), q.domains or ()):
+        if ours != theirs:
+            raise SchemaViolation(f"target spells feature {name!r} as "
+                                  f"{list(theirs)}, source as {list(ours)}")
+
+
 def check_absolute_continuity(q: FiniteJointDistribution,
                               p: FiniteJointDistribution) -> None:
-    """Raise unless the target joint is absolutely continuous w.r.t. the source."""
+    """Raise unless the target joint shares the source's space, labels and feature
+    spellings and is absolutely continuous w.r.t. the source."""
     if q.space != p.space or q.num_labels != p.num_labels:
         raise InvalidDistribution("source and target must share space and labels")
+    _same_spellings(p, q)
     if np.any(q.mass[p.mass == 0.0] > 0.0):
         density_ratio(q.mass, p.mass)  # raises at the first violation

@@ -3,7 +3,7 @@
 Public functions raise these instead of bare ValueError so callers can
 distinguish modelling violations (absolute continuity, degenerate labels)
 from plain misuse.  Every value read from JSON (a config, ``--params``, a
-fit, a partition description) is type-checked by one rule, ``_has_type``.
+fit, a partition description) is type-checked by one rule, ``_checked``.
 """
 
 from __future__ import annotations
@@ -26,6 +26,17 @@ def naming_file(path):
     except Exception as exc:
         exc.__notes__ = [*getattr(exc, "__notes__", ()), str(path)]  # add_note, from 3.11 on
         raise
+
+
+def _checked(where: str, key: str, value, kind, what: str):
+    """``value``, or :class:`InvalidDistribution` naming it unless it is of ``kind``.
+
+    ``kind`` is read as :func:`_has_type` reads it, and ``what`` says it in
+    words: ``params 'priors' must be a list of real numbers, got ['a']``.
+    """
+    if not _has_type(value, kind):
+        raise InvalidDistribution(f"{where} {key!r} must be {what}, got {value!r:.60}")
+    return value
 
 
 def _has_type(value, kind) -> bool:

@@ -24,7 +24,7 @@ from . import __version__
 from .datasets import (infer_schema, load_source, load_target_marginal,  # noqa: F401
                        write_posterior_csv)
 from .distribution import FiniteJointDistribution, _finite_non_negative
-from .errors import InvalidDistribution, SjslabError, _has_type, naming_file
+from .errors import InvalidDistribution, SjslabError, _checked, naming_file
 from .estimators import (SEES_C_MAX_ITER, SEES_C_TOL, sees_c_fit, sees_d_fit,
                          sees_d_fit_with_classifier, train_argmax_classifier)
 from .shifts import posterior_statistics, rank_matrix
@@ -52,19 +52,14 @@ class ExperimentConfig:
     max_iter: int = SEES_C_MAX_ITER
 
     def __post_init__(self):
-        def need(ok: bool, key: str, kind: str):
-            if not ok:
-                raise InvalidDistribution(
-                    f"config key {key!r} must be {kind}, got {getattr(self, key)!r}")
-
-        for key, kind, expected in (("source_path", "a string", str),
-                                    ("target_path", "a string", str),
-                                    ("output_dir", "a string", str),
-                                    ("shift_features", "a list of strings", [str]),
-                                    ("smoothing_alpha", "a real number", numbers.Real),
-                                    ("optimizer_tol", "a real number", numbers.Real),
-                                    ("max_iter", "an integer", numbers.Integral)):
-            need(_has_type(getattr(self, key), expected), key, kind)
+        for key, what, kind in (("source_path", "a string", str),
+                                ("target_path", "a string", str),
+                                ("output_dir", "a string", str),
+                                ("shift_features", "a list of strings", [str]),
+                                ("smoothing_alpha", "a real number", numbers.Real),
+                                ("optimizer_tol", "a real number", numbers.Real),
+                                ("max_iter", "an integer", numbers.Integral)):
+            _checked("config", key, getattr(self, key), kind, what)
         for key in ("smoothing_alpha", "optimizer_tol", "max_iter"):
             _finite_non_negative(getattr(self, key), key)
         if self.method not in METHODS:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidDistribution, _has_type
+from .errors import InvalidDistribution, _checked
 
 MAX_CELLS = 10_000_000  # upper bound on the feature cells of a space
 
@@ -32,7 +32,7 @@ class FeatureSpace:
     Parameters
     ----------
     feature_names : sequence of str
-        One identifier per feature; must be unique.
+        One identifier per feature, at least one; must be unique.
     cardinalities : sequence of int
         Domain size of each feature, every entry >= 1; their product is
         at most ``MAX_CELLS``.
@@ -46,11 +46,13 @@ class FeatureSpace:
         cards = tuple(int(c) for c in cardinalities)
         if len(names) != len(cards):
             raise InvalidDistribution("feature_names and cardinalities must have equal length")
+        if not names:
+            raise InvalidDistribution("need at least one feature")
         if len(set(names)) != len(names):
             raise InvalidDistribution(f"duplicate feature names: {names}")
         if any(c < 1 for c in cards):
             raise InvalidDistribution(f"cardinalities must be >= 1, got {cards}")
-        total = int(np.prod(cards, dtype=np.int64)) if cards else 1
+        total = int(np.prod(cards, dtype=np.int64))
         if total <= 0 or total > MAX_CELLS:
             raise InvalidDistribution(
                 f"feature space has {total} cells, exceeding the cap of {MAX_CELLS}")
@@ -63,7 +65,7 @@ class FeatureSpace:
 
     @property
     def num_cells(self) -> int:
-        return int(np.prod(self.cardinalities, dtype=np.int64)) if self.cardinalities else 1
+        return int(np.prod(self.cardinalities, dtype=np.int64))
 
     def index_of(self, coords: Sequence[int]) -> int:
         """Flat cell index of one coordinate tuple."""
@@ -202,14 +204,10 @@ class FeaturePartition:
     @classmethod
     def from_description(cls, space: FeatureSpace, doc) -> "FeaturePartition":
         """The partition :meth:`describe` wrote; raises naming a missing or mistyped key."""
-        def need(key, kind, element):
+        def need(key, what, element):
             if not isinstance(doc, dict) or key not in doc:
                 raise InvalidDistribution(f"partition has no {key!r}")
-            value = doc[key]
-            if not _has_type(value, [element]):
-                raise InvalidDistribution(
-                    f"partition {key!r} must be a list of {kind}, got {value!r:.60}")
-            return value
+            return _checked("partition", key, doc[key], [element], f"a list of {what}")
 
         if isinstance(doc, dict) and doc.get("type") == "features":
             return cls.from_features(space, need("features", "feature names", str))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .datasets import sample_rows, schema_for_distribution, write_rows_csv
 from .distribution import FiniteJointDistribution
-from .errors import InvalidDistribution, _has_type
+from .errors import InvalidDistribution, _checked
 from .experiment import write_json
 from .oracle import plant_sjs
 from .space import FeaturePartition, FeatureSpace
@@ -41,7 +41,7 @@ _PRESET_PARAMS = {
 PRESET_KINDS = tuple(_PRESET_PARAMS)
 
 
-# What each param must be, and its kind as ``errors._has_type`` reads it.
+# What each param must be, and its kind as ``errors._checked`` reads it.
 _PARAM_TYPES = {
     "num_features": ("an integer", numbers.Integral),
     "cardinalities": ("a list of integers", [numbers.Integral]),
@@ -124,8 +124,7 @@ def make_preset(kind: str, params: dict | None = None, seed: int = 0) -> tuple:
         raise InvalidDistribution(f"unknown params for kind {kind!r}: {', '.join(unknown)}")
     for key, value in params.items():
         what, expected = _PARAM_TYPES[key]
-        if not _has_type(value, expected):
-            raise InvalidDistribution(f"params {key!r} must be {what}, got {value!r:.60}")
+        _checked("params", key, value, expected, what)
     if kind == "paper_example":
         source, target = paper_example_tables()
         return source, target, ("X1",)

@@ -113,8 +113,6 @@ def reference_load_dataset(path, schema):
             label_value = row.get("label", "") if labelled else None
             cells = values + ([label_value] if labelled else [])
             if any(v is None or v == "" for v in cells):
-                if schema.missing_policy == "drop_row":
-                    continue
                 missing = [v in (None, "") for v in values]
                 col = schema.feature_columns[missing.index(True)] if any(missing) \
                     else "label"

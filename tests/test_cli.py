@@ -127,6 +127,7 @@ class TestSimulate:
          "params 'priors' must be a list of real numbers, got ['a', 1]"),
         (["--params", '{"shift_features": "X1"}'],
          "params 'shift_features' must be a list of feature names, got 'X1'"),
+        (["--params", '{"num_features": 0}'], "need at least one feature"),
     ])
     def test_bad_settings_exit_1_naming_them(self, tmp_path, capsys, flags, named):
         # These once raised a TypeError traceback, were ignored, or wrote header-only CSVs.
@@ -403,6 +404,9 @@ def test_unknown_feature_exits_1_naming_it(tmp_path, instance_dir, capsys, comma
     ("source-null target confusion", "target mass 0.25 on source-null event at cell 3"),
     ("source-null target search", "target mass 0.25 on source-null event at cell 3"),
     ("header-only target", "header_only.csv: no rows to estimate from"),
+    ("header-only source", "header_only_source.csv: no rows to estimate from"),
+    ("table without features", "no_features.json: need at least one feature"),
+    ("CSVs spelled differently", "target spells feature 'X1' as ['b', 'c'], source as ['a', 'b']"),
     ("target value the source never had",
      "five.csv: value '5' not in declared domain at row 0, column 'X1'"),
     ("truncated table as source", "truncated.json: Expecting value: line 1 column 15 (char 14)"),
@@ -431,6 +435,11 @@ def test_a_malformed_input_exits_1_naming_it(tmp_path, instance_dir, capsys, cas
     (tmp_path / "table.json").write_text(json.dumps(
         {"features": [{"name": "X1"}], "num_labels": 2, "mass": []}))
     (tmp_path / "header_only.csv").write_text("X1,X2\n")
+    (tmp_path / "header_only_source.csv").write_text("X1,label\n")
+    (tmp_path / "no_features.json").write_text(json.dumps(
+        {"features": [], "num_labels": 2, "mass": [[0, 0.5], [1, 0.5]]}))
+    (tmp_path / "ab.csv").write_text("X1,label\na,0\nb,1\na,1\n")
+    (tmp_path / "bc.csv").write_text("X1,label\nb,0\nc,1\nc,1\n")
     (tmp_path / "five.csv").write_text("X1,X2\n5,0\n")
     (tmp_path / "truncated.json").write_text('{"features": [')
     (tmp_path / "not_json.json").write_text("{bad")
@@ -471,6 +480,13 @@ def test_a_malformed_input_exits_1_naming_it(tmp_path, instance_dir, capsys, cas
         "source-null target search": lambda: estimate("sees-d", "source.json", "target.json",
                                                       "--search", "all"),
         "header-only target": lambda: estimate("sees-d", sample, "header_only.csv"),
+        "header-only source": lambda: estimate("sees-d", "header_only_source.csv", sample),
+        "table without features": lambda: estimate("sees-d", "no_features.json",
+                                                   "no_features.json", "--posterior-out",
+                                                   str(out)),
+        "CSVs spelled differently": lambda: [
+            "check", "--source", str(tmp_path / "ab.csv"), "--target", str(tmp_path / "bc.csv"),
+            "--partition", "X1", "--hypothesis", "sjs", "--out", str(out)],
         "target value the source never had": lambda: estimate("sees-d", sample, "five.csv"),
         "truncated table as source": lambda: estimate("sees-d", "truncated.json", sample),
         "truncated table as target": lambda: estimate("sees-d", sample, "truncated.json"),

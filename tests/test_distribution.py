@@ -13,14 +13,12 @@ from sjslab import (
     PRESET_KINDS,
     AbsoluteContinuityViolated,
     ConditionalTable,
-    DatasetSchema,
     FeaturePartition,
     FeatureSpace,
     FiniteJointDistribution,
     HardClassifier,
     InvalidDistribution,
     RowTable,
-    SchemaViolation,
     ZeroLabelMass,
     aggregate,
     binary_variance_criterion,
@@ -825,8 +823,8 @@ def _rejecting_cases():
                              "assignment must cover all 4 feature cells"),
         "classifier labels": (lambda: HardClassifier(space, 2, [0, 1, 2, 0]),
                               InvalidDistribution, "assignment labels out of range"),
-        "missing policy": (lambda: DatasetSchema({"X1": ["a"]}, missing_policy="skip"),
-                           SchemaViolation, "unknown missing_policy 'skip'"),
+        "zero features": (lambda: FeatureSpace([], []), InvalidDistribution,
+                          "need at least one feature"),
         "partition shape": (lambda: FeaturePartition(space, [0]), InvalidDistribution,
                             "cell_of must have shape (4,), got (1,)"),
         "partition negative": (lambda: FeaturePartition(space, [0, -1, 0, 0]),

@@ -78,16 +78,12 @@ class TestLoadDataset:
         with pytest.raises(SchemaViolation):
             load_dataset(path, BASIC_SCHEMA)
 
-    def test_missing_values_follow_policy(self, tmp_path):
+    def test_missing_value_is_schema_violation(self, tmp_path):
         path = write_csv(tmp_path / "d.csv",
                          "color,size,label\nred,,0\ngreen,l,1\n")
         with pytest.raises(SchemaViolation) as info:
             load_dataset(path, BASIC_SCHEMA)
         assert info.value.column == "size"
-        lenient = DatasetSchema(BASIC_SCHEMA.feature_domains, label_domain=["0", "1"],
-                                missing_policy="drop_row")
-        rows = load_dataset(path, lenient)
-        assert rows.num_rows == 1
 
     def test_unlabelled_schema(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "color,size\nred,s\ngreen,m\n")
@@ -135,11 +131,6 @@ def inferred(infer, path):
     return ("ok", schema.feature_domains, schema.label_domain)
 
 
-def with_policy(schema, policy):
-    return DatasetSchema(schema.feature_domains, label_domain=schema.label_domain,
-                         missing_policy=policy)
-
-
 EDGE_SCHEMA = DatasetSchema({"color": ["red", "dark,red"], "size": ["s", "m", "l"]},
                             label_domain=["0", "1"])
 
@@ -148,7 +139,7 @@ EDGE_CSVS = {
     "short_row": "color,size,label\nred,s,0\nred\n",
     "long_row": "color,size,label\nred,s,0,extra,more\nred,m,1\n",
     "missing_before_unseen": "color,size,label\nred,s,0\nblue,,1\n",
-    "drop_row_numbering": "color,size,label\nred,,0\n\nred,m,\nred,xl,1\n",
+    "missing_in_first_row": "color,size,label\nred,,0\n\nred,m,\nred,xl,1\n",
     "unseen_label": "color,size,label\nred,s,2\n",
     "quoted_comma": 'color,size,label\n"dark,red",s,0\nred,"m",1\r\n',
     "repeated_column": "color,color,size,label\nblue,red,s,0\n",
@@ -178,8 +169,7 @@ def random_csv(seed):
         if rng.random() < 0.05:
             row = row + ["extra"]
         lines.append(row if rng.random() > 0.05 else [])
-    schema = DatasetSchema(dict(zip(names, pools)), label_domain=pools[-1],
-                           missing_policy=rng.choice(["error", "drop_row"]))
+    schema = DatasetSchema(dict(zip(names, pools)), label_domain=pools[-1])
     return lines, schema
 
 
@@ -281,13 +271,11 @@ class TestCsvReader:
         else:
             np.testing.assert_array_equal(rows.label_codes, labels)
 
-    @pytest.mark.parametrize("policy", ["error", "drop_row"])
     @pytest.mark.parametrize("name", sorted(EDGE_CSVS))
-    def test_edge_cases_match_row_reader(self, tmp_path, name, policy):
+    def test_edge_cases_match_row_reader(self, tmp_path, name):
         path = write_csv(tmp_path / "d.csv", EDGE_CSVS[name])
-        schema = with_policy(EDGE_SCHEMA, policy)
-        got = decoded(load_codes, path, schema)
-        assert got == decoded(reference_load_dataset, path, schema)
+        got = decoded(load_codes, path, EDGE_SCHEMA)
+        assert got == decoded(reference_load_dataset, path, EDGE_SCHEMA)
 
     def test_error_semantics(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", EDGE_CSVS["missing_before_unseen"])
@@ -295,11 +283,6 @@ class TestCsvReader:
             load_dataset(path, EDGE_SCHEMA)
         assert (str(info.value), info.value.row, info.value.column) == \
             ("missing value at row 1, column 'size'", 1, "size")
-        path = write_csv(tmp_path / "d.csv", EDGE_CSVS["drop_row_numbering"])
-        with pytest.raises(SchemaViolation) as info:
-            load_dataset(path, with_policy(EDGE_SCHEMA, "drop_row"))
-        assert "'xl'" in str(info.value)
-        assert (info.value.row, info.value.column) == (2, "size")
 
     def test_a_loader_error_keeps_its_row_and_column_and_notes_its_file(self, tmp_path):
         source = load_source(write_csv(tmp_path / "s.csv", "X1,label\n0,a\n1,b\n"))
@@ -329,8 +312,7 @@ class TestCsvReader:
             header, spellings, ids, row_of = read_csv_tokens(path)
             return (header, spellings, ids.tolist(), row_of.tolist(),
                     infer_schema(path),
-                    [decoded(load_codes, path, with_policy(EDGE_SCHEMA, policy))
-                     for policy in ("error", "drop_row")])
+                    decoded(load_codes, path, EDGE_SCHEMA))
 
         default = results()
         assert results() == default
@@ -350,10 +332,8 @@ class TestCsvReader:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "d.csv"
             path.write_text(text, newline="")
-            for policy in ("error", "drop_row"):
-                schema = with_policy(schema, policy)
-                assert decoded(load_codes, path, schema) == \
-                    decoded(reference_load_dataset, path, schema)
+            assert decoded(load_codes, path, schema) == \
+                decoded(reference_load_dataset, path, schema)
             assert inferred(infer_schema, path) == inferred(reference_infer_schema, path)
 
     @settings(max_examples=150, deadline=None)
@@ -585,13 +565,10 @@ class TestCountedTables:
             lines, schema = random_csv(seed)
             with path.open("w", newline="") as fh:
                 csv.writer(fh).writerows(lines)
-            for policy in ("error", "drop_row"):
-                for labelled in (True, False):
-                    case = with_policy(schema, policy) if labelled else \
-                        DatasetSchema(schema.feature_domains, missing_policy=policy)
-                    counted, expanded = counted_and_expanded(path, case, alpha)
-                    assert counted == expanded, (seed, policy, labelled)
-                    kinds.add(counted[:2] if counted[0] == "error" else counted[0])
+            for case in (schema, DatasetSchema(schema.feature_domains)):
+                counted, expanded = counted_and_expanded(path, case, alpha)
+                assert counted == expanded, (seed, case.label_domain is not None)
+                kinds.add(counted[:2] if counted[0] == "error" else counted[0])
         assert kinds >= {"joint", "marginal", ("error", "SchemaViolation"),
                          ("error", "EmptyDataset")}
 
@@ -602,15 +579,8 @@ class TestCountedTables:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "d.csv"
             path.write_text(text, newline="")
-            for policy in ("error", "drop_row"):
-                counted, expanded = counted_and_expanded(path, with_policy(schema, policy), alpha)
-                assert counted == expanded
-
-    def test_every_row_dropped_is_an_empty_dataset(self, tmp_path):
-        path = write_csv(tmp_path / "d.csv", "color,size,label\nred,,0\n,s,1\nred,,0\n")
-        schema = with_policy(BASIC_SCHEMA, "drop_row")
-        counted, expanded = counted_and_expanded(path, schema, 0.5)
-        assert counted == expanded == ("error", "EmptyDataset", "no rows to estimate from")
+            counted, expanded = counted_and_expanded(path, schema, alpha)
+            assert counted == expanded
 
     def test_repeated_records_are_weighted_by_their_rows(self, tmp_path):
         path = write_csv(tmp_path / "d.csv",
