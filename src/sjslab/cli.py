@@ -155,12 +155,11 @@ def _cmd_estimate(args) -> int:
     return fit_status(fit)[1]
 
 
-def _fit_field(doc, key: str, what: str, kind, default=None):
-    """Field ``key`` of a fit document, of ``kind`` as ``_checked`` reads it; absent,
-    ``default`` unless that is None."""
-    if not isinstance(doc, dict) or (key not in doc and default is None):
+def _fit_field(doc, key: str, what: str, kind):
+    """Field ``key`` of a fit document, of ``kind`` as ``_checked`` reads it."""
+    if not isinstance(doc, dict) or key not in doc:
         raise SjslabError(f"fit has no {key!r}")
-    return _checked("fit", key, doc.get(key, default), kind, what)
+    return _checked("fit", key, doc[key], kind, what)
 
 
 def _cmd_correct(args) -> int:
@@ -172,10 +171,8 @@ def _cmd_correct(args) -> int:
         part = _fit_field(fit_doc, "partition", "an object", dict)
         u = np.asarray(_fit_field(fit_doc, "cell_label_mass", "a table of real numbers",
                                   [[numbers.Real]]), dtype=np.float64)
-        residual = _fit_field(fit_doc, "residual", "a real number", numbers.Real, 0.0)
-        method = _fit_field(fit_doc, "method", "a string", str, "sees_d")
     f = FeaturePartition.from_description(source.space, part)
-    fit = fit_from_cell_mass(source, f, u, residual, method)
+    fit = fit_from_cell_mass(source, f, u)
     write_posterior_csv(args.out, source, fit.corrected_posterior)
     return EXIT_OK
 

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distribution import FiniteJointDistribution, _finite_non_negative, _same_spellings
+from .distribution import FiniteJointDistribution, _finite_non_negative, _same_features
 from .errors import EmptyDataset, SchemaViolation, naming_file
 from .space import FeatureSpace
 
@@ -280,12 +280,7 @@ def load_target_marginal(path, source: FiniteJointDistribution,
     with naming_file(path):
         if path.suffix == ".json":
             target = FiniteJointDistribution.load(path)
-            want, got = source.space, target.space
-            if (got.feature_names, got.cardinalities) != (want.feature_names, want.cardinalities):
-                raise SchemaViolation(
-                    f"target has features {dict(zip(got.feature_names, got.cardinalities))}, "
-                    f"source has {dict(zip(want.feature_names, want.cardinalities))}")
-            _same_spellings(source, target)
+            _same_features(source, target)
             return target.feature_marginal()
         schema = schema_for_distribution(source, labelled=False)
         return tokens_distribution(read_csv_tokens(path), schema, smoothing_alpha)

@@ -400,6 +400,7 @@ def marginal_density(q: FiniteJointDistribution, p: FiniteJointDistribution,
     AbsoluteContinuityViolated
         If some cell has positive target mass but zero source mass.
     """
+    _same_features(p, q)
     return density_ratio(aggregate(q.feature_marginal(), partition),
                          aggregate(p.feature_marginal(), partition))
 
@@ -411,22 +412,23 @@ def class_conditional_density(q: FiniteJointDistribution, p: FiniteJointDistribu
     Entry ``n`` is ``q[cell n | label] / p[cell n | label]``, with
     ``E_{p(.|label)}[density] = 1``.
     """
+    _same_features(p, q)
     return density_ratio(aggregate(class_conditional(q, label), partition),
                          aggregate(class_conditional(p, label), partition), label)
 
 
 def full_importance_weight(q: FiniteJointDistribution,
                            p: FiniteJointDistribution) -> np.ndarray:
-    """Importance weight table over (feature cell, label): ``density_ratio(q.mass, p.mass)``.
+    """Importance weight table over (feature cell, label): ``ratio(q.mass, p.mass)``.
 
     Entry ``(x, i)`` is the per-label feature density times the prior
     ratio, which reconstructs the target cellwise: ``q = weight * p``.
+    The pair must pass :func:`check_absolute_continuity`.
     """
-    if q.num_labels != p.num_labels or q.space != p.space:
-        raise InvalidDistribution("source and target must share space and labels")
+    check_absolute_continuity(q, p)
     p.require_positive_labels("source")
     q.require_positive_labels("target")
-    return density_ratio(q.mass, p.mass)
+    return ratio(q.mass, p.mass)
 
 
 def kl_divergence(p_table: np.ndarray, q_table: np.ndarray) -> float:
@@ -448,12 +450,17 @@ def kl_divergence(p_table: np.ndarray, q_table: np.ndarray) -> float:
     return float(np.sum(p_pos * (np.log(p_pos) - np.log(q_pos))))
 
 
-def _same_spellings(p: FiniteJointDistribution, q: FiniteJointDistribution) -> None:
-    """Raise at the first feature that source ``p`` and target ``q`` both spell, differently.
+def _same_features(p: FiniteJointDistribution, q: FiniteJointDistribution) -> None:
+    """Raise unless target ``q`` has the features of source ``p``, spelled alike.
 
-    Equal codes then stand for different values: each table was decoded
-    from its own CSV.
+    Names and cardinalities must match; then the first feature that both
+    tables spell, but spell differently, is named: equal codes there
+    stand for different values, each table decoded from its own CSV.
     """
+    if q.space != p.space:
+        raise InvalidDistribution(
+            f"target has features {dict(zip(q.space.feature_names, q.space.cardinalities))}, "
+            f"source has {dict(zip(p.space.feature_names, p.space.cardinalities))}")
     for name, ours, theirs in zip(p.space.feature_names, p.domains or (), q.domains or ()):
         if ours != theirs:
             raise SchemaViolation(f"target spells feature {name!r} as "
@@ -462,10 +469,11 @@ def _same_spellings(p: FiniteJointDistribution, q: FiniteJointDistribution) -> N
 
 def check_absolute_continuity(q: FiniteJointDistribution,
                               p: FiniteJointDistribution) -> None:
-    """Raise unless the target joint shares the source's space, labels and feature
-    spellings and is absolutely continuous w.r.t. the source."""
-    if q.space != p.space or q.num_labels != p.num_labels:
-        raise InvalidDistribution("source and target must share space and labels")
-    _same_spellings(p, q)
+    """Raise unless the target joint has the source's features (:func:`_same_features`)
+    and labels and is absolutely continuous w.r.t. the source."""
+    _same_features(p, q)
+    if q.num_labels != p.num_labels:
+        raise InvalidDistribution(
+            f"target has {q.num_labels} labels, source has {p.num_labels}")
     if np.any(q.mass[p.mass == 0.0] > 0.0):
         density_ratio(q.mass, p.mass)  # raises at the first violation

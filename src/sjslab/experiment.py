@@ -64,9 +64,6 @@ class ExperimentConfig:
             _finite_non_negative(getattr(self, key), key)
         if self.method not in METHODS:
             raise InvalidDistribution(f"method must be one of {METHODS}")
-        for path in (self.source_path, self.target_path):
-            if not Path(path).exists():
-                raise InvalidDistribution(f"input file does not exist: {path}")
         object.__setattr__(self, "shift_features", tuple(self.shift_features))
 
     @classmethod

@@ -197,40 +197,36 @@ def check_sufficiency(p: FiniteJointDistribution, f: FeaturePartition,
 # -- conditional class matrix -------------------------------------------------
 
 
-def posterior_statistics(p: FiniteJointDistribution) -> list:
-    """The label posteriors given all features, as rank statistics.
-
-    Each is a read-only view of a column of the cached ``p.full_posterior``.
-    """
-    return list(p.full_posterior.values.T)
+def posterior_statistics(p: FiniteJointDistribution) -> np.ndarray:
+    """The label posteriors given all features, as one (label, feature cell) table
+    of rank statistics: a read-only view of the cached ``p.full_posterior``."""
+    return p.full_posterior.values.T
 
 
-def classifier_statistics(assignment: np.ndarray, num_labels: int) -> list:
-    """Indicator statistics of a hard classifier's decision regions."""
-    assignment = np.asarray(assignment)
-    return [(assignment == i).astype(np.float64) for i in range(num_labels)]
+def classifier_statistics(assignment: np.ndarray, num_labels: int) -> np.ndarray:
+    """Indicator statistics of a hard classifier's decision regions, (label, feature cell)."""
+    return (np.asarray(assignment) == np.arange(num_labels)[:, None]).astype(np.float64)
 
 
 def _conditional_class_matrix(p: FiniteJointDistribution, g: FeaturePartition,
-                              statistics: list) -> tuple:
+                              statistics) -> tuple:
     """Matrices M[n, i, j] = E[stat_i | cell n, label j] (0/0 = 0), class masses, and
-    the statistics as rows of one (statistic, feature cell) array."""
-    stats = [np.asarray(s, dtype=np.float64) for s in statistics]
-    for k, s in enumerate(stats):
-        if s.shape != (p.space.num_cells,):
-            raise InvalidDistribution(f"statistic {k} must be a table over feature cells")
-        _finite_non_negative(s, f"statistic {k}", ("cell",))
-    stats = np.array(stats)
+    the statistics as one (statistic, feature cell) array."""
+    stats = _finite_non_negative(statistics, "statistics", ("statistic", "cell"))
+    if stats.ndim != 2 or stats.shape[1] != p.space.num_cells:
+        raise InvalidDistribution(f"statistics must be a (statistic, cell) table over "
+                                  f"{p.space.num_cells} cells, got shape {stats.shape}")
     class_cell = p.project(g)  # (cells, labels)
     # Row j of each product is stat_i * mass_j, contiguous, as aggregate sums columns.
     num = np.stack([aggregate(np.multiply(s, p.mass.T, order="C").T, g) for s in stats], axis=1)
     return ratio(num, class_cell[:, None, :]), class_cell, stats
 
 
-def rank_matrix(p: FiniteJointDistribution, g: FeaturePartition, statistics: list) -> RankReport:
+def rank_matrix(p: FiniteJointDistribution, g: FeaturePartition, statistics) -> RankReport:
     """Conditional class matrix per cell of ``g`` and its identifiability verdict.
 
-    ``statistics``: one finite, non-negative feature-cell table per label.
+    ``statistics``: a finite, non-negative (statistic, feature cell) table,
+    or a list of its rows, with one statistic per label.
     Entry ``(i, j)`` of the cell-``n`` matrix is the expectation of
     statistic ``i`` under the class-``j`` conditional distribution,
     conditioned on the cell.  A singular value counts towards the rank
@@ -254,7 +250,7 @@ def rank_matrix(p: FiniteJointDistribution, g: FeaturePartition, statistics: lis
 
 
 def verify_total_expectation(p: FiniteJointDistribution, g: FeaturePartition,
-                             statistics: list) -> float:
+                             statistics) -> float:
     """Max deviation in the total-expectation identity, per cell of ``g``.
 
     For each positive-mass cell the unconditional expectations of the
@@ -264,7 +260,8 @@ def verify_total_expectation(p: FiniteJointDistribution, g: FeaturePartition,
     """
     matrices, class_cell, stats = _conditional_class_matrix(p, g, statistics)
     cell_mass = class_cell.sum(axis=1)[:, None]
-    lhs = ratio(aggregate((stats * p.feature_marginal()).T, g), cell_mass)
+    # C order: aggregate sums the transpose's columns, each a contiguous row here.
+    lhs = ratio(aggregate(np.multiply(stats, p.feature_marginal(), order="C").T, g), cell_mass)
     rhs = np.einsum("nij,nj->ni", matrices, ratio(class_cell, cell_mass))
     return float(np.abs(lhs - rhs).max(initial=0.0))
 
@@ -327,7 +324,7 @@ class TriangleReport:
 
 
 def check_triangle(p: FiniteJointDistribution, q: FiniteJointDistribution,
-                   f: FeaturePartition, statistics: list | None = None,
+                   f: FeaturePartition, statistics=None,
                    tol: float = DEFAULT_TOL) -> TriangleReport:
     """Run the sjs / cdi / full-covariate-shift checks and audit their implications.
 

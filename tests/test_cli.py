@@ -407,6 +407,8 @@ def test_unknown_feature_exits_1_naming_it(tmp_path, instance_dir, capsys, comma
     ("header-only source", "header_only_source.csv: no rows to estimate from"),
     ("table without features", "no_features.json: need at least one feature"),
     ("CSVs spelled differently", "target spells feature 'X1' as ['b', 'c'], source as ['a', 'b']"),
+    ("JSON target over other features",
+     "wide.json: target has features {'X1': 3}, source has {'X1': 2, 'X2': 2}"),
     ("target value the source never had",
      "five.csv: value '5' not in declared domain at row 0, column 'X1'"),
     ("truncated table as source", "truncated.json: Expecting value: line 1 column 15 (char 14)"),
@@ -417,7 +419,6 @@ def test_unknown_feature_exits_1_naming_it(tmp_path, instance_dir, capsys, comma
     ("fit without a partition", "list.json: fit has no 'partition'"),
     ("config that is not JSON",
      "not_json.json: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
-    ("config input that does not exist", "config.json: input file does not exist: nowhere.csv"),
 ])
 def test_a_malformed_input_exits_1_naming_it(tmp_path, instance_dir, capsys, case, named):
     # The cases from "header-only target" on once exited 1 without naming the file at fault.
@@ -440,6 +441,8 @@ def test_a_malformed_input_exits_1_naming_it(tmp_path, instance_dir, capsys, cas
         {"features": [], "num_labels": 2, "mass": [[0, 0.5], [1, 0.5]]}))
     (tmp_path / "ab.csv").write_text("X1,label\na,0\nb,1\na,1\n")
     (tmp_path / "bc.csv").write_text("X1,label\nb,0\nc,1\nc,1\n")
+    FiniteJointDistribution(FeatureSpace(["X1"], [3]), 2, np.full((3, 2), 1 / 6)).save(
+        tmp_path / "wide.json")
     (tmp_path / "five.csv").write_text("X1,X2\n5,0\n")
     (tmp_path / "truncated.json").write_text('{"features": [')
     (tmp_path / "not_json.json").write_text("{bad")
@@ -487,6 +490,7 @@ def test_a_malformed_input_exits_1_naming_it(tmp_path, instance_dir, capsys, cas
         "CSVs spelled differently": lambda: [
             "check", "--source", str(tmp_path / "ab.csv"), "--target", str(tmp_path / "bc.csv"),
             "--partition", "X1", "--hypothesis", "sjs", "--out", str(out)],
+        "JSON target over other features": lambda: estimate("sees-d", "source.json", "wide.json"),
         "target value the source never had": lambda: estimate("sees-d", sample, "five.csv"),
         "truncated table as source": lambda: estimate("sees-d", "truncated.json", sample),
         "truncated table as target": lambda: estimate("sees-d", sample, "truncated.json"),
@@ -500,7 +504,6 @@ def test_a_malformed_input_exits_1_naming_it(tmp_path, instance_dir, capsys, cas
             "correct", "--source", str(sample), "--fit", str(tmp_path / "list.json"),
             "--out", str(out)],
         "config that is not JSON": lambda: ["report", "--config", str(tmp_path / "not_json.json")],
-        "config input that does not exist": lambda: report("source.json", "nowhere.csv"),
     }[case]()
     capsys.readouterr()
     assert main(argv) == 1
@@ -508,6 +511,25 @@ def test_a_malformed_input_exits_1_naming_it(tmp_path, instance_dir, capsys, cas
     assert err.startswith("error: ") and err.endswith(f"{named}\n")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists() and not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("case", ["estimate source", "report target"])
+def test_a_missing_input_exits_1_with_the_os_message(tmp_path, instance_dir, capsys, case):
+    # The path is named once, by the operating system's message, and no file is written.
+    missing, out, run = tmp_path / "missing.csv", tmp_path / "out.json", tmp_path / "run"
+    if case == "estimate source":
+        argv = ["estimate", "--method", "sees-d", "--source", str(missing), "--target-features",
+                str(instance_dir / "target_features.csv"), "--out", str(out)]
+    else:
+        (tmp_path / "config.json").write_text(json.dumps(
+            {"source_path": str(instance_dir / "source_sample.csv"), "target_path": str(missing),
+             "shift_features": [], "output_dir": str(run)}))
+        argv = ["report", "--config", str(tmp_path / "config.json")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+    assert captured.out == "" and not out.exists() and not run.exists()
 
 
 @st.composite
@@ -669,11 +691,9 @@ class TestPlantAndCorrect:
         ("cell_label_mass", [[0.5, 0.5], [0.5]],
          "a table of real numbers, got [[0.5, 0.5], [0.5]]"),
         ("cell_label_mass", [0.5, 0.5], "a table of real numbers, got [0.5, 0.5]"),
-        ("partition", "X1", "an object, got 'X1'"),
-        ("residual", [1], "a real number, got [1]"),
-        ("method", 3, "a string, got 3")])
+        ("partition", "X1", "an object, got 'X1'")])
     def test_correct_rejects_a_mistyped_field(self, tmp_path, capsys, field, value, named):
-        # A mistyped cell_label_mass or residual once escaped main as a TypeError traceback.
+        # A mistyped cell_label_mass once escaped main as a TypeError traceback.
         example_source().save(tmp_path / "p.json")
         doc = {"partition": {"type": "features", "features": ["X1"]},
                "cell_label_mass": [[0.25, 0.25], [0.25, 0.25]], field: value}
@@ -684,6 +704,23 @@ class TestPlantAndCorrect:
         err = capsys.readouterr().err
         assert err == f"error: {tmp_path / 'fit.json'}: fit {field!r} must be {named}\n"
         assert not (tmp_path / "post.csv").exists()
+
+    @pytest.mark.parametrize("fields", [{}, {"residual": [1], "method": 3}],
+                             ids=["absent", "mistyped"])
+    def test_correct_reads_neither_residual_nor_method(self, instance_dir, fields):
+        # The corrected posterior depends on neither; correct once type-checked both.
+        source, fit = str(instance_dir / "source.json"), instance_dir / "fit.json"
+        assert main(["estimate", "--method", "sees-d", "--source", source,
+                     "--target-features", str(instance_dir / "target.json"),
+                     "--shift-features", "X1", "--out", str(fit),
+                     "--posterior-out", str(instance_dir / "fitted.csv")]) == 0
+        doc = json.loads(fit.read_text())
+        del doc["residual"], doc["method"]
+        fit.write_text(json.dumps({**doc, **fields}))
+        assert main(["correct", "--source", source, "--fit", str(fit),
+                     "--out", str(instance_dir / "post.csv")]) == 0
+        assert ((instance_dir / "post.csv").read_bytes()
+                == (instance_dir / "fitted.csv").read_bytes())
 
     @pytest.mark.parametrize("mass,named", [
         ([[0.5, -0.1], [0.3, 0.3]], "-0.1 at f-cell 0, label 1 is negative"),

@@ -19,11 +19,16 @@ from sjslab import (
     HardClassifier,
     InvalidDistribution,
     RowTable,
+    SchemaViolation,
     ZeroLabelMass,
     aggregate,
     binary_variance_criterion,
     check_absolute_continuity,
+    check_cdi,
+    check_covariate_shift,
+    check_prior_shift,
     check_sjs,
+    check_triangle,
     class_conditional,
     class_conditional_density,
     empirical_distribution,
@@ -43,6 +48,7 @@ from sjslab import (
     sees_d_fit,
     sparsity_search,
 )
+from sjslab.datasets import load_target_marginal
 from sjslab.distribution import _finite_non_negative, density_ratio, ratio
 from _support import (
     awkward_draws,
@@ -227,6 +233,47 @@ class TestFullImportanceWeight:
         with pytest.raises(AbsoluteContinuityViolated) as info:
             full_importance_weight(q, p)
         assert str(info.value) == str(AbsoluteContinuityViolated(1, label=1, mass=0.3))
+
+
+# -- one comparability rule for every source-target pair -------------------------
+
+
+def _mismatched_pair(mismatch):
+    """(source, target, error, message): a 2x3 source and a 3x2 target, or a
+    target over the same features that spells X1 as b, c where the source has a, b."""
+    space = FeatureSpace(["X1", "X2"], [2, 3])
+    p = FiniteJointDistribution(space, 2, np.full((6, 2), 1 / 12), [["a", "b"], ["0", "1", "2"]])
+    if mismatch == "features":
+        q = FiniteJointDistribution(FeatureSpace(["X1", "X2"], [3, 2]), 2, p.mass)
+        return p, q, InvalidDistribution, ("target has features {'X1': 3, 'X2': 2}, "
+                                           "source has {'X1': 2, 'X2': 3}")
+    q = FiniteJointDistribution(space, 2, p.mass, [["b", "c"], ["0", "1", "2"]])
+    return p, q, SchemaViolation, "target spells feature 'X1' as ['b', 'c'], source as ['a', 'b']"
+
+
+PAIR_ENTRY_POINTS = {
+    "check_sjs": lambda p, q, f, path: check_sjs(p, q, f),
+    "check_cdi": lambda p, q, f, path: check_cdi(p, q, f),
+    "check_covariate_shift": lambda p, q, f, path: check_covariate_shift(p, q, f),
+    "check_prior_shift": lambda p, q, f, path: check_prior_shift(p, q),
+    "check_triangle": lambda p, q, f, path: check_triangle(p, q, f),
+    "full_importance_weight": lambda p, q, f, path: full_importance_weight(q, p),
+    "marginal_density": lambda p, q, f, path: marginal_density(q, p, f),
+    "class_conditional_density": lambda p, q, f, path: class_conditional_density(q, p, f, 0),
+    "load_target_marginal": lambda p, q, f, path: (q.save(path), load_target_marginal(path, p)),
+}
+
+
+@pytest.mark.parametrize("mismatch", ["features", "spellings"])
+@pytest.mark.parametrize("entry", sorted(PAIR_ENTRY_POINTS))
+def test_every_source_target_entry_point_raises_one_message(tmp_path, entry, mismatch):
+    # The densities once returned [1.0, 1.0] for the features pair, and
+    # full_importance_weight gave weights for the spellings pair.
+    p, q, error, message = _mismatched_pair(mismatch)
+    f = FeaturePartition.from_features(p.space, ["X1"])
+    with pytest.raises(error) as info:
+        PAIR_ENTRY_POINTS[entry](p, q, f, tmp_path / "target.json")
+    assert type(info.value) is error and str(info.value) == message
 
 
 class TestKlDivergence:
@@ -703,8 +750,8 @@ def _table_sites():
                               cell("q_marginal")),
         "cell mass": (sees_d_fit(p, q, x1).cell_label_mass,
                       lambda a: fit_from_cell_mass(p, x1, a), cell_label("cell mass", "f-cell")),
-        "statistics": (np.stack(posterior_statistics(p)), lambda a: rank_matrix(p, x1, list(a)),
-                       lambda at: (f"statistic {at[0]}", f"cell {at[1]}")),
+        "statistics": (posterior_statistics(p), lambda a: rank_matrix(p, x1, a),
+                       lambda at: ("statistics", f"statistic {at[0]}, cell {at[1]}")),
         "kl p_table": (p.mass, lambda a: kl_divergence(a, p.mass), entry("p_table")),
         "kl q_table": (p.mass, lambda a: kl_divergence(p.mass, a), entry("q_table")),
         "target prior": (np.array([0.3, 0.7]), lambda a: plant_sjs(p, x1, a, seed=0),
@@ -808,6 +855,7 @@ def _rejecting_cases():
     f = FeaturePartition.from_features(space, ["X1"])
     other = FeaturePartition.trivial(FeatureSpace(["X1"], [3]))
     wider = FiniteJointDistribution(FeatureSpace(["X1"], [3]), 2, np.full((3, 2), 1 / 6))
+    three_labels = FiniteJointDistribution(space, 3, np.full((4, 3), 1 / 12))
     trivial, full = FeaturePartition.trivial(space), FeaturePartition.full(space)
     return {
         "q_marginal shape": (lambda: sees_d_fit(p, np.full(3, 1 / 3), f), InvalidDistribution,
@@ -843,13 +891,16 @@ def _rejecting_cases():
         "class label": (lambda: class_conditional(p, 2), InvalidDistribution,
                         "label 2 out of range 0..1"),
         "importance spaces": (lambda: full_importance_weight(wider, p), InvalidDistribution,
-                              "source and target must share space and labels"),
+                              "target has features {'X1': 3}, source has {'X1': 2, 'X2': 2}"),
         "kl index sets": (lambda: kl_divergence([0.5, 0.5], [1.0]), InvalidDistribution,
                           "tables must share their index set"),
         "continuity spaces": (lambda: check_absolute_continuity(wider, p), InvalidDistribution,
-                              "source and target must share space and labels"),
+                              "target has features {'X1': 3}, source has {'X1': 2, 'X2': 2}"),
+        "continuity labels": (lambda: check_absolute_continuity(three_labels, p),
+                              InvalidDistribution, "target has 3 labels, source has 2"),
         "statistic shape": (lambda: rank_matrix(p, f, [np.zeros(3)] * 2), InvalidDistribution,
-                            "statistic 0 must be a table over feature cells"),
+                            "statistics must be a (statistic, cell) table over 4 cells, "
+                            "got shape (2, 3)"),
         "preset kind": (lambda: make_preset("nope"), InvalidDistribution,
                         f"unknown preset kind 'nope'; have {PRESET_KINDS}"),
         "preset cardinalities": (lambda: make_preset("sjs", {"num_features": 2,

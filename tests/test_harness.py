@@ -733,8 +733,11 @@ class TestRunExperiment:
             assert Path(r1.outputs[name]).read_bytes() == Path(r2.outputs[name]).read_bytes()
 
     def test_config_validation(self, tmp_path):
-        with pytest.raises(Exception):
-            ExperimentConfig("missing.json", "missing.json", ())
+        # A missing input is found when the run opens it, and leaves no run directory.
+        missing, run = str(tmp_path / "missing.json"), tmp_path / "run"
+        with pytest.raises(FileNotFoundError):
+            run_experiment(ExperimentConfig(missing, missing, (), output_dir=str(run)))
+        assert not run.exists()
         (tmp_path / "x.json").write_text("{}")
         with pytest.raises(Exception):
             ExperimentConfig(str(tmp_path / "x.json"), str(tmp_path / "x.json"),

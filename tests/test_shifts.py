@@ -162,10 +162,19 @@ class TestRankMatrix:
     def test_posterior_statistics_are_read_only_views_of_the_posterior(self, source):
         values = source.full_posterior.values
         stats = posterior_statistics(source)
-        assert len(stats) == source.num_labels
+        assert stats.shape == (source.num_labels, source.space.num_cells)
+        assert not stats.flags.writeable and np.shares_memory(stats, values)
         for i, s in enumerate(stats):
-            assert not s.flags.writeable and np.shares_memory(s, values)
             assert s.tobytes() == values[:, i].tobytes()
+
+    def test_statistics_as_one_table_or_as_its_rows_give_the_same_bytes(self, source, x1):
+        clf = classifier_statistics(np.array([0, 1, 1, 0]), 2)
+        assert clf.tolist() == [[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]]
+        for stats in (posterior_statistics(source), clf):
+            table, rows = rank_matrix(source, x1, stats), rank_matrix(source, x1, list(stats))
+            assert json.dumps(table.to_json_dict()) == json.dumps(rows.to_json_dict())
+            assert (verify_total_expectation(source, x1, stats).hex()
+                    == verify_total_expectation(source, x1, list(stats)).hex())
 
     def test_constant_statistics_rank_one(self, source, x1):
         ones = [np.ones(source.space.num_cells) for _ in range(2)]
