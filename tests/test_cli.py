@@ -705,8 +705,8 @@ class TestPlantAndCorrect:
         assert err == f"error: {tmp_path / 'fit.json'}: fit {field!r} must be {named}\n"
         assert not (tmp_path / "post.csv").exists()
 
-    @pytest.mark.parametrize("fields", [{}, {"residual": [1], "method": 3}],
-                             ids=["absent", "mistyped"])
+    @pytest.mark.parametrize("fields", [{}, {"method": 3}, {"residual": [1]}],
+                             ids=["absent", "method 3", "residual [1]"])
     def test_correct_reads_neither_residual_nor_method(self, instance_dir, fields):
         # The corrected posterior depends on neither; correct once type-checked both.
         source, fit = str(instance_dir / "source.json"), instance_dir / "fit.json"
