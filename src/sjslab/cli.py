@@ -71,9 +71,13 @@ def _parse_partition(space, text: str) -> FeaturePartition:
 
 
 def _cmd_plant(args) -> int:
+    _finite_non_negative(args.seed, "seed")
+    try:
+        priors = [float(v) for v in args.priors.split(",")]
+    except ValueError:
+        raise SjslabError(f"priors must be comma-separated numbers, got {args.priors!r}") from None
     source = load_source(args.source)
     f = _parse_partition(source.space, args.shift_features)
-    priors = [float(v) for v in args.priors.split(",")]
     inst = plant_sjs(source, f, priors, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -91,6 +95,7 @@ def _cmd_plant(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _finite_non_negative(args.seed, "seed")  # before generate_synthetic writes a file
     params = json.loads(args.params) if args.params else {}
     if not isinstance(params, dict):
         raise SjslabError(f"params must be a JSON object, got {args.params}")
@@ -185,77 +190,81 @@ def _cmd_report(args) -> int:
     return result.exit_code
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each command: its help, its handler and its arguments, as add_argument takes them.
+COMMANDS = {
+    "plant": ("construct a shifted target with known truth", _cmd_plant, (
+        ("--source", {"required": True}),
+        ("--shift-features", {"required": True}),
+        ("--priors", {"required": True, "help": "comma-separated target priors"}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--out", {"required": True}))),
+    "simulate": ("write a synthetic preset instance", _cmd_simulate, (
+        ("--kind", {"required": True, "choices": PRESET_KINDS}),
+        ("--params", {"default": None, "help": "JSON dict of preset parameters"}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--samples", {"type": int, "default": 1000}),
+        ("--out", {"required": True}))),
+    "check": ("verify a shift hypothesis between two tables", _cmd_check, (
+        ("--source", {"required": True}),
+        ("--target", {"required": False, "default": None}),
+        ("--partition", {"default": "", "help": "comma-separated features, 'trivial' or 'full'"}),
+        ("--hypothesis", {"required": True, "choices": HYPOTHESES}),
+        ("--tol", {"type": float, "default": DEFAULT_TOL}),
+        ("--out", {"default": None}))),
+    "identifiability": ("conditional class matrix rank report", _cmd_identifiability, (
+        ("--source", {"required": True}),
+        ("--partition", {"default": ""}),
+        ("--stats", {"default": "posterior", "choices": ("posterior", "classifier")}),
+        ("--out", {"default": None}))),
+    "estimate": ("fit target priors and posteriors", _cmd_estimate, (
+        ("--method", {"required": True, "choices": METHODS}),
+        ("--source", {"required": True}),
+        ("--target-features", {"required": True}),
+        ("--shift-features", {"default": ""}),
+        ("--penalty", {"type": float, "default": 0.0}),
+        ("--search", {"default": None,
+                      "help": "comma-separated candidate features or 'all'; ranks subsets"}),
+        ("--alpha", {"type": float, "default": 0.0}),
+        ("--tol", {"type": float, "default": SEES_C_TOL}),
+        ("--max-iter", {"type": int, "default": SEES_C_MAX_ITER}),
+        ("--out", {"default": None}),
+        ("--posterior-out", {"default": None}))),
+    "correct": ("corrected posterior CSV from a saved fit", _cmd_correct, (
+        ("--source", {"required": True}),
+        ("--fit", {"required": True}),
+        ("--out", {"required": True}))),
+    "report": ("run a full experiment from a config file", _cmd_report, (
+        ("--config", {"required": True}),)),
+}
+
+
+def build_parser(names=tuple(COMMANDS)) -> argparse.ArgumentParser:
+    """The ``sjslab`` parser with the subparsers of the commands ``names``."""
     parser = argparse.ArgumentParser(prog="sjslab",
                                      description="Sparse joint shift toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("plant", help="construct a shifted target with known truth")
-    p.add_argument("--source", required=True)
-    p.add_argument("--shift-features", required=True)
-    p.add_argument("--priors", required=True, help="comma-separated target priors")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_plant)
-
-    p = sub.add_parser("simulate", help="write a synthetic preset instance")
-    p.add_argument("--kind", required=True, choices=PRESET_KINDS)
-    p.add_argument("--params", default=None, help="JSON dict of preset parameters")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("check", help="verify a shift hypothesis between two tables")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=False, default=None)
-    p.add_argument("--partition", default="", help="comma-separated features, 'trivial' or 'full'")
-    p.add_argument("--hypothesis", required=True, choices=HYPOTHESES)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("identifiability", help="conditional class matrix rank report")
-    p.add_argument("--source", required=True)
-    p.add_argument("--partition", default="")
-    p.add_argument("--stats", default="posterior", choices=("posterior", "classifier"))
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_identifiability)
-
-    p = sub.add_parser("estimate", help="fit target priors and posteriors")
-    p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--source", required=True)
-    p.add_argument("--target-features", required=True)
-    p.add_argument("--shift-features", default="")
-    p.add_argument("--penalty", type=float, default=0.0)
-    p.add_argument("--search", default=None,
-                   help="comma-separated candidate features or 'all'; ranks subsets")
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=SEES_C_TOL)
-    p.add_argument("--max-iter", type=int, default=SEES_C_MAX_ITER)
-    p.add_argument("--out", default=None)
-    p.add_argument("--posterior-out", default=None)
-    p.set_defaults(func=_cmd_estimate)
-
-    p = sub.add_parser("correct", help="corrected posterior CSV from a saved fit")
-    p.add_argument("--source", required=True)
-    p.add_argument("--fit", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_correct)
-
-    p = sub.add_parser("report", help="run a full experiment from a config file")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=_cmd_report)
+    # The usage line lists every command however few are built.  A full build needs no
+    # metavar for that, and must not have one: argparse would name the argument by it,
+    # not as "command", in the errors that only a full build prints.
+    every = "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=every if len(names) < len(COMMANDS) else None)
+    for name in names:
+        help_text, _, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A call that names a command builds only its parser; any other needs them all.
+    parser = build_parser([name for name in argv[:1] if name in COMMANDS] or tuple(COMMANDS))
     args = parser.parse_args(argv)
     if args.command == "check" and CHECKS[args.hypothesis][1] and not args.target:
         parser.error(f"--target is required for hypothesis {args.hypothesis!r}")
     try:
-        return args.func(args)
+        return COMMANDS[args.command][1](args)
     except (SjslabError, OSError, ValueError, OverflowError, csv.Error) as exc:
         files = "".join(f"{note}: " for note in getattr(exc, "__notes__", ()))
         sys.stderr.write(f"error: {files}{exc}\n")

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sjslab
+import sjslab.cli
 from sjslab import FeatureSpace, FiniteJointDistribution
 from sjslab.cli import main
 from sjslab.datasets import load_source
@@ -128,6 +130,7 @@ class TestSimulate:
         (["--params", '{"shift_features": "X1"}'],
          "params 'shift_features' must be a list of feature names, got 'X1'"),
         (["--params", '{"num_features": 0}'], "need at least one feature"),
+        (["--kind", "paper_example", "--seed", "-1"], "seed -1 is negative"),
     ])
     def test_bad_settings_exit_1_naming_them(self, tmp_path, capsys, flags, named):
         # These once raised a TypeError traceback, were ignored, or wrote header-only CSVs.
@@ -348,6 +351,10 @@ class TestEstimateInputErrors:
      "max_iter -3 is negative"),
     (["estimate", "--method", "sees-c", "--shift-features", "X1", "--max-iter", "9" * 400],
      "int too large to convert to float"),
+    (["plant", "--shift-features", "X1", "--priors", "0.3,0.7,"],
+     "priors must be comma-separated numbers, got '0.3,0.7,'"),
+    (["plant", "--shift-features", "X1", "--priors", "0.3,0.7", "--seed", "-1"],
+     "seed -1 is negative"),
 ])
 def test_a_non_finite_setting_exits_1_naming_it(instance_dir, capsys, args, named):
     inputs = {"check": ["--source", "source.json", "--target", "target.json"],
@@ -843,3 +850,171 @@ class TestReport:
         assert main(["report", "--config", str(cfg_path)]) == 1
         assert named in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+
+# The parser's texts as argparse of Python 3.11 prints them 80 columns wide.  A call that
+# names a command builds only that command's parser, and prints what the full parser would.
+SJSLAB_USAGE = """\
+usage: sjslab [-h]
+              {plant,simulate,check,identifiability,estimate,correct,report}
+              ...
+"""
+SJSLAB_HELP = SJSLAB_USAGE + """\
+
+Sparse joint shift toolkit
+
+positional arguments:
+  {plant,simulate,check,identifiability,estimate,correct,report}
+    plant               construct a shifted target with known truth
+    simulate            write a synthetic preset instance
+    check               verify a shift hypothesis between two tables
+    identifiability     conditional class matrix rank report
+    estimate            fit target priors and posteriors
+    correct             corrected posterior CSV from a saved fit
+    report              run a full experiment from a config file
+
+options:
+  -h, --help            show this help message and exit
+"""
+ESTIMATE_USAGE = """\
+usage: sjslab estimate [-h] --method {sees-c,sees-d,confusion} --source SOURCE
+                       --target-features TARGET_FEATURES
+                       [--shift-features SHIFT_FEATURES] [--penalty PENALTY]
+                       [--search SEARCH] [--alpha ALPHA] [--tol TOL]
+                       [--max-iter MAX_ITER] [--out OUT]
+                       [--posterior-out POSTERIOR_OUT]
+"""
+COMMAND_HELP = {
+    "plant": """\
+usage: sjslab plant [-h] --source SOURCE --shift-features SHIFT_FEATURES
+                    --priors PRIORS [--seed SEED] --out OUT
+
+options:
+  -h, --help            show this help message and exit
+  --source SOURCE
+  --shift-features SHIFT_FEATURES
+  --priors PRIORS       comma-separated target priors
+  --seed SEED
+  --out OUT
+""",
+    "simulate": """\
+usage: sjslab simulate [-h] --kind
+                       {sjs,prior_shift,covariate_shift,cdi_not_sjs,paper_example}
+                       [--params PARAMS] [--seed SEED] [--samples SAMPLES]
+                       --out OUT
+
+options:
+  -h, --help            show this help message and exit
+  --kind {sjs,prior_shift,covariate_shift,cdi_not_sjs,paper_example}
+  --params PARAMS       JSON dict of preset parameters
+  --seed SEED
+  --samples SAMPLES
+  --out OUT
+""",
+    "check": """\
+usage: sjslab check [-h] --source SOURCE [--target TARGET]
+                    [--partition PARTITION] --hypothesis
+                    {sjs,csh,cdi,prior,sufficiency,variance} [--tol TOL]
+                    [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --source SOURCE
+  --target TARGET
+  --partition PARTITION
+                        comma-separated features, 'trivial' or 'full'
+  --hypothesis {sjs,csh,cdi,prior,sufficiency,variance}
+  --tol TOL
+  --out OUT
+""",
+    "identifiability": """\
+usage: sjslab identifiability [-h] --source SOURCE [--partition PARTITION]
+                              [--stats {posterior,classifier}] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --source SOURCE
+  --partition PARTITION
+  --stats {posterior,classifier}
+  --out OUT
+""",
+    "estimate": ESTIMATE_USAGE + """\
+
+options:
+  -h, --help            show this help message and exit
+  --method {sees-c,sees-d,confusion}
+  --source SOURCE
+  --target-features TARGET_FEATURES
+  --shift-features SHIFT_FEATURES
+  --penalty PENALTY
+  --search SEARCH       comma-separated candidate features or 'all'; ranks
+                        subsets
+  --alpha ALPHA
+  --tol TOL
+  --max-iter MAX_ITER
+  --out OUT
+  --posterior-out POSTERIOR_OUT
+""",
+    "correct": """\
+usage: sjslab correct [-h] --source SOURCE --fit FIT --out OUT
+
+options:
+  -h, --help       show this help message and exit
+  --source SOURCE
+  --fit FIT
+  --out OUT
+""",
+    "report": """\
+usage: sjslab report [-h] --config CONFIG
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG
+""",
+}
+USAGE_ERRORS = [
+    ([], SJSLAB_USAGE, "sjslab: error: the following arguments are required: command"),
+    (["bogus"], SJSLAB_USAGE,
+     "sjslab: error: argument command: invalid choice: 'bogus' (choose from 'plant', "
+     "'simulate', 'check', 'identifiability', 'estimate', 'correct', 'report')"),
+    (["estimate"], ESTIMATE_USAGE, "sjslab estimate: error: the following arguments are "
+     "required: --method, --source, --target-features"),
+    (["report", "--config", "c", "extra"], SJSLAB_USAGE,
+     "sjslab: error: unrecognized arguments: extra"),
+    (["check", "--source", "s.json", "--hypothesis", "sjs"], SJSLAB_USAGE,
+     "sjslab: error: --target is required for hypothesis 'sjs'"),
+]
+
+
+CLI_TEXTS = [
+    (["-h"], 0, SJSLAB_HELP, ""),
+    *[([name, "-h"], 0, text, "") for name, text in COMMAND_HELP.items()],
+    *[(argv, 2, "", usage + message + "\n") for argv, usage, message in USAGE_ERRORS],
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse texts of Python 3.11")
+@pytest.mark.parametrize("argv,code,out,err", CLI_TEXTS,
+                         ids=[" ".join(argv) or "no-arguments" for argv, *_ in CLI_TEXTS])
+def test_help_usage_and_error_texts_are_pinned(monkeypatch, capsys, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, *capsys.readouterr()) == (code, out, err)
+
+
+def test_module_help_lists_every_command():
+    # main() with no argv reads sys.argv, as the sjslab entry point calls it.
+    env = {**os.environ, "PYTHONPATH": str(Path(sjslab.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-m", "sjslab.cli", "-h"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0
+    listed = re.findall(r"^    ([a-z]+) ", out.stdout, re.MULTILINE)
+    assert listed == list(sjslab.cli.COMMANDS) and len(listed) == 7
+
+
+def test_readme_and_module_docstring_name_the_commands_in_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    in_readme = re.findall(r"`([a-z]+)`", readme.split("Subcommands: ", 1)[1].split(".", 1)[0])
+    docstring = sjslab.cli.__doc__.split("Subcommands: ", 1)[1].split(".", 1)[0]
+    assert in_readme == docstring.replace(",", " ").split() == list(sjslab.cli.COMMANDS)
