@@ -19,7 +19,7 @@ import numpy as np
 
 from .datasets import load_source, load_target_marginal, write_posterior_csv
 from .distribution import _finite_non_negative
-from .errors import SjslabError, _checked, naming_file
+from .errors import SjslabError, _field, naming_file
 from .estimators import (SEES_C_MAX_ITER, SEES_C_TOL, fit_from_cell_mass, sparsity_search,
                          train_argmax_classifier)
 from .experiment import (
@@ -71,7 +71,6 @@ def _parse_partition(space, text: str) -> FeaturePartition:
 
 
 def _cmd_plant(args) -> int:
-    _finite_non_negative(args.seed, "seed")
     try:
         priors = [float(v) for v in args.priors.split(",")]
     except ValueError:
@@ -95,7 +94,6 @@ def _cmd_plant(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    _finite_non_negative(args.seed, "seed")  # before generate_synthetic writes a file
     params = json.loads(args.params) if args.params else {}
     if not isinstance(params, dict):
         raise SjslabError(f"params must be a JSON object, got {args.params}")
@@ -160,22 +158,15 @@ def _cmd_estimate(args) -> int:
     return fit_status(fit)[1]
 
 
-def _fit_field(doc, key: str, what: str, kind):
-    """Field ``key`` of a fit document, of ``kind`` as ``_checked`` reads it."""
-    if not isinstance(doc, dict) or key not in doc:
-        raise SjslabError(f"fit has no {key!r}")
-    return _checked("fit", key, doc[key], kind, what)
-
-
 def _cmd_correct(args) -> int:
     source = load_source(args.source)
     with naming_file(args.fit):
         fit_doc = json.loads(Path(args.fit).read_text())
         if isinstance(fit_doc, dict) and "ranking" in fit_doc:
             fit_doc = fit_doc.get("best", {})  # a search file: its best fit
-        part = _fit_field(fit_doc, "partition", "an object", dict)
-        u = np.asarray(_fit_field(fit_doc, "cell_label_mass", "a table of real numbers",
-                                  [[numbers.Real]]), dtype=np.float64)
+        part = _field("fit", fit_doc, "partition", dict, "an object")
+        u = np.asarray(_field("fit", fit_doc, "cell_label_mass", [[numbers.Real]],
+                              "a table of real numbers"), dtype=np.float64)
     f = FeaturePartition.from_description(source.space, part)
     fit = fit_from_cell_mass(source, f, u)
     write_posterior_csv(args.out, source, fit.corrected_posterior)

@@ -14,6 +14,7 @@ from a genuine zero probability.
 from __future__ import annotations
 
 import json
+import numbers
 import weakref
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -22,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AbsoluteContinuityViolated, InvalidDistribution, SchemaViolation, ZeroLabelMass
+from .errors import (AbsoluteContinuityViolated, InvalidDistribution, SchemaViolation,
+                     ZeroLabelMass, _checked, _field)
 from .space import FeaturePartition, FeatureSpace, aggregate
 
 MASS_TOL = 1e-12
@@ -173,21 +175,19 @@ class FiniteJointDistribution:
         is named in the error.  The table is renormalised when its total
         is within ``1e-9`` of 1 and rejected otherwise.  An optional
         ``domains`` key lists each feature's value spellings, in feature
-        order.
+        order.  A missing or mistyped header key is named; ``cardinality``
+        and ``num_labels`` must be integers (``2.0`` is not).
         """
-        try:
-            names = [f["name"] for f in data["features"]]
-            cards = [int(f["cardinality"]) for f in data["features"]]
-            num_labels = int(data["num_labels"])
-            rows = data["mass"]
-            domains = data.get("domains")
-        except (KeyError, TypeError) as exc:
-            raise InvalidDistribution(f"malformed distribution document: {exc}") from exc
-        if domains is not None and not (isinstance(domains, list)
-                                        and all(isinstance(v, list) for v in domains)):
-            raise InvalidDistribution("domains must be a list of value lists, one per feature")
-        if not isinstance(rows, list):
-            raise InvalidDistribution("mass must be a list of rows")
+        features = _field("table", data, "features", list, "a list")
+        names = [_field(f"feature {j}", feature, "name", str, "a string")
+                 for j, feature in enumerate(features)]
+        cards = [_field(f"feature {j}", feature, "cardinality", numbers.Integral, "an integer")
+                 for j, feature in enumerate(features)]
+        num_labels = _field("table", data, "num_labels", numbers.Integral, "an integer")
+        rows = _field("table", data, "mass", list, "a list of rows")
+        domains = data.get("domains")
+        if domains is not None:
+            _checked("table", "domains", domains, [list], "a list of value lists, one per feature")
         space = FeatureSpace(names, cards)
         d = space.num_features
         try:

@@ -2,8 +2,8 @@
 
 Public functions raise these instead of bare ValueError so callers can
 distinguish modelling violations (absolute continuity, degenerate labels)
-from plain misuse.  Every value read from JSON (a config, ``--params``, a
-fit, a partition description) is type-checked by one rule, ``_checked``.
+from plain misuse.  Every value read from JSON (a config, ``--params``, a table
+header, a fit, a partition description) is type-checked by one rule, ``_checked``.
 """
 
 from __future__ import annotations
@@ -26,6 +26,14 @@ def naming_file(path):
     except Exception as exc:
         exc.__notes__ = [*getattr(exc, "__notes__", ()), str(path)]  # add_note, from 3.11 on
         raise
+
+
+def _field(where: str, doc, key: str, kind, what: str):
+    """``doc[key]``, checked by :func:`_checked`, or :class:`InvalidDistribution`
+    ``{where} has no {key!r}`` when ``doc`` is not a JSON object or lacks ``key``."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise InvalidDistribution(f"{where} has no {key!r}")
+    return _checked(where, key, doc[key], kind, what)
 
 
 def _checked(where: str, key: str, value, kind, what: str):

@@ -42,9 +42,11 @@ def plant_sjs(source: FiniteJointDistribution, f: FeaturePartition,
     ``cell_ratios`` may be a (num_f_cells, num_labels) table or
     ``"random"`` (seeded, uniform in [0.25, 4)); either way each label's
     ratios are renormalised so their source-class-conditional expectation
-    is exactly 1, so the planted priors are exact.  The priors must be
-    finite and positive, and a ratio table finite and non-negative.
+    is exactly 1, so the planted priors are exact.  The priors must be finite
+    and positive, a ratio table finite and non-negative and a seed non-negative.
     """
+    if seed is not None:
+        _finite_non_negative(seed, "seed")
     source.require_positive_labels("source")
     new_priors = _finite_non_negative(new_priors, "target prior", ("label",))
     if new_priors.shape != (source.num_labels,):

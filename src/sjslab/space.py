@@ -14,13 +14,14 @@ classifier) as well.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidDistribution, _checked
+from .errors import InvalidDistribution, _field
 
 MAX_CELLS = 10_000_000  # upper bound on the feature cells of a space
 
@@ -52,8 +53,8 @@ class FeatureSpace:
             raise InvalidDistribution(f"duplicate feature names: {names}")
         if any(c < 1 for c in cards):
             raise InvalidDistribution(f"cardinalities must be >= 1, got {cards}")
-        total = int(np.prod(cards, dtype=np.int64))
-        if total <= 0 or total > MAX_CELLS:
+        total = math.prod(cards)  # exact: an int64 product could wrap below the cap
+        if total > MAX_CELLS:
             raise InvalidDistribution(
                 f"feature space has {total} cells, exceeding the cap of {MAX_CELLS}")
         object.__setattr__(self, "feature_names", names)
@@ -65,7 +66,7 @@ class FeatureSpace:
 
     @property
     def num_cells(self) -> int:
-        return int(np.prod(self.cardinalities, dtype=np.int64))
+        return math.prod(self.cardinalities)
 
     def index_of(self, coords: Sequence[int]) -> int:
         """Flat cell index of one coordinate tuple."""
@@ -146,13 +147,12 @@ class FeaturePartition:
     @classmethod
     def trivial(cls, space: FeatureSpace) -> "FeaturePartition":
         """Single-cell partition (no feature information)."""
-        return cls(space, np.zeros(space.num_cells, dtype=np.int64), feature_subset=())
+        return cls.from_features(space, ())
 
     @classmethod
     def full(cls, space: FeatureSpace) -> "FeaturePartition":
         """Finest partition: one cell per feature cell."""
-        return cls(space, np.arange(space.num_cells, dtype=np.int64),
-                   feature_subset=tuple(space.feature_names))
+        return cls.from_features(space, space.feature_names)
 
     def broadcast(self, table: np.ndarray) -> np.ndarray:
         """The per-feature-cell table whose row ``x`` is row ``cell_of[x]`` of ``table``.
@@ -204,14 +204,11 @@ class FeaturePartition:
     @classmethod
     def from_description(cls, space: FeatureSpace, doc) -> "FeaturePartition":
         """The partition :meth:`describe` wrote; raises naming a missing or mistyped key."""
-        def need(key, what, element):
-            if not isinstance(doc, dict) or key not in doc:
-                raise InvalidDistribution(f"partition has no {key!r}")
-            return _checked("partition", key, doc[key], [element], f"a list of {what}")
-
         if isinstance(doc, dict) and doc.get("type") == "features":
-            return cls.from_features(space, need("features", "feature names", str))
-        return cls(space, need("cell_of", "integers", numbers.Integral))
+            return cls.from_features(
+                space, _field("partition", doc, "features", [str], "a list of feature names"))
+        return cls(space, _field("partition", doc, "cell_of", [numbers.Integral],
+                                 "a list of integers"))
 
 
 def group(labels: np.ndarray, num_groups: int) -> tuple:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import sample_rows, schema_for_distribution, write_rows_csv
-from .distribution import FiniteJointDistribution
+from .distribution import FiniteJointDistribution, _finite_non_negative
 from .errors import InvalidDistribution, _checked
 from .experiment import write_json
 from .oracle import plant_sjs
@@ -115,7 +115,8 @@ def _random_source(rng, num_features: int, cardinalities, num_labels: int):
 
 
 def make_preset(kind: str, params: dict | None = None, seed: int = 0) -> tuple:
-    """Build (source, target, shift_feature_names) for a preset kind."""
+    """Build (source, target, shift_feature_names) for a preset kind; ``seed`` must be >= 0."""
+    _finite_non_negative(seed, "seed")
     params = dict(params or {})
     if kind not in PRESET_KINDS:
         raise InvalidDistribution(f"unknown preset kind {kind!r}; have {PRESET_KINDS}")

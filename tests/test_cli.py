@@ -402,7 +402,7 @@ def test_unknown_feature_exits_1_naming_it(tmp_path, instance_dir, capsys, comma
     ("source without labels", "labelled CSV must have a 'label' column"),
     ("config list", "list.json: config must be a JSON object"),
     ("unknown candidate", "unknown candidate feature 'X9'"),
-    ("feature without cardinality", "malformed distribution document: 'cardinality'"),
+    ("feature without cardinality", "feature 0 has no 'cardinality'"),
     ("empty label column", "domain of 'label' must be non-empty and duplicate-free"),
     ("empty label column report", "domain of 'label' must be non-empty and duplicate-free"),
     ("label-only source", "label_only.csv: no feature column"),

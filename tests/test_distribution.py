@@ -2,6 +2,7 @@ import gc
 import json
 import pickle
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -411,6 +412,14 @@ class TestJsonFormat:
         again = FiniteJointDistribution.load(tmp_path / "dist.json")
         assert again.domains == (("a", "b,c"), ("0", "2"))
         np.testing.assert_array_equal(again.mass, spelled.mass)
+
+    def test_the_readme_example_loads(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Distribution JSON:\n\n```json\n", 1)[1].split("```", 1)[0]
+        dist = FiniteJointDistribution.from_json_dict(json.loads(block))
+        assert (dist.space.feature_names, dist.num_labels) == (("X1", "X2"), 2)
+        np.testing.assert_allclose(dist.mass, [[0.12, 0.16], [0.08, 0.14], [0.2, 0.05],
+                                               [0.1, 0.15]])
 
     def test_rejects_domains_that_do_not_fit_the_features(self, tmp_path, source):
         source.save(tmp_path / "dist.json")
@@ -857,6 +866,18 @@ def _rejecting_cases():
     wider = FiniteJointDistribution(FeatureSpace(["X1"], [3]), 2, np.full((3, 2), 1 / 6))
     three_labels = FiniteJointDistribution(space, 3, np.full((4, 3), 1 / 12))
     trivial, full = FeaturePartition.trivial(space), FeaturePartition.full(space)
+
+    def load(doc):
+        return lambda: FiniteJointDistribution.from_json_dict(doc)
+
+    table = {"features": [{"name": "a", "cardinality": 2}], "num_labels": 2,
+             "mass": [[0, 0, 0.5], [1, 1, 0.5]]}
+
+    def feature(**header):
+        """``table`` with ``header`` as its one feature."""
+        return {**table, "features": [header]}
+
+    huge = [{"name": "a", "cardinality": 2**62 + 1}, {"name": "b", "cardinality": 4}]
     return {
         "q_marginal shape": (lambda: sees_d_fit(p, np.full(3, 1 / 3), f), InvalidDistribution,
                              "q_marginal must be a table over the 4 feature cells"),
@@ -912,6 +933,37 @@ def _rejecting_cases():
                                 "target priors must be positive and sum to 1"),
         "planted ratio shape": (lambda: plant_sjs(p, f, [0.5, 0.5], np.ones((3, 2))),
                                 InvalidDistribution, "cell_ratios must have shape (2, 2)"),
+        "planted seed": (lambda: plant_sjs(p, f, [0.5, 0.5], seed=-1), InvalidDistribution,
+                         "seed -1 is negative"),
+        "preset seed": (lambda: make_preset("paper_example", seed=-1), InvalidDistribution,
+                        "seed -1 is negative"),
+        # An int64 product of these cardinalities wraps to 4, under the cap.
+        "space past the cap": (lambda: FeatureSpace(["a", "b"], [2**62 + 1, 4]),
+                               InvalidDistribution, "feature space has 18446744073709551620 "
+                               "cells, exceeding the cap of 10000000"),
+        "table past the cap": (load({**table, "features": huge}), InvalidDistribution,
+                               "feature space has 18446744073709551620 cells, exceeding the cap "
+                               "of 10000000"),
+        # int() would read 2.5 and "2" as 2 and true as 1, so header integers are not coerced.
+        "table cardinality 2.5": (load(feature(name="a", cardinality=2.5)), InvalidDistribution,
+                                  "feature 0 'cardinality' must be an integer, got 2.5"),
+        "table cardinality '2'": (load(feature(name="a", cardinality="2")), InvalidDistribution,
+                                  "feature 0 'cardinality' must be an integer, got '2'"),
+        "table cardinality true": (load(feature(name="a", cardinality=True)), InvalidDistribution,
+                                   "feature 0 'cardinality' must be an integer, got True"),
+        "table cardinality 2.0": (load(feature(name="a", cardinality=2.0)), InvalidDistribution,
+                                  "feature 0 'cardinality' must be an integer, got 2.0"),
+        "table cardinality missing": (load(feature(name="a")), InvalidDistribution,
+                                      "feature 0 has no 'cardinality'"),
+        "table name list": (load(feature(name=["a"], cardinality=2)), InvalidDistribution,
+                            "feature 0 'name' must be a string, got ['a']"),
+        "table num_labels 2.9": (load({**table, "num_labels": 2.9}), InvalidDistribution,
+                                 "table 'num_labels' must be an integer, got 2.9"),
+        "table features object": (load({**table, "features": {"name": "a"}}),
+                                  InvalidDistribution,
+                                  "table 'features' must be a list, got {'name': 'a'}"),
+        "table not an object": (load([table]), InvalidDistribution,
+                                "table has no 'features'"),
     }
 
 

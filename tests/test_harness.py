@@ -17,6 +17,7 @@ from sjslab import (
     ExperimentConfig,
     FeaturePartition,
     FiniteJointDistribution,
+    InvalidDistribution,
     SchemaViolation,
     SjslabError,
     check_cdi,
@@ -598,6 +599,11 @@ class TestGenerateSynthetic:
                                out_dir=tmp_path / "b", num_samples=300)
         for name in a:
             assert Path(a[name]).read_bytes() == Path(b[name]).read_bytes()
+
+    def test_a_negative_seed_raises_before_any_file_is_written(self, tmp_path):
+        with pytest.raises(InvalidDistribution, match="^seed -1 is negative$"):
+            generate_synthetic("paper_example", None, seed=-1, out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_fixed_example_preset_states(self, tmp_path):
         paths = generate_synthetic("paper_example", seed=0, out_dir=tmp_path,
