@@ -10,8 +10,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distribution import FiniteJointDistribution, _finite_non_negative, _same_features
-from .errors import EmptyDataset, SchemaViolation, naming_file
+from .distribution import FiniteJointDistribution, _finite_non_negative, _same_features, _spelled
+from .errors import EmptyDataset, InvalidDistribution, SchemaViolation, naming_file
 from .space import FeatureSpace
 
 LABEL = "label"  # the label column of every labelled CSV
@@ -72,6 +72,7 @@ class RowTable:
 
 
 BLOCK_CHARS = 1 << 18  # characters per read on the plain-line path
+BLOCK_ROWS = 1 << 16  # feature cells per write of a posterior CSV
 MISSING_ID = 0  # spelling id of the empty field; short rows are padded with it
 UNSEEN_CODE = -1
 MISSING_CODE = -2
@@ -393,16 +394,31 @@ def write_rows_csv(path, schema: DatasetSchema, feature_codes: np.ndarray,
 
 
 def write_posterior_csv(path, source: FiniteJointDistribution, table) -> None:
-    """Write a posterior table: the feature codes, one column per label and ``defined``."""
+    """Write a table over the feature cells of ``source`` (a posterior) as CSV.
+
+    The header names the features, ``posterior_0``, ... and ``defined``, as
+    ``csv.writer`` quotes them.  Then one ``\\r\\n``-ended line per cell, in
+    cell order: its codes, the ``repr`` of each label's value and ``defined``
+    as 1 or 0.  Each distinct value is spelled once; lines go out in blocks
+    of ``BLOCK_ROWS``.  A table of other than one row per cell raises
+    :class:`InvalidDistribution`.
+    """
+    num_cells = source.space.num_cells
+    if table.values.shape[0] != num_cells:
+        raise InvalidDistribution(f"posterior table has {table.values.shape[0]} rows, "
+                                  f"source has {num_cells} feature cells")
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(source.space.feature_names)
-                        + [f"posterior_{i}" for i in range(table.num_labels)]
-                        + ["defined"])
-        writer.writerows(coords + [repr(v) for v in values] + [int(defined)]
-                         for coords, values, defined in zip(source.space.all_coords().tolist(),
-                                                            table.values.tolist(),
-                                                            table.defined.tolist()))
+        csv.writer(fh).writerow(list(source.space.feature_names)
+                                + [f"posterior_{i}" for i in range(table.num_labels)]
+                                + ["defined"])
+        for start in range(0, num_cells, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, num_cells)
+            coords = source.space.coords_of(np.arange(start, stop))
+            fields = np.concatenate([_spelled(coords, "{},".format),
+                                     _spelled(table.values[start:stop], "{!r},".format),
+                                     _spelled(table.defined[start:stop, None], "{}\r\n".format)],
+                                    axis=1)
+            fh.write("".join(fields.ravel().tolist()))
 
 
 def schema_for_distribution(dist: FiniteJointDistribution,

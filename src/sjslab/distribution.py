@@ -64,7 +64,8 @@ class FiniteJointDistribution:
 
     def __init__(self, space: FeatureSpace, num_labels: int, mass: np.ndarray,
                  domains=None):
-        num_labels = int(num_labels)
+        num_labels = int(_checked("table", "num_labels", num_labels, numbers.Integral,
+                                  "an integer"))
         if num_labels < 2:
             raise InvalidDistribution(f"need at least 2 labels, got {num_labels}")
         mass = _finite_non_negative(mass, "mass", ("cell", "label"))
@@ -161,8 +162,9 @@ class FiniteJointDistribution:
         rows = _indented_rows(np.column_stack([self.space.coords_of(cells), labels]),
                               self.mass[cells, labels])
         # JSON strings hold no raw newline, so this is the top-level key.
-        text = text.replace('\n  "mass": []', '\n  "mass": ' + rows, 1)
-        Path(path).write_text(text + "\n")
+        head, tail = text.split('\n  "mass": []', 1)
+        with Path(path).open("w") as fh:  # in pieces: no copy of the rows is made
+            fh.writelines([head, '\n  "mass": [\n    [\n      ', rows, "\n    ]\n  ]", tail, "\n"])
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteJointDistribution":
@@ -223,18 +225,33 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _indented_rows(fields: np.ndarray, p: np.ndarray) -> str:
-    """Rows ``[*fields[k], p[k]]`` as ``json.dumps(..., indent=2)`` lays them out one level down.
+def _spelled(values: np.ndarray, spell) -> np.ndarray:
+    """An object array of ``spell(v)`` for each entry ``v``; ``spell`` runs once per distinct ``v``.
 
-    ``fields`` holds non-negative integers, written from a table of the
-    distinct values; ``p`` is written with ``repr``, as the encoder does.
-    ``p`` is not empty: a table's mass has a non-zero entry.
+    ``values`` holds non-negative integers (or bools), told apart by value,
+    or float64, told apart by bits, so ``-0.0`` and ``0.0`` keep their texts.
     """
-    values = np.flatnonzero(np.bincount(fields.ravel()))
-    text = np.array([f"{v},\n      " for v in values.tolist()], dtype=object)
-    columns = text[np.searchsorted(values, fields)].T.tolist()
-    rows = map("".join, zip(*columns, map(repr, p.tolist())))
-    return "[\n    [\n      " + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]"
+    if values.dtype == np.float64:
+        bits, index = np.unique(values.view(np.uint64), return_inverse=True)
+        text = np.array([spell(v) for v in bits.view(np.float64).tolist()], dtype=object)
+        return text[index.reshape(values.shape)]
+    counts = np.bincount(values.ravel())
+    text = np.empty(counts.size, dtype=object)
+    text[counts > 0] = [spell(v) for v in np.flatnonzero(counts).tolist()]
+    return np.take(text, values)
+
+
+def _indented_rows(fields: np.ndarray, p: np.ndarray) -> str:
+    """Rows ``[*fields[k], p[k]]`` as ``json.dumps(..., indent=2)`` lays them out one level
+    down, without the brackets that open the first row and close the last.
+
+    ``fields`` holds non-negative integers; ``p`` is written with ``repr``,
+    as the encoder does.  ``p`` is not empty: a table's mass has a
+    non-zero entry.
+    """
+    columns = _spelled(fields, "{},\n      ".format).T.tolist()
+    rows = map("".join, zip(*columns, _spelled(p, repr).tolist()))
+    return "\n    ],\n    [\n      ".join(rows)
 
 
 def _check_rows(rows: list, table: np.ndarray, names: list, cards: list, num_labels: int) -> None:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidDistribution, _field
+from .errors import InvalidDistribution, _checked, _field
 
 MAX_CELLS = 10_000_000  # upper bound on the feature cells of a space
 
@@ -43,8 +43,10 @@ class FeatureSpace:
     cardinalities: tuple
 
     def __init__(self, feature_names: Sequence[str], cardinalities: Sequence[int]):
-        names = tuple(str(n) for n in feature_names)
-        cards = tuple(int(c) for c in cardinalities)
+        names = tuple(str(_checked(f"feature {j}", "name", n, str, "a string"))
+                      for j, n in enumerate(feature_names))
+        cards = tuple(int(_checked(f"feature {j}", "cardinality", c, numbers.Integral,
+                                   "an integer")) for j, c in enumerate(cardinalities))
         if len(names) != len(cards):
             raise InvalidDistribution("feature_names and cardinalities must have equal length")
         if not names:

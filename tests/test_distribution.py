@@ -476,6 +476,26 @@ def table_documents(draw):
     return doc
 
 
+@st.composite
+def dyadic_tables(draw):
+    """Tables whose masses are ``k / 2**m`` and total exactly 1, so a load divides
+    by 1.0: masses drawn from a few values (repeated, zeros included) or all distinct."""
+    d = draw(st.integers(1, 4))
+    space = FeatureSpace([f"X{j + 1}" for j in range(d)],
+                         draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)))
+    ell = draw(st.integers(2, 3))
+    n = space.num_cells * ell - 1
+    if draw(st.booleans()):
+        counts = draw(st.lists(st.sampled_from([0, 1, 3]), min_size=n, max_size=n))
+    else:
+        counts = draw(st.lists(st.integers(1, 2**20), min_size=n, max_size=n, unique=True))
+    scale = 2 ** (2 * sum(counts) + 1).bit_length()
+    counts.append(scale - sum(counts))  # larger than every other count
+    order = draw(st.permutations(range(n + 1)))
+    mass = np.array([counts[k] for k in order], dtype=np.float64) / scale
+    return FiniteJointDistribution(space, ell, mass.reshape(space.num_cells, ell))
+
+
 def load_outcome(parse, doc):
     try:
         return parse(doc)
@@ -491,6 +511,16 @@ class TestColumnarTableJson:
         dist.save(path)
         want = reference_table_json(dist)
         assert path.read_text() == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(dyadic_tables())
+    def test_save_and_load_round_trip_bit_for_bit(self, tmp_path_factory, dist):
+        path = tmp_path_factory.mktemp("save") / "dist.json"
+        dist.save(path)
+        again = FiniteJointDistribution.load(path)
+        assert again.mass.tobytes() == dist.mass.tobytes()
+        again.save(path.with_name("again.json"))
+        assert path.with_name("again.json").read_bytes() == path.read_bytes()
 
     @settings(max_examples=150, deadline=None)
     @given(table_documents())
@@ -964,7 +994,25 @@ def _rejecting_cases():
                                   "table 'features' must be a list, got {'name': 'a'}"),
         "table not an object": (load([table]), InvalidDistribution,
                                 "table has no 'features'"),
+        # The constructors hold Python callers to the header rule.
+        "space cardinality 2.5": (lambda: FeatureSpace(["a"], [2.5]), InvalidDistribution,
+                                  "feature 0 'cardinality' must be an integer, got 2.5"),
+        "space cardinality true": (lambda: FeatureSpace(["a"], [True]), InvalidDistribution,
+                                   "feature 0 'cardinality' must be an integer, got True"),
+        "space name 1.5": (lambda: FeatureSpace([1.5], [2]), InvalidDistribution,
+                           "feature 0 'name' must be a string, got 1.5"),
+        "num_labels 2.9": (lambda: FiniteJointDistribution(space, 2.9, np.full((4, 2), 0.125)),
+                           InvalidDistribution, "table 'num_labels' must be an integer, got 2.9"),
     }
+
+
+def test_constructors_take_numpy_integers_and_strings():
+    space = FeatureSpace([np.str_("a"), "b"], [np.int64(2), np.uint8(3)])
+    assert space == FeatureSpace(["a", "b"], [2, 3])
+    assert all(type(v) is int for v in space.cardinalities)
+    assert all(type(n) is str for n in space.feature_names)
+    dist = FiniteJointDistribution(space, np.int32(2), np.full((6, 2), 1 / 12))
+    assert type(dist.num_labels) is int and dist.num_labels == 2
 
 
 @pytest.mark.parametrize("case", sorted(_rejecting_cases()))

@@ -4,18 +4,22 @@ import json
 import random
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sjslab import (
     AbsoluteContinuityViolated,
+    ConditionalTable,
     DatasetSchema,
     EmptyDataset,
     ExperimentConfig,
     FeaturePartition,
+    FeatureSpace,
     FiniteJointDistribution,
     InvalidDistribution,
     SchemaViolation,
@@ -257,6 +261,44 @@ def csv_reader_tokens(path):
         return read_csv_tokens(path)
 
 
+def posterior_row_loop(source, table) -> bytes:
+    """The posterior CSV written one ``csv.writer`` row per feature cell."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(list(source.space.feature_names)
+                    + [f"posterior_{i}" for i in range(table.num_labels)] + ["defined"])
+    coords = source.space.all_coords()
+    for x in range(source.space.num_cells):
+        writer.writerow([int(v) for v in coords[x]]
+                        + [repr(float(v)) for v in table.values[x]]
+                        + [int(table.defined[x])])
+    return fh.getvalue().encode()
+
+
+# Values a posterior holds, and a few it never does but a writer must spell exactly.
+_SPELLED = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.1, 1 / 3, 0.5, 1.0,
+            1e308, 1.7976931348623157e308, -1.7976931348623157e308, float("inf")]
+
+
+@st.composite
+def posterior_tables(draw):
+    """A source over 1-6 features and a table over its feature cells: values
+    drawn from ``_SPELLED`` (so they repeat) or from all floats, some rows
+    undefined, and feature names that may hold ``,``, ``"`` or a line break."""
+    d = draw(st.integers(1, 6))
+    cards = draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
+    names = draw(st.lists(st.text('ab,"\r\n ', min_size=1, max_size=4), min_size=d,
+                          max_size=d, unique=True))
+    ell = draw(st.integers(2, 4))
+    space = FeatureSpace(names, cards)
+    source = FiniteJointDistribution(space, ell, np.full((space.num_cells, ell),
+                                                         1 / (space.num_cells * ell)))
+    elements = st.one_of(st.sampled_from(_SPELLED), st.floats())
+    values = draw(hnp.arrays(np.float64, (space.num_cells, ell), elements=elements))
+    defined = draw(hnp.arrays(bool, space.num_cells))
+    return source, ConditionalTable(FeaturePartition.full(space), values, defined)
+
+
 class TestCsvReader:
     @settings(max_examples=60, deadline=None)
     @given(coded_rows())
@@ -443,15 +485,26 @@ class TestCsvReader:
 
         table = posterior(source, FeaturePartition.full(source.space))
         write_posterior_csv(tmp_path / "post.csv", source, table)
-        with (tmp_path / "ref.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["X1", "X2", "posterior_0", "posterior_1", "defined"])
-            coords = source.space.all_coords()
-            for x in range(source.space.num_cells):
-                writer.writerow([int(v) for v in coords[x]]
-                                + [repr(float(v)) for v in table.values[x]]
-                                + [int(table.defined[x])])
-        assert (tmp_path / "post.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "post.csv").read_bytes() == posterior_row_loop(source, table)
+
+    @settings(max_examples=150, deadline=None)
+    @given(posterior_tables(), st.integers(1, 9))
+    def test_posterior_writer_matches_the_row_loop(self, tmp_path_factory, drawn, block_rows):
+        """Blocks of a few rows, so that a table spans several of them."""
+        source, table = drawn
+        path = tmp_path_factory.mktemp("post") / "post.csv"
+        with mock.patch.object(datasets, "BLOCK_ROWS", block_rows):
+            write_posterior_csv(path, source, table)
+        assert path.read_bytes() == posterior_row_loop(source, table)
+
+    def test_a_table_over_other_cells_is_rejected_unwritten(self, tmp_path):
+        source = FiniteJointDistribution(FeatureSpace(["X1", "X2"], [2, 3]), 2,
+                                         np.full((6, 2), 1 / 12))
+        table = posterior(source, FeaturePartition.from_features(source.space, ["X1"]))
+        with pytest.raises(InvalidDistribution) as info:
+            write_posterior_csv(tmp_path / "post.csv", source, table)
+        assert str(info.value) == "posterior table has 2 rows, source has 6 feature cells"
+        assert not (tmp_path / "post.csv").exists()
 
 
 class TestTargetDecoding:
