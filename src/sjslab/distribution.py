@@ -115,8 +115,21 @@ class FiniteJointDistribution:
         return _read_only(self.mass.sum(axis=1))
 
     @cached_property
-    def _projections(self) -> weakref.WeakKeyDictionary:
+    def _per_partition(self) -> weakref.WeakKeyDictionary:
         return weakref.WeakKeyDictionary()
+
+    def _kept(self, partition: FeaturePartition, key: str, build):
+        """``build()``, made once per partition object and kept under ``key``.
+
+        Entries are kept while the partition lives: partitions compare by
+        identity, and its entries go with it.
+        """
+        entries = self._per_partition.get(partition)
+        if entries is None:
+            entries = self._per_partition[partition] = {}
+        if key not in entries:
+            entries[key] = build()
+        return entries[key]
 
     def require_positive_labels(self, where: str = "distribution") -> None:
         """Raise :class:`ZeroLabelMass` unless every label has positive mass."""
@@ -126,20 +139,14 @@ class FiniteJointDistribution:
                 raise ZeroLabelMass(i, where)
 
     def project(self, partition: FeaturePartition) -> np.ndarray:
-        """(partition cell, label) mass table, summed once per partition object.
-
-        The table is kept while the partition lives: partitions compare
-        by identity, and the entry goes with its partition.
-        """
-        table = self._projections.get(partition)
-        if table is None:
-            table = self._projections[partition] = _read_only(aggregate(self.mass, partition))
-        return table
+        """(partition cell, label) mass table, summed once per partition object."""
+        return self._kept(partition, "projection",
+                          lambda: _read_only(aggregate(self.mass, partition)))
 
     @cached_property
     def full_posterior(self) -> "ConditionalTable":
         """Label posterior given all features, built once: ``mass`` is read-only."""
-        return _normalised_rows(FeaturePartition.full(self.space), self.mass)
+        return _normalised_rows(FeaturePartition.full(self.space), self.mass.copy())
 
     # -- serialisation -----------------------------------------------------
 
@@ -313,10 +320,13 @@ class ConditionalTable:
         defined = np.asarray(defined, dtype=bool)
         if defined.shape != (partition.num_cells,):
             raise InvalidDistribution("defined mask must have one entry per partition cell")
-        values, defined = _read_only(values.copy()), _read_only(defined.copy())
+        self._hold(partition, values.copy(), defined.copy())
+
+    def _hold(self, partition, values, defined) -> None:
+        """Keep ``values`` and ``defined`` themselves, read-only."""
         object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "defined", defined)
+        object.__setattr__(self, "values", _read_only(values))
+        object.__setattr__(self, "defined", _read_only(defined))
 
     @property
     def num_labels(self) -> int:
@@ -389,9 +399,20 @@ def class_conditional(dist: FiniteJointDistribution, label: int) -> np.ndarray:
 
 
 def _normalised_rows(partition: FeaturePartition, joint: np.ndarray) -> ConditionalTable:
-    """Rows of ``joint`` over their sums, undefined where a row sums to 0."""
+    """Rows of ``joint`` over their sums, undefined (and +0.0, as :func:`ratio` has it)
+    where a row sums to 0.
+
+    ``joint`` must be a fresh float64 array that no one else holds: it is
+    divided in place and becomes the table's ``values``, unchecked and
+    not copied again.
+    """
     denom = joint.sum(axis=1)
-    return ConditionalTable(partition, ratio(joint, denom[:, None]), denom > 0.0)
+    defined = denom > 0.0
+    np.divide(joint, denom[:, None], out=joint, where=defined[:, None])
+    joint[~defined] = 0.0
+    table = object.__new__(ConditionalTable)
+    table._hold(partition, joint, defined)
+    return table
 
 
 def posterior(dist: FiniteJointDistribution, partition: FeaturePartition) -> ConditionalTable:
@@ -402,7 +423,7 @@ def posterior(dist: FiniteJointDistribution, partition: FeaturePartition) -> Con
     rather than being dropped, so downstream code can distinguish a
     convention-zero from a true zero posterior.
     """
-    return _normalised_rows(partition, dist.project(partition))
+    return _normalised_rows(partition, dist.project(partition).copy())
 
 
 def marginal_density(q: FiniteJointDistribution, p: FiniteJointDistribution,

@@ -253,9 +253,12 @@ def fit_from_cell_mass(p: FiniteJointDistribution, f: FeaturePartition, u: np.nd
                                   f"pairs, the first at f-cell {n}, label {i}")
     # Class-conditional density ratios: dQ/dP over the prior ratio Q_i / P_i.
     f_ratios = w * ratio(p.label_masses(), priors)
-    # The target posterior, source times w: the cached source posterior is built, if
-    # it must be, before the joint is allocated.
-    posterior = _normalised_rows(p.full_posterior.partition, p.mass * f.broadcast(w))
+    # The target posterior, source times w, built in one array: the cached source
+    # posterior is built, if it must be, before that array is allocated.
+    full = p.full_posterior.partition
+    joint = f.broadcast(w)
+    joint *= p.mass
+    posterior = _normalised_rows(full, joint)
     return SjsFit(f, u, priors, f_ratios, posterior, float(residual), method, diagnostics)
 
 
@@ -581,8 +584,9 @@ def posterior_correct(p: FiniteJointDistribution, correction) -> ConditionalTabl
     ratios = ratio(target_table.values, source_table.values)
     ratios[~(target_table.defined & source_table.defined)] = 0.0
     post = p.full_posterior
-    return _normalised_rows(post.partition,
-                            source_table.partition.broadcast(ratios) * post.values)
+    joint = source_table.partition.broadcast(ratios)
+    joint *= post.values
+    return _normalised_rows(post.partition, joint)
 
 
 def reconstruct_target(p: FiniteJointDistribution, fit: SjsFit) -> FiniteJointDistribution:

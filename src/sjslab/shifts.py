@@ -18,6 +18,7 @@ from .distribution import (
     ConditionalTable,
     FiniteJointDistribution,
     _finite_non_negative,
+    _read_only,
     check_absolute_continuity,
     density_ratio,
     posterior,
@@ -104,9 +105,17 @@ class RankReport:
 
 
 def _within(q_x, q_f, p_x, p_f) -> np.ndarray:
-    """``|q_x / q_f - p_x / p_f|`` per entry, 0 wherever either f-cell sum has no mass."""
-    active = (p_f > 0.0) & (q_f > 0.0)
-    return np.where(active, np.abs(ratio(q_x, q_f) - ratio(p_x, p_f)), 0.0)
+    """``|q_x / q_f - p_x / p_f|`` per entry, 0 wherever either f-cell sum has no mass.
+
+    One pass over all entries: the inactive ones, where a quotient may be
+    inf or NaN, are zeroed last.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diff = np.divide(q_x, q_f)
+        diff -= p_x / p_f
+    np.abs(diff, out=diff)
+    diff[(p_f <= 0.0) | (q_f <= 0.0)] = 0.0
+    return diff
 
 
 def _verdict(kind: str, diff: np.ndarray, tol: float, witness, details=None) -> ShiftVerdict:
@@ -199,8 +208,10 @@ def check_sufficiency(p: FiniteJointDistribution, f: FeaturePartition,
 
 def posterior_statistics(p: FiniteJointDistribution) -> np.ndarray:
     """The label posteriors given all features, as one (label, feature cell) table
-    of rank statistics: a read-only view of the cached ``p.full_posterior``."""
-    return p.full_posterior.values.T
+    of rank statistics: a read-only view of the cached ``p.full_posterior``, the
+    same object on every call for one table."""
+    post = p.full_posterior  # its partition lives as long as the table
+    return p._kept(post.partition, "statistics", lambda: post.values.T)
 
 
 def classifier_statistics(assignment: np.ndarray, num_labels: int) -> np.ndarray:
@@ -211,15 +222,26 @@ def classifier_statistics(assignment: np.ndarray, num_labels: int) -> np.ndarray
 def _conditional_class_matrix(p: FiniteJointDistribution, g: FeaturePartition,
                               statistics) -> tuple:
     """Matrices M[n, i, j] = E[stat_i | cell n, label j] (0/0 = 0), class masses, and
-    the statistics as one (statistic, feature cell) array."""
+    the statistics as one (statistic, feature cell) array.
+
+    For the table's own :func:`posterior_statistics`, which follow from its
+    read-only mass, the three are built once per partition object and kept
+    read-only; any other statistics are checked and built on every call.
+    """
+    if statistics is posterior_statistics(p):
+        return p._kept(g, "class matrix", lambda: _class_matrix(p, g, statistics))
     stats = _finite_non_negative(statistics, "statistics", ("statistic", "cell"))
     if stats.ndim != 2 or stats.shape[1] != p.space.num_cells:
         raise InvalidDistribution(f"statistics must be a (statistic, cell) table over "
                                   f"{p.space.num_cells} cells, got shape {stats.shape}")
+    return _class_matrix(p, g, stats)
+
+
+def _class_matrix(p: FiniteJointDistribution, g: FeaturePartition, stats: np.ndarray) -> tuple:
     class_cell = p.project(g)  # (cells, labels)
     # Row j of each product is stat_i * mass_j, contiguous, as aggregate sums columns.
     num = np.stack([aggregate(np.multiply(s, p.mass.T, order="C").T, g) for s in stats], axis=1)
-    return ratio(num, class_cell[:, None, :]), class_cell, stats
+    return _read_only(ratio(num, class_cell[:, None, :])), class_cell, stats
 
 
 def rank_matrix(p: FiniteJointDistribution, g: FeaturePartition, statistics) -> RankReport:

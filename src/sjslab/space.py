@@ -97,6 +97,9 @@ class FeaturePartition:
 
     ``cell_of[x]`` is the partition cell of feature cell ``x``.  The map
     is total and surjective onto ``0..num_cells-1`` by construction.
+    ``cell_of`` is a read-only view of the partition's own copy of the
+    map, which stays writeable and is handed only to ``np.take`` and
+    ``np.bincount``: both copy a read-only index on every call.
     """
 
     space: FeatureSpace
@@ -106,22 +109,28 @@ class FeaturePartition:
 
     def __init__(self, space: FeatureSpace, cell_of: np.ndarray,
                  feature_subset: tuple | None = None):
-        cell_of = np.asarray(cell_of, dtype=np.int64)
-        if cell_of.shape != (space.num_cells,):
+        index = np.array(cell_of, dtype=np.int64)  # a copy no caller holds
+        if index.shape != (space.num_cells,):
             raise InvalidDistribution(
-                f"cell_of must have shape ({space.num_cells},), got {cell_of.shape}")
-        if cell_of.size and cell_of.min() < 0:
+                f"cell_of must have shape ({space.num_cells},), got {index.shape}")
+        if index.size and index.min() < 0:
             raise InvalidDistribution("partition cell indices must be non-negative")
-        num = int(cell_of.max()) + 1 if cell_of.size else 0
+        num = int(index.max()) + 1 if index.size else 0
         present = np.zeros(num, dtype=bool)
-        present[cell_of] = True
+        present[index] = True
         if not present.all():
             raise InvalidDistribution("partition cell indices must be surjective onto 0..k-1")
+        cell_of = index.view()
         cell_of.setflags(write=False)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "cell_of", cell_of)
+        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "num_cells", num)
         object.__setattr__(self, "feature_subset", feature_subset)
+
+    def __reduce__(self):
+        # Through __init__, so that a copy has its own index and a read-only view of it.
+        return FeaturePartition, (self.space, self._index, self.feature_subset)
 
     # -- constructors ---------------------------------------------------
 
@@ -162,7 +171,7 @@ class FeaturePartition:
         ``np.take(..., axis=0)`` copies whole rows: on a 2-D table it is about
         three times as fast as ``table[cell_of]`` (1e5 rows, 3 columns).
         """
-        return np.take(table, self.cell_of, axis=0)
+        return np.take(table, self._index, axis=0)
 
     # -- algebra ---------------------------------------------------------
 
@@ -264,4 +273,4 @@ def aggregate(values: np.ndarray, partition: FeaturePartition) -> np.ndarray:
     if values.shape[0] != partition.space.num_cells:
         raise InvalidDistribution(
             f"table has {values.shape[0]} rows, space has {partition.space.num_cells} cells")
-    return group_sum(partition.cell_of, values, partition.num_cells)
+    return group_sum(partition._index, values, partition.num_cells)

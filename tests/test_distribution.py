@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -31,6 +31,7 @@ from sjslab import (
     check_sjs,
     check_triangle,
     class_conditional,
+    classifier_statistics,
     class_conditional_density,
     empirical_distribution,
     fit_from_cell_mass,
@@ -48,6 +49,8 @@ from sjslab import (
     sees_c_fit,
     sees_d_fit,
     sparsity_search,
+    train_argmax_classifier,
+    verify_total_expectation,
 )
 from sjslab.datasets import load_target_marginal
 from sjslab.distribution import _finite_non_negative, density_ratio, ratio
@@ -57,10 +60,12 @@ from _support import (
     example_target_literal,
     random_planted,
     random_source,
+    reference_conditional_class_matrix,
     reference_continuity_error,
     reference_from_json_dict,
     reference_ratio,
     reference_table_json,
+    reference_verify_total_expectation,
 )
 
 
@@ -720,9 +725,13 @@ def test_a_projection_goes_with_its_partition():
     dist = uniform_two_by_two()
     f = FeaturePartition.full(dist.space)
     partition, table = weakref.ref(f), weakref.ref(dist.project(f))
+    # The class matrix of the table's posterior statistics is kept beside it.
+    matrices = weakref.ref(rank_matrix(dist, f, posterior_statistics(dist)).per_cell_matrices)
+    gc.collect()
+    assert matrices() is not None
     del f
     gc.collect()
-    assert partition() is None and table() is None
+    assert partition() is None and table() is None and matrices() is None
     other = FeaturePartition.full(dist.space)  # an equal partition is another key
     assert dist.project(other) is not dist.project(FeaturePartition.full(dist.space))
 
@@ -756,6 +765,109 @@ def test_one_fit_check_and_rank_report_sum_the_source_onto_f_once(monkeypatch):
     rank_matrix(p, f, posterior_statistics(p))
     check_sjs(p, inst.target, f)
     assert calls.count(True) == 1
+
+
+# -- the class matrix of a table's own posterior statistics, built once ---------
+
+
+def _partition_of(space, data):
+    """The trivial or full partition, one feature's, or a random cell map."""
+    kind = data.draw(st.sampled_from(["trivial", "feature", "full", "random"]))
+    if kind == "trivial":
+        return FeaturePartition.trivial(space)
+    if kind == "full":
+        return FeaturePartition.full(space)
+    if kind == "feature":
+        return FeaturePartition.from_features(space, [data.draw(st.sampled_from(space.feature_names))])
+    k = data.draw(st.integers(1, space.num_cells))
+    cells = data.draw(st.lists(st.integers(0, k - 1), min_size=space.num_cells,
+                               max_size=space.num_cells))
+    return FeaturePartition(space, np.unique(cells, return_inverse=True)[1])
+
+
+def _rank_results(p, g, stats) -> tuple:
+    """The bytes of a rank report and of the identity check on ``g``."""
+    report = rank_matrix(p, g, stats)
+    assert not report.per_cell_matrices.flags.writeable
+    return (report.per_cell_matrices.tobytes(), report.per_cell_rank,
+            b"".join(s.tobytes() for s in report.singular_values),
+            verify_total_expectation(p, g, stats).hex())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SOURCES_AND_TARGETS, st.data())
+def test_a_kept_class_matrix_changes_no_result(dist, data):
+    assume(np.all(dist.label_masses() > 0.0))
+    g = _partition_of(dist.space, data)
+    stats = posterior_statistics(dist)
+    assert posterior_statistics(dist) is stats
+    fresh = FiniteJointDistribution(dist.space, dist.num_labels, dist.mass, dist.domains)
+    first, second = _rank_results(dist, g, stats), _rank_results(dist, g, stats)
+    assert second == first
+    assert _rank_results(fresh, g, posterior_statistics(fresh)) == first
+    matrices, _ = reference_conditional_class_matrix(dist, g, stats)
+    assert first[0] == b"".join(m.tobytes() for m in matrices)
+    # The identity is summed in another order, so it agrees to rounding.
+    want = reference_verify_total_expectation(dist, g, stats)
+    assert abs(float.fromhex(first[3]) - want) <= 1e-14
+
+
+def test_a_writeable_statistics_table_changed_in_place_gives_new_matrices():
+    p = example_source()
+    x1 = FeaturePartition.from_features(p.space, ["X1"])
+    stats = np.array(posterior_statistics(p))
+    before = rank_matrix(p, x1, stats).per_cell_matrices.tobytes()
+    stats[0] = stats[0] ** 2
+    after = rank_matrix(p, x1, stats).per_cell_matrices
+    matrices, _ = reference_conditional_class_matrix(p, x1, stats)
+    assert after.tobytes() == b"".join(m.tobytes() for m in matrices) != before
+    assert abs(verify_total_expectation(p, x1, stats)
+               - reference_verify_total_expectation(p, x1, stats)) <= 1e-14
+
+
+def _count_aggregates(monkeypatch) -> list:
+    """The partitions that ``space.aggregate`` is called on, from here on."""
+    from sjslab import distribution, shifts
+
+    calls = []
+
+    def counted(values, partition):
+        calls.append(partition)
+        return aggregate(values, partition)
+
+    for module in (distribution, shifts):
+        monkeypatch.setattr(module, "aggregate", counted)
+    return calls
+
+
+def test_classifier_and_other_statistics_are_built_on_every_call(monkeypatch):
+    inst, f = random_planted(5)
+    p = inst.source
+    rank_matrix(p, f, posterior_statistics(p))  # keeps the posterior statistics' matrices
+    copy = np.array(posterior_statistics(p))
+    copy.setflags(write=False)  # equal and read-only, but not the table's own object
+    clf = classifier_statistics(train_argmax_classifier(p).assignment, p.num_labels)
+    calls = _count_aggregates(monkeypatch)
+    for stats in (clf, clf, list(clf), copy, copy):
+        before = len(calls)
+        got = rank_matrix(p, f, stats).per_cell_matrices
+        assert len(calls) - before == p.num_labels  # one sum per statistic
+        matrices, _ = reference_conditional_class_matrix(p, f, stats)
+        assert got.tobytes() == b"".join(m.tobytes() for m in matrices)
+
+
+def test_a_rank_report_and_the_identity_check_build_one_class_matrix(monkeypatch):
+    inst, f = random_planted(3)
+    p = FiniteJointDistribution(inst.source.space, inst.source.num_labels, inst.source.mass)
+    stats = posterior_statistics(p)
+    calls = _count_aggregates(monkeypatch)
+    rank_matrix(p, f, stats)
+    assert len(calls) == 1 + p.num_labels  # the projection and one sum per statistic
+    verify_total_expectation(p, f, stats)
+    assert len(calls) == 2 + p.num_labels  # only its own left-hand side
+    verify_total_expectation(p, f, np.array(stats))  # a caller's array is built again
+    assert len(calls) == 3 + 2 * p.num_labels
+    assert all(g is f for g in calls)
 
 
 # -- one finite, non-negative check for every table and setting ----------------

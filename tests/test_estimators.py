@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sjslab import (
     AbsoluteContinuityViolated,
+    ConditionalTable,
     DegenerateObjective,
     FeaturePartition,
     FeatureSpace,
@@ -40,6 +41,7 @@ from _support import (
     near_singular_cells,
     random_planted,
     random_source,
+    reference_ratio,
 )
 
 
@@ -554,6 +556,62 @@ class TestPosteriorCorrect:
         via_tables = posterior_correct(source, (posterior(target_literal, x1),
                                                 posterior(source, x1)))
         np.testing.assert_allclose(via_fit.values, via_tables.values, atol=1e-9)
+
+
+def zero_ridden(seed):
+    """A 3-label source over X1 x X2 (3 x 3) and its X1 partition: f-cell X1=0 has no
+    mass, other feature cells and entries may have none, and some zeros are -0.0;
+    with fitted masses on the source's (f-cell, label) pairs, some of them 0 or -0.0."""
+    rng = np.random.default_rng(seed)
+    space = FeatureSpace(["X1", "X2"], [3, 3])
+    mass = rng.uniform(0.0, 1.0, (9, 3)) * (rng.random((9, 3)) < 0.7)
+    mass[rng.random(9) < 0.3] = 0.0
+    mass[:3] = 0.0
+    mass[4, 0] += 0.5
+    mass /= mass.sum()
+    mass[(mass == 0.0) & (rng.random(mass.shape) < 0.5)] = -0.0
+    p = FiniteJointDistribution(space, 3, mass)
+    f = FeaturePartition.from_features(space, ["X1"])
+    u = p.project(f) * rng.uniform(0.5, 2.0, (3, 3)) * (rng.random((3, 3)) < 0.8)
+    u[(u == 0.0) & (rng.random(u.shape) < 0.5)] = -0.0
+    return p, f, u
+
+
+def reference_rows(joint):
+    """The rule the in-place division replaced: ``ratio`` of each row over its sum."""
+    denom = joint.sum(axis=1)
+    return reference_ratio(joint, denom[:, None]), denom > 0.0
+
+
+def assert_table_is(table, values, defined):
+    assert table.values.tobytes() == values.tobytes()
+    assert table.defined.tobytes() == defined.tobytes()
+    assert not table.values.flags.writeable and not table.defined.flags.writeable
+
+
+class TestPosteriorsBuiltInPlace:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_every_posterior_matches_the_ratio_rule_bit_for_bit(self, seed):
+        p, f, u = zero_ridden(seed)
+        assert np.signbit(p.mass).any() and not p.mass[:3].any()
+        fit = fit_from_cell_mass(p, f, u)
+        w = reference_ratio(u / u.sum(), aggregate(p.mass, f))
+        assert_table_is(fit.corrected_posterior, *reference_rows(p.mass * w[f.cell_of]))
+        assert_table_is(p.full_posterior, *reference_rows(p.mass))
+        assert_table_is(posterior(p, f), *reference_rows(aggregate(p.mass, f)))
+        values = np.random.default_rng(seed).dirichlet(np.ones(3), 3)
+        target, source = ConditionalTable(f, values, [True, True, False]), posterior(p, f)
+        ratios = reference_ratio(target.values, source.values)
+        ratios[~(target.defined & source.defined)] = 0.0
+        assert_table_is(posterior_correct(p, (target, source)),
+                        *reference_rows(ratios[f.cell_of] * p.full_posterior.values))
+
+    def test_a_table_built_from_outside_keeps_a_copy(self, source, x1):
+        values, defined = np.full((2, 2), 0.5), np.array([True, True])
+        table = ConditionalTable(x1, values, defined)
+        values[0, 0], defined[0] = 0.25, False
+        assert table.values[0, 0] == 0.5 and table.defined[0]
+        assert values.flags.writeable and defined.flags.writeable
 
 
 class TestReconstructTarget:

@@ -29,12 +29,14 @@ from sjslab import (
     train_argmax_classifier,
     verify_total_expectation,
 )
+from sjslab.shifts import _within
 from sjslab.synthetic import cdi_not_sjs_tables, product_distribution
 from _support import (
     awkward_draws,
     awkward_source,
     random_planted,
     random_source,
+    reference_ratio,
     sufficient_source,
 )
 
@@ -73,6 +75,27 @@ class TestCheckSjs:
         verdict = check_sjs(source, target_literal, FeaturePartition.trivial(source.space))
         f_cell, h_cell, label = verdict.witness
         assert f_cell == 0 and 0 <= h_cell < 4 and label in (0, 1)
+
+
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-310]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_within_matches_the_two_ratios_it_replaced(num_labels, data):
+    # Feature cells of 1-3 f-cells (an empty one included) and their f-cell sums,
+    # with +0.0, -0.0 and subnormal entries; 1-D as check_cdi has them, 2-D as check_sjs.
+    cell_of = np.array(data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=8)))
+    shape = cell_of.shape if num_labels == 1 else cell_of.shape + (num_labels,)
+    tables = st.lists(_ENTRIES, min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))
+    q_x, p_x = (np.array(data.draw(tables)).reshape(shape) for _ in range(2))
+    f_sums = [np.zeros((3,) + shape[1:]) for _ in range(2)]
+    for table, sums in zip((q_x, p_x), f_sums):
+        np.add.at(sums, cell_of, table)
+    q_f, p_f = (sums[cell_of] for sums in f_sums)
+    active = (p_f > 0.0) & (q_f > 0.0)
+    want = np.where(active, np.abs(reference_ratio(q_x, q_f) - reference_ratio(p_x, p_f)), 0.0)
+    assert _within(q_x, q_f, p_x, p_f).tobytes() == want.tobytes()
 
 
 class TestCheckPriorShift:

@@ -1,4 +1,5 @@
 import json
+import pickle
 from itertools import chain
 
 import numpy as np
@@ -108,6 +109,25 @@ class TestFeaturePartition:
         out2 = aggregate(table, part)
         assert out2.shape == (2, 2)
         assert np.allclose(out2.sum(axis=0), table.sum(axis=0))
+
+
+def test_a_partition_hands_out_only_a_read_only_view_of_its_own_map():
+    space = FeatureSpace(["a", "b"], [2, 3])
+    codes = np.array([0, 1, 2, 0, 1, 2])
+    part = FeaturePartition(space, codes)
+    assert codes.flags.writeable and not np.shares_memory(codes, part.cell_of)
+    codes[0] = 2  # the caller's array is theirs
+    assert part.cell_of.tolist() == [0, 1, 2, 0, 1, 2]
+    with pytest.raises(ValueError):
+        part.cell_of[0] = 1
+    public = [v for name, v in vars(part).items() if not name.startswith("_")]
+    assert not any(isinstance(v, np.ndarray) and v.flags.writeable for v in public)
+    table = np.arange(6.0).reshape(3, 2)
+    assert part.broadcast(table).tolist() == table[[0, 1, 2, 0, 1, 2]].tolist()
+    assert aggregate(np.arange(6.0), part).tolist() == [3.0, 5.0, 7.0]
+    back = pickle.loads(pickle.dumps(part))
+    assert back.cell_of.tobytes() == part.cell_of.tobytes() and not back.cell_of.flags.writeable
+    assert back.describe() == part.describe() and back.num_cells == part.num_cells
 
 
 # -- partition descriptions ------------------------------------------------------
