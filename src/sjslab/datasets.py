@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -76,6 +77,12 @@ BLOCK_ROWS = 1 << 16  # feature cells per write of a posterior CSV
 MISSING_ID = 0  # spelling id of the empty field; short rows are padded with it
 UNSEEN_CODE = -1
 MISSING_CODE = -2
+_FIELD_BYTES = 7  # widest field of the fixed-layout path: its bytes and width pack into a uint64
+_FIRST_FIELDS = 1 << 16  # fields in which a one-byte spelling table must see every value
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier that mixes a line's words into its key
+# Byte class on the fixed-layout path: 0 a field byte, 1 ",", 2 "\n", 3 any byte it refuses.
+_BYTE_CLASS = np.array([0] * 128 + [3] * 128, dtype=np.uint8)
+_BYTE_CLASS[[ord(","), ord("\n"), ord('"'), ord("\r")]] = [1, 2, 3, 3]
 
 
 class _FirstSightIds(dict):
@@ -101,37 +108,57 @@ class CsvTokens(NamedTuple):
 
 
 def read_csv_tokens(path) -> CsvTokens:
-    """Read a CSV file in one streaming pass into its distinct records.
+    """Read a CSV file into its distinct records.
 
-    Two paths give the same result, chosen by what the file holds:
+    Three paths give the same result, chosen by what the file holds:
 
-    - **Plain lines.**  A file with no ``"`` and no ``\\r`` is read in
-      blocks of ``BLOCK_CHARS`` characters and split on ``\\n``.  Each
-      distinct non-empty line is numbered on first sight and split on
-      ``,`` once; ``row_of`` maps every data row to its line.  Memory:
-      one block, every distinct line as a string, and ``row_of``.
+    - **Fixed layout.**  An ASCII file with no ``"`` and no ``\\r``, whose
+      data lines all have the byte length and comma columns of the first
+      (the last may lack its ``\\n``), as many fields as the header, no
+      field over 7 bytes, and no line (header included) over
+      :func:`csv.field_size_limit`.  Its size and first data line refuse
+      most other files before the rest is read.  The data lines are one
+      byte array; numpy groups equal lines by a key mixed from each
+      line's 8-byte words, checks every line against the first of its
+      key (a collision sends the file on to the next paths) and reads
+      the distinct lines' fields as fixed byte columns.  Memory: the
+      file's bytes, a few integers per line, and each distinct line.
+    - **Plain lines.**  Any other file with no ``"`` and no ``\\r`` is
+      read in blocks of ``BLOCK_CHARS`` characters and split on
+      ``\\n``.  Each distinct non-empty line is numbered on first sight
+      and split on ``,`` once; ``row_of`` maps every data row to its
+      line.  Memory: one block, every distinct line as a string, and
+      ``row_of``.
     - **csv.reader.**  Any other file, or one with a distinct line
       longer than :func:`csv.field_size_limit` (where the reader may
       raise), is parsed by :class:`csv.reader` from its start.  Each
       parsed record is numbered on first sight.  Memory: every distinct
       record as a tuple of strings, and ``row_of``.
 
-    Either way the per-field work below, and in :func:`load_dataset`,
-    is done once per distinct record, not once per row.  The distinct
-    records are mapped to spelling ids in one pass: each field maps to
-    the id of its spelling in one table shared by all columns, numbered
-    in order of first appearance in the file; id ``MISSING_ID`` is the
-    empty field.  As with :class:`csv.DictReader`, blank lines are
-    skipped, short rows are padded with empty fields and long rows are
-    cut to the header's width, so ``row_of[r]`` is the record of the
-    r-th non-blank data row.  A sample over a finite feature space
-    repeats few records, so the distinct records are small; a file of
-    mostly distinct rows holds most of its text.
+    A leading byte-order mark (U+FEFF, as a spreadsheet's "CSV UTF-8"
+    starts) is not part of the first column's name; such a file is not
+    ASCII, so it takes the last two paths.
+
+    On every path the per-field work, here and in :func:`load_dataset`,
+    is done once per distinct record, not once per row.  Each field of
+    the distinct records maps to the id of its spelling in one table
+    shared by all columns, numbered in order of first appearance in the
+    file; id ``MISSING_ID`` is the empty field.  As with
+    :class:`csv.DictReader`, blank lines are skipped, short rows are
+    padded with empty fields and long rows are cut to the header's
+    width, so ``row_of[r]`` is the record of the r-th non-blank data
+    row.  A sample over a finite feature space repeats few records, so
+    the distinct records are small; a file of mostly distinct rows holds
+    most of its text.
     """
+    tokens = _read_fixed_layout(path)
+    if tokens is not None:
+        return tokens
     with Path(path).open(newline="") as fh:
+        _rewind_past_bom(fh)
         read = _read_plain_lines(fh)
         if read is None:
-            fh.seek(0)
+            _rewind_past_bom(fh)
             read = _read_csv_records(fh)
     header, records, row_of = read
     width = len(header)
@@ -141,6 +168,105 @@ def read_csv_tokens(path) -> CsvTokens:
     num_records = int(row_of.max(initial=-1)) + 1  # every distinct record has a row
     matrix = np.fromiter(map(ids.__getitem__, fields), np.int32, num_records * width)
     return CsvTokens(header, tuple(ids), matrix.reshape(num_records, width), row_of)
+
+
+def _rewind_past_bom(fh) -> None:
+    """Seek to the start of ``fh``, past a leading U+FEFF (as a spreadsheet's "CSV UTF-8" has)."""
+    fh.seek(0)
+    if fh.read(1) != "\ufeff":
+        fh.seek(0)
+
+
+def _read_fixed_layout(path) -> CsvTokens | None:
+    """The fixed-layout path of :func:`read_csv_tokens`, or None for a file without that layout."""
+    with Path(path).open("rb") as fh:
+        head, first = fh.readline(), fh.readline()
+        size = os.fstat(fh.fileno()).st_size - len(head)
+        line = np.frombuffer(first.removesuffix(b"\n") + b"\n", dtype=np.uint8)
+        width = line.size
+        template = _BYTE_CLASS[line]
+        ends = np.flatnonzero(template)  # each field's end: its comma, or the "\n"
+        spans = np.diff(ends, prepend=-1) - 1
+        rows, short = divmod(size, width)
+        if (len(head) < 2 or not head.endswith(b"\n") or not head.isascii() or b'"' in head
+                or b"\r" in head or max(len(head), width) - 1 > csv.field_size_limit()
+                or width < 2 or template[:-1].max() > 1 or short not in (0, width - 1)
+                or spans.size != head.count(b",") + 1 or spans.max() > _FIELD_BYTES):
+            return None
+        rows += short > 0
+        buf = np.zeros(rows * width + 8, dtype=np.uint8)  # 8 bytes for the last line's last word
+        buf[:width] = line
+        if fh.readinto(memoryview(buf)[len(first):size]) != size - len(first):
+            return None
+    buf[size:rows * width] = ord("\n")  # the last line's missing "\n", if any
+    first, rep = _first_sight(_line_keys(buf, rows, width))
+    if any((word[rep] != word).any() for word in _line_words(buf, rows, width)):
+        return None  # two different lines share a key
+    records = buf[:rows * width].reshape(rows, width)[first]
+    if (_BYTE_CLASS[records] != template).any():
+        return None
+    spellings, ids = _field_ids(records, ends - spans, spans)
+    return CsvTokens(head[:-1].decode("ascii").split(","), spellings, ids, _ranks(first, rep))
+
+
+def _line_words(buf: np.ndarray, rows: int, width: int):
+    """Each ``width``-byte line of ``buf`` as little-endian uint64 words, the last masked to it."""
+    for start in range(0, width, 8):
+        word = np.ndarray(rows, dtype="<u8", buffer=buf, offset=start, strides=(width,))
+        yield word if width - start >= 8 else word & np.uint64((1 << 8 * (width - start)) - 1)
+
+
+def _line_keys(buf: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """One uint64 per line, mixed from its words: equal lines have equal keys."""
+    keys = np.zeros(rows, dtype=np.uint64)
+    for word in _line_words(buf, rows, width):
+        keys *= _MIX
+        keys ^= word
+    return keys
+
+
+def _first_sight(keys: np.ndarray) -> tuple:
+    """``(first, rep)``: where each distinct key is first seen (ascending), and each key's first."""
+    order = np.argsort(keys)  # equal keys side by side, in any order
+    ordered = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    del ordered  # before rep, to keep the peak down
+    first = np.minimum.reduceat(order, starts)
+    rep = np.empty(keys.size, dtype=np.intp)
+    rep[order] = np.repeat(first, np.diff(starts, append=keys.size))
+    first.sort()
+    return first, rep
+
+
+def _ranks(first: np.ndarray, rep: np.ndarray, dtype=np.intp) -> np.ndarray:
+    """Each key's number among the distinct keys in first-sight order (see :func:`_first_sight`)."""
+    rank = np.empty(rep.size, dtype=dtype)
+    rank[first] = np.arange(first.size, dtype=dtype)
+    return rank[rep]
+
+
+def _field_ids(records: np.ndarray, starts: np.ndarray, spans: np.ndarray) -> tuple:
+    """``(spellings, ids)`` of the distinct lines' byte columns, numbered as in read_csv_tokens."""
+    if (spans == 1).all():  # one byte a field: spell through a 256-entry table
+        fields = records[:, starts]
+        values, at = np.unique(fields.ravel()[:_FIRST_FIELDS], return_index=True)
+        present = np.zeros(256, dtype=bool)
+        present[fields] = True
+        if values.size == np.count_nonzero(present):
+            values = values[np.argsort(at)]
+            table = np.zeros(256, dtype=np.int32)
+            table[values] = np.arange(1, values.size + 1)
+            return ("", *map(chr, values.tolist())), table[fields]
+    keys = np.zeros(records.shape[0] * spans.size + 1, dtype=np.uint64)  # "" first: MISSING_ID
+    grid = keys[1:].reshape(records.shape[0], spans.size)
+    for j, (start, span) in enumerate(zip(starts.tolist(), spans.tolist())):
+        for b in range(span):  # a field's bytes, then its width, so that only "" is 0
+            grid[:, j] |= records[:, start + b].astype(np.uint64) << np.uint64(8 * b)
+        grid[:, j] |= np.uint64(span << 56)
+    first, rep = _first_sight(keys)
+    spellings = (int(k).to_bytes(8, "little")[:int(k) >> 56].decode("ascii")
+                 for k in keys[first].tolist())
+    return tuple(spellings), _ranks(first, rep, np.int32)[1:].reshape(grid.shape)
 
 
 def _read_csv_records(fh) -> tuple:
@@ -207,7 +333,7 @@ def _schema_of_tokens(tokens: CsvTokens) -> DatasetSchema:
     position = column_positions(header)
 
     def observed(col):  # every distinct record occurs in some row
-        used = np.unique(ids[:, position[col]])
+        used = np.flatnonzero(np.bincount(ids[:, position[col]], minlength=len(spellings)))
         return sorted((spellings[k] for k in used if k != MISSING_ID),
                       key=lambda s: (len(s), s))
 

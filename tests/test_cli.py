@@ -821,6 +821,24 @@ class TestReport:
                for name in self.REPEATED_ROWS_SHA256}
         assert got == self.REPEATED_ROWS_SHA256
 
+    def test_report_reads_csvs_saved_with_a_byte_order_mark(self, tmp_path, capsys):
+        # A spreadsheet's "CSV UTF-8" starts with U+FEFF; it must not join the name X1.
+        repeated_rows_csvs(tmp_path)
+        runs = {}
+        for mark in (b"", "\ufeff".encode()):
+            for name in ("source.csv", "target.csv"):
+                text = (tmp_path / name).read_bytes().removeprefix("\ufeff".encode())
+                (tmp_path / name).write_bytes(mark + text)
+            (tmp_path / "config.json").write_text(json.dumps({
+                "source_path": str(tmp_path / "source.csv"),
+                "target_path": str(tmp_path / "target.csv"),
+                "shift_features": ["X1"], "output_dir": str(tmp_path / "run")}))
+            assert main(["report", "--config", str(tmp_path / "config.json")]) == 0
+            assert capsys.readouterr().err == ""
+            runs[mark] = [(tmp_path / "run" / name).read_bytes()
+                          for name in ("fit.json", "corrected_posterior.csv", "rank_report.json")]
+        assert runs[b""] == runs["\ufeff".encode()]
+
     @pytest.mark.parametrize("change,named", [
         ({"methd": "sees-d"}, "methd"),
         ({"shift_features": None}, "shift_features"),

@@ -1,7 +1,9 @@
 import csv
+import importlib.util
 import io
 import json
 import random
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -51,6 +53,9 @@ from sjslab.datasets import (
 )
 from sjslab.experiment import EXIT_NOT_CONVERGED, EXIT_OK, EXIT_UNDERDETERMINED
 from _support import reference_load_dataset, random_source
+
+
+BENCHMARK_INPUTS = Path(__file__).resolve().parents[1] / "benchmarks" / "inputs.py"
 
 
 def write_csv(path, text):
@@ -255,10 +260,64 @@ def token_lists(tokens):
 
 
 def csv_reader_tokens(path):
-    """``read_csv_tokens`` held to its csv.reader path: the reference for the plain path."""
+    """``read_csv_tokens`` held to its csv.reader path: the reference for the other two."""
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datasets, "_read_fixed_layout", lambda path: None)
         mp.setattr(datasets, "_read_plain_lines", lambda fh: None)
         return read_csv_tokens(path)
+
+
+def plain_line_tokens(path):
+    """``read_csv_tokens`` held off its fixed-layout path: plain lines, else csv.reader."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datasets, "_read_fixed_layout", lambda path: None)
+        return read_csv_tokens(path)
+
+
+def tokens_or_error(read, path):
+    try:
+        return token_lists(read(path))
+    except csv.Error as exc:
+        return ("error", str(exc))
+
+
+@st.composite
+def fixed_layout_csvs(draw):
+    """A CSV text whose data lines share one byte layout, which the fixed-layout path reads.
+
+    Each column has one width of 0-7 bytes (1 in every column of some
+    texts, for the one-byte spelling table); lines repeat, header names
+    may be empty, and the text may end without a newline.  Fields hold
+    NUL, blanks and other ASCII control bytes, but no ``,``, ``"``,
+    CR or LF.
+    """
+    width = draw(st.integers(1, 5))
+    spans = ([1] * width if draw(st.booleans())
+             else draw(st.lists(st.integers(0, 7), min_size=width, max_size=width)))
+    if spans == [0]:
+        spans = [1]  # an empty line is blank, not a record
+    fields = [st.text(alphabet="ab0 \t\x00\x0b\x1c\x7f", min_size=n, max_size=n) for n in spans]
+    records = draw(st.lists(st.tuples(*fields).map(",".join), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(records) - 1), min_size=1, max_size=30))
+    names = draw(st.lists(st.sampled_from(["c0", "c1", "label", ""]), min_size=width,
+                          max_size=width))
+    header = ",".join(names) or "c0"
+    return "\n".join([header] + [records[k] for k in picks]) + draw(st.sampled_from(["", "\n"]))
+
+
+# Files one step from a fixed layout: every one is read by the other paths.
+FIXED_LAYOUT_NEAR_MISSES = {
+    "a longer line": ("a,bb,label\n0,xy,1\n1,zzz,0\n1,z,0\n", None),
+    "a blank line": ("a,bb,label\n0,xy,1\n\n1,zz,0\n0,xy,1", None),
+    "CRLF line ends": ("a,bb,label\n0,xy,1\r\n1,zz,0\r\n0,xy,1\r\n", None),
+    "a quote": ('a,bb,label\n0,xy,1\n1,z",0\n0,xy,1\n', None),
+    "a non-ASCII byte": ("a,bb,label\n0,xy,1\n1,\u00e9,0\n0,xy,1\n", None),
+    "an extra comma": ("a,bb,label\n0,xy,1\n1,z,,0\n0,xy,1\n", None),
+    "an 8-byte field": ("a,bb,label\n0,12345678,1\n1,12345678,0\n", None),
+    "a header over the field limit": ("a,bb,label\n0,xy,1\n1,zz,0\n", 9),
+    "a line over the field limit": ("a,b,c\n0,xy,1\n1,zz,0\n", 5),
+    "a field over the field limit": ("a,bb,label\n0,xy,1\n1,zz,0\n", 1),
+}
 
 
 def posterior_row_loop(source, table) -> bytes:
@@ -388,10 +447,70 @@ class TestCsvReader:
             with path.open(newline="") as fh:
                 assert datasets._read_plain_lines(fh) is not None
             want = token_lists(csv_reader_tokens(path))
-            assert token_lists(read_csv_tokens(path)) == want
+            assert token_lists(plain_line_tokens(path)) == want
             with pytest.MonkeyPatch.context() as mp:  # lines cross block boundaries
                 mp.setattr(datasets, "BLOCK_CHARS", block_chars)
-                assert token_lists(read_csv_tokens(path)) == want
+                assert token_lists(plain_line_tokens(path)) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(fixed_layout_csvs())
+    def test_fixed_layout_matches_the_other_paths(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            path.write_text(text, newline="")
+            fixed = datasets._read_fixed_layout(path)
+            assert fixed is not None
+            want = token_lists(csv_reader_tokens(path))
+            assert token_lists(fixed) == want
+            assert token_lists(plain_line_tokens(path)) == want
+            assert token_lists(read_csv_tokens(path)) == want
+
+    def test_a_one_byte_value_first_seen_late_is_still_numbered_in_order(self, tmp_path,
+                                                                        monkeypatch):
+        path = write_csv(tmp_path / "d.csv", "a,b\n0,1\n1,0\n0,1\n1,2\n0,1\n3,0\n")
+        want = token_lists(csv_reader_tokens(path))
+        monkeypatch.setattr(datasets, "_FIRST_FIELDS", 3)  # "2" and "3" come after it
+        assert token_lists(datasets._read_fixed_layout(path)) == want
+        assert want[1] == ("", "0", "1", "2", "3")
+
+    def test_a_key_collision_sends_the_file_to_the_other_paths(self, tmp_path, monkeypatch):
+        # With a multiplier of 0 a line's key is its last 8-byte word alone, and
+        # these lines differ only in their first word.
+        path = write_csv(tmp_path / "d.csv",
+                         "a,b,c\n0000000,1111111,2\nzzzzzzz,1111111,2\n0000000,1111111,2\n")
+        want = token_lists(csv_reader_tokens(path))
+        monkeypatch.setattr(datasets, "_MIX", np.uint64(0))
+        assert datasets._read_fixed_layout(path) is None
+        assert token_lists(read_csv_tokens(path)) == want
+        assert want[4] == [[1, 2, 3], [4, 2, 3]] and want[6] == [0, 1, 0]
+
+    @pytest.mark.parametrize("name", sorted(FIXED_LAYOUT_NEAR_MISSES))
+    def test_a_near_miss_of_the_fixed_layout_reads_as_before(self, tmp_path, name):
+        text, limit = FIXED_LAYOUT_NEAR_MISSES[name]
+        path = tmp_path / "d.csv"
+        path.write_text(text, newline="")
+        old = csv.field_size_limit(limit or csv.field_size_limit())
+        try:
+            assert datasets._read_fixed_layout(path) is None
+            got = tokens_or_error(read_csv_tokens, path)
+            assert got == tokens_or_error(plain_line_tokens, path)
+            assert got == tokens_or_error(csv_reader_tokens, path)
+        finally:
+            csv.field_size_limit(old)
+        if limit == 1:
+            assert got == ("error", "field larger than field limit (1)")
+
+    @pytest.mark.parametrize("text", ["X1,X2,label\n0,a,1\n1,b,0\n",
+                                      "X1,X2,label\n0,a,1\n1,bc,0\n",
+                                      '"X1",X2,label\n0,"a",1\n1,b,0\n'])
+    def test_a_byte_order_mark_is_not_part_of_the_header(self, tmp_path, text):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        tokens = read_csv_tokens(marked)
+        assert tokens.header == ["X1", "X2", "label"]
+        assert token_lists(tokens) == token_lists(read_csv_tokens(plain))
+        assert token_lists(csv_reader_tokens(marked)) == token_lists(tokens)
 
     def test_nul_in_a_field_reads_alike_on_both_paths(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "a,b\nx\x00y,1\n\x00,\nx\x00y,1\n")
@@ -452,10 +571,32 @@ class TestCsvReader:
         def refused(fh):
             raise AssertionError("a sample was read by csv.reader")
 
+        monkeypatch.setattr(datasets, "_read_fixed_layout", lambda path: None)
         monkeypatch.setattr(datasets, "_read_csv_records", refused)
         for (path, schema), want in zip(cases, expected):
             assert b"\r" not in Path(path).read_bytes()
             assert decoded(load_codes, path, schema) == want
+
+    def test_samples_and_benchmark_inputs_take_the_fixed_layout_path(self, tmp_path,
+                                                                     monkeypatch):
+        paths = generate_synthetic("sjs", {"num_features": 3}, seed=2, out_dir=tmp_path / "sim",
+                                   num_samples=300)
+        spec = importlib.util.spec_from_file_location("benchmark_inputs", BENCHMARK_INPUTS)
+        inputs = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclasses look it up
+        spec.loader.exec_module(inputs)
+        (tmp_path / "bench").mkdir()
+        inputs.write_csv_inputs(inputs.csv_instance(0), 0, tmp_path / "bench")
+        files = [paths["source_sample.csv"], paths["target_features.csv"],
+                 tmp_path / "bench" / "source.csv", tmp_path / "bench" / "target.csv"]
+        want = [token_lists(plain_line_tokens(path)) for path in files]
+
+        def refused(fh):
+            raise AssertionError("a file was read off the fixed-layout path")
+
+        monkeypatch.setattr(datasets, "_read_plain_lines", refused)
+        monkeypatch.setattr(datasets, "_read_csv_records", refused)
+        assert [token_lists(read_csv_tokens(path)) for path in files] == want
 
     @pytest.mark.parametrize("spelling", ["a\rb", "\r", "a\r\nb", "a\nb", "a,b"])
     def test_a_spelling_with_a_line_break_round_trips(self, tmp_path, spelling):
